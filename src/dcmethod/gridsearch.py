@@ -1,38 +1,153 @@
-"""Two-stage frequency grid search.
+"""Two-stage frequency grid search: screen every tuple, verify exactly.
 
 The long stage scans every strictly descending tuple drawn from one
 even frequency grid over [f_min, f_max].  The short stage re-scans a
 dense grid inside a narrow window around each long-stage frequency,
 taking all ordered combinations across the per-signal windows.
+``scan_rounds`` repeats a short-stage scan for many bootstrap data
+rounds at once.  All three run the same two passes.
 
-Work is split into fixed-size tuple chunks that depend only on the
-problem dimensions, never on the worker count, and chunk results are
-merged with exact comparisons (ties broken by the lexicographically
-smallest tuple).  Results are therefore identical whatever the number
-of threads.
+Screen
+------
+A scan frequency contributes the same weighted cos/sin columns to every
+tuple that contains it.  The columns of all scan frequencies plus the
+trend columns are therefore built once, as one matrix C, by the exact
+kernel's own expression (``model.design_matrix``, rows divided by
+sigma), so the design matrix A of a tuple is a column subset of C, bit
+for bit.  One matmul gives every cross-Gram C^T C, one more every
+right-hand side C^T y_w (all bootstrap rounds at once).  Each tuple
+gathers its m x m Gram G = A^T A and b = A^T y_w and is scored in
+O(m^3), independent of n (the joint, multi-term form of the generalised
+Lomb-Scargle normal equations):
+
+    x = G^-1 b,    rss = s - 2 b^T x + x^T G x,    s = y_w^T y_w.
+
+For any x the formula equals ||y_w - A x||^2 = rss* + ||A (x - x*)||^2,
+with x* the exact least squares solution, so it is second order in the
+solve error.
+
+Notation: u = 2^-53, gamma_k = k u / (1 - k u), delta = gamma_k with
+k = n + 2m + 4 (one dot product of length n or m, a few times over).
+a^2 = ||A||_F^2, taken as trace(G)(1 + 2 delta); c_j >= ||A_j|| the
+column norms, from diag(G); lam the eigenvalues of the computed Gram.
+The computed G, b and s differ from the exact ones by at most gamma_n
+times |A|^T|A|, |A|^T|y| and y^T y elementwise, for any summation
+order.  The LAPACK symmetric eigensolver and thin SVD are normwise
+backward stable; their backward-error constants are taken to lie
+within delta.
+
+Guard
+-----
+By Weyl, every eigenvalue of the exact G lies within delta a^2 of the
+computed one, so lam_lo = lam_min - delta a^2 <= lam_min(G).  A tuple
+goes to the exact kernel unless lam_lo > 0 and
+
+    kappa = a^2 / lam_lo <= T = 1 / (8 delta).
+
+kappa bounds cond(G) from above (lam_max <= a^2), so T is a threshold
+on the Gram condition number: 3.5e12 at n = 300 and 1.1e12 at n = 1000
+(m = 11), never above 1 / (32 u) = 2.8e14 since delta >= 4u.  It is the
+largest threshold under which the bound below holds.  A tuple that
+passes has cond(A) = cond(G)^(1/2) <= (8 delta)^(-1/2) <= 1.7e7, and the
+SVD moves no singular value by more than delta a <= delta m^(1/2)
+sigma_max, so its computed sigma_min / sigma_max stays above 1e-8, far
+above ``RANK_RCOND`` = 1e-10: the exact kernel solves it at full rank.
+An exactly singular Gram (a duplicated frequency, or f_a = j f_b on a
+grid with k2 >= j) has lam_min = 0, hence lam_lo <= 0: it is routed,
+never raised.
+
+Bound
+-----
+For any x, ||A (x - x*)||^2 <= ||A^T (y - A x)||^2 / lam_min(G), and
+|| |A| |x| || <= nu(x) = sum_j c_j |x_j| <= a ||x||.
+
+1. The screen's rss, evaluated from the rounded s, b, G with length-m
+   dot products, is within e1 = delta (||y|| + nu)^2 of ||y - A x||^2.
+2. Its normal-equation residual g = A^T (y - A x) is within
+   delta a (||y|| + nu) of the computed g^ = b - G x, so
+   q1 = ||A (x - x*)||^2 <= g_b^2 / lam_lo, with
+   g_b = (1 + 2 delta) ||g^|| + delta a (||y|| + nu).
+3. The exact kernel's SVD solution x_s solves the problem for A + dA,
+   y + dy with ||dA|| <= delta a, ||dy|| <= delta ||y||.  From the
+   perturbed normal equations, ||A^T (y - A x_s)|| <= delta a S with
+   S = (2 + delta) ||y|| + a ||x_s||, and with 8 delta kappa <= 1 and
+   ||x_s - x|| <= (g_b + delta a S) / lam_lo,
+   S <= S_b = (8/7) ((2 + delta) ||y|| + a ||x|| + a g_b / lam_lo).
+   So q2 = ||A (x_s - x*)||^2 <= delta^2 kappa S_b^2.
+4. The kernel's explicit residual r = y - A x_s is rounded
+   componentwise by at most gamma_(m+1) (|y| + |A| |x_s|), a vector of
+   norm at most D = gamma_(m+1) (||y|| + nu + a g_b / lam_lo
+   + delta kappa S_b); ||r||^2 = rss* + q2 <= R^2 = rss + e1 + q2.  The
+   sum of squares is then within e2 = 2 R D + D^2 + delta (R + D)^2 of
+   ||r||^2.
+
+Both values equal rss* plus their own q and rounding, so
+
+    |rss_screen - rss_exact| <= e1 + q1 + q2 + e2,
+
+and the reported bound is twice that, which also covers the rounding of
+the bound's own evaluation.  For a well-conditioned tuple it is close
+to 2 delta (||y|| + nu)^2: the rounding of s - 2 b^T x + x^T G x, which
+no solve can remove.
+
+Verify
+------
+The bound brackets each unguarded tuple's exact z, as computed by the
+exact kernel, between z_lo = sqrt(max(rss - bound, 0) / n) and z_hi =
+sqrt((rss + bound) / n) (rounding is monotone).  Let Z be the smallest
+z_hi.  Every guarded tuple and every tuple with z_lo <= Z is re-scored
+by ``evaluate_z`` (or ``design_solver`` + ``misfit`` per round, with
+the same right-hand side blocks as always); the tuple that attains Z is
+among them.  Any other tuple has exact z >= z_lo > Z >= the exact
+minimum, strictly above it, so the exact comparison with its
+lexicographic tie-break yields the same z_min, best tuple and
+degenerate flag as an exact scan of every tuple, bit for bit.
+Unguarded tuples are never rank deficient, so the degenerate flag only
+needs the guarded ones.
+
+Work is split into tuple chunks whose size depends only on the problem
+dimensions, never on the worker count.  The set of re-scored tuples is
+fixed by the final Z alone, and results are merged with exact
+comparisons, so output is identical whatever the number of threads.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, UnstableSearchError
-from .linfit import design_solver, evaluate_z, weighting_mode
-from .model import ModelSpec
-from .timeseries import SpanStats, TimeSeries, span_stats
+from .linfit import design_solver, evaluate_z, weighted_y, weighting_mode
+from .model import ModelSpec, design_matrix
+from .timeseries import TimeSeries, span_stats
 
 __all__ = ["SearchConfig", "Slice", "Periodogram", "long_search", "short_search",
-           "periodogram_slice", "scan_rounds"]
+           "periodogram_slice", "scan_rounds", "ordered_map"]
 
-# Elements of one (tuples, n, m) work array per chunk; keeps peak memory
-# bounded for large series while amortising the per-call overhead.
+# Elements of one (tuples, n, m) exact-kernel array per chunk.  The
+# scans send only guarded and near-minimum tuples there, so small
+# batches cost little and keep peak memory down.
+_EXACT_TARGET = 1_000_000
+# scan_rounds solves its rounds in blocks of _CHUNK_TARGET // (rows n)
+# right-hand sides, rows = _chunk_rows(n, m); the exact misfit bits
+# depend on that block width, so it keeps this sizing.
 _CHUNK_TARGET = 4_000_000
 _CHUNK_MAX = 4096
 _CHUNK_MIN = 16
+# Elements of one (tuples, m, m + rounds) screen array per chunk.
+_SCREEN_TARGET = 250_000
+
+_U = np.finfo(float).eps / 2.0
+
+
+def _gamma(k: int) -> float:
+    """Rounding-error factor of a length-k dot product, k u / (1 - k u)."""
+    return k * _U / (1.0 - k * _U)
 
 
 @dataclass(frozen=True)
@@ -91,8 +206,29 @@ class Periodogram:
     degenerate_hit: bool = False
 
 
-def _chunk_rows(n: int, m: int) -> int:
-    rows = _CHUNK_TARGET // max(1, n * m)
+def ordered_map(fn, items, workers):
+    """Yield ``fn(item)`` for every item, in input order.
+
+    With ``workers`` > 1 the calls run on a thread pool with at most
+    2 x workers of them in flight, so a long item stream never piles up
+    results in memory.
+    """
+    if workers <= 1:
+        for item in items:
+            yield fn(item)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = collections.deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def _chunk_rows(n: int, m: int, target: int = _CHUNK_TARGET) -> int:
+    rows = target // max(1, n * m)
     return int(min(_CHUNK_MAX, max(_CHUNK_MIN, rows)))
 
 
@@ -143,6 +279,152 @@ def _product_chunks(grids: list[np.ndarray], rows: int):
         yield np.concatenate(pending, axis=0) if len(pending) > 1 else pending[0]
 
 
+class _Blocks:
+    """Weighted columns of every scan frequency, their cross-Grams and
+    right-hand sides, and the screen of a tuple chunk against them.
+
+    ``grids`` holds one grid per signal axis; axes that share
+    one grid object (the long stage) share its columns.  ``yw`` is the
+    (n, R) weighted data, one column per round.
+    """
+
+    def __init__(self, ts: TimeSeries, spec: ModelSpec, stats, mode, grids, yw):
+        self.spec = spec
+        distinct = []
+        self._axis = []
+        for g in grids:
+            pos = next((p for p, h in enumerate(distinct) if h is g), None)
+            if pos is None:
+                pos = len(distinct)
+                distinct.append(g)
+            order = np.argsort(g, kind="stable")
+            start = sum(h.size for h in distinct[:pos])
+            self._axis.append((g[order], start + order))
+        freqs = np.concatenate(distinct)
+        cols = design_matrix(ts.t, ModelSpec(freqs.size, spec.k2, spec.k3),
+                             freqs, stats)
+        if mode == "chi-square":
+            cols = cols / ts.sigma[:, None]
+        self.cols = cols
+        self.gram = cols.T @ cols
+        self.rhs = cols.T @ yw
+        self.ss = np.einsum("nr,nr->r", yw, yw)
+        h = 2 * spec.k2
+        self._harm = np.arange(h)
+        self._trend = np.arange(freqs.size * h, freqs.size * h + spec.n_trend)
+        m = spec.n_linear
+        self.n = ts.n
+        self.n_rhs = yw.shape[1]
+        self.delta = _gamma(ts.n + 2 * m + 4)
+        self.delta_m = _gamma(m + 1)
+        self.rows = _chunk_rows(m + self.n_rhs, m, _SCREEN_TARGET)
+
+    def columns(self, tuples: np.ndarray) -> np.ndarray:
+        """Column indices into C of each tuple's design matrix, (B, m)."""
+        h = self._harm.size
+        parts = []
+        for axis, (ordered, place) in enumerate(self._axis):
+            q = place[np.searchsorted(ordered, tuples[:, axis])]
+            parts.append(q[:, None] * h + self._harm)
+        parts.append(np.broadcast_to(self._trend, (tuples.shape[0], self._trend.size)))
+        return np.concatenate(parts, axis=1)
+
+    def score(self, tuples: np.ndarray):
+        """Screen a tuple chunk.
+
+        Returns
+        -------
+        ok : ndarray of bool, shape (B,)
+            False where the guard sends the tuple to the exact kernel.
+        rss, bound : ndarray, shape (ok.sum(), R)
+            Screened residual sum of squares of the passing tuples and
+            the bound on its distance to the exact kernel's value.
+        """
+        d = self.delta
+        idx = self.columns(tuples)
+        gram = self.gram[idx[:, :, None], idx[:, None, :]]
+        b = self.rhs[idx]
+        lam, vec = np.linalg.eigh(gram)
+        a2 = np.trace(gram, axis1=1, axis2=2) * (1.0 + 2.0 * d)
+        lam_lo = lam[:, 0] - d * a2
+        ok = (lam_lo > 0.0) & (8.0 * d * a2 <= lam_lo)
+        gram, b, lam, vec, a2, lam_lo = gram[ok], b[ok], lam[ok], vec[ok], a2[ok], lam_lo[ok]
+        x = vec @ ((np.swapaxes(vec, 1, 2) @ b) / lam[:, :, None])
+        gx = gram @ x
+        rss = self.ss - 2.0 * np.einsum("bmr,bmr->br", b, x) + np.einsum("bmr,bmr->br", x, gx)
+        ghat = b - gx
+        a = np.sqrt(a2)[:, None]
+        lam_lo = lam_lo[:, None]
+        kappa = a * a / lam_lo
+        y_norm = np.sqrt(self.ss)
+        col_norm = np.sqrt(np.diagonal(gram, axis1=1, axis2=2)) * (1.0 + d)
+        nu = np.einsum("bm,bmr->br", col_norm, np.abs(x))
+        e1 = d * (y_norm + nu) ** 2
+        g_b = (1.0 + 2.0 * d) * np.sqrt(np.einsum("bmr,bmr->br", ghat, ghat)) \
+            + d * a * (y_norm + nu)
+        s_b = (8.0 / 7.0) * ((2.0 + d) * y_norm
+                             + a * np.sqrt(np.einsum("bmr,bmr->br", x, x)) + a * g_b / lam_lo)
+        q2 = d * d * kappa * s_b ** 2
+        dm = self.delta_m * (y_norm + nu + a * g_b / lam_lo + d * kappa * s_b)
+        r_s = np.sqrt(np.maximum(rss + e1, 0.0) + q2)
+        e2 = 2.0 * r_s * dm + dm * dm + d * (r_s + dm) ** 2
+        bound = 2.0 * (e1 + g_b ** 2 / lam_lo + q2 + e2)
+        return ok, rss, bound
+
+    def screen(self, tuples: np.ndarray):
+        """Chunk tuples that may need the exact kernel, their z_lo, and
+        the smallest z_hi per round ((R,), inf if every tuple is guarded).
+
+        Guarded tuples get z_lo = -inf, and so does any tuple whose
+        screen overflowed.  Tuples whose z_lo exceeds the chunk's own
+        smallest z_hi in every round are dropped here already: the
+        scan-wide smallest z_hi can only be lower.
+        """
+        ok, rss, bound = self.score(tuples)
+        z_lo = np.full((tuples.shape[0], self.n_rhs), -np.inf)
+        z_hi = np.sqrt((rss + bound) / self.n)
+        lo = np.sqrt(np.maximum(rss - bound, 0.0) / self.n)
+        finite = np.isfinite(lo).all(axis=1) & np.isfinite(z_hi).all(axis=1)
+        z_lo[np.flatnonzero(ok)[finite]] = lo[finite]
+        z_hi_min = z_hi[finite].min(axis=0, initial=np.inf)
+        keep = (z_lo <= z_hi_min).any(axis=1)
+        return tuples.shape[0], tuples[keep], z_lo[keep], z_hi_min
+
+
+def _screen_scan(ts, spec, stats, mode, grids, yw, chunks, workers):
+    """Screen every tuple of a scan over ``grids``.
+
+    ``chunks`` maps a chunk size to the scan's tuple chunks, ``yw`` is
+    the (n, R) weighted data.  Returns the number of tuples scanned and,
+    as one (C, k1) array, the tuples the exact kernel must re-score:
+    every guarded tuple and every tuple whose z_lo is at most the
+    scan-wide smallest z_hi in some round.  The set depends on the final
+    minimum alone, not on the order chunks finish in.  The blocks are
+    released on return, before the exact pass allocates its own arrays.
+    """
+    blocks = _Blocks(ts, spec, stats, mode, grids, yw)
+    total = 0
+    z_star = np.full(blocks.n_rhs, np.inf)
+    kept, kept_lo = [], []
+    for count, tuples, z_lo, z_hi_min in ordered_map(
+            blocks.screen, chunks(blocks.rows), workers):
+        total += count
+        z_star = np.minimum(z_star, z_hi_min)
+        keep = (z_lo <= z_star).any(axis=1)
+        kept.append(tuples[keep])
+        kept_lo.append(z_lo[keep])
+    if not kept:
+        return 0, np.empty((0, blocks.spec.k1))
+    tuples = np.concatenate(kept)
+    z_lo = np.concatenate(kept_lo)
+    return total, tuples[(z_lo <= z_star).any(axis=1)]
+
+
+def _batches(tuples: np.ndarray, rows: int):
+    for start in range(0, tuples.shape[0], rows):
+        yield tuples[start:start + rows]
+
+
 def _lex_best(tuples: np.ndarray, cand: np.ndarray) -> int:
     """Index (within cand) of the lexicographically smallest tuple."""
     sub = tuples[cand]
@@ -157,7 +439,7 @@ def _reduce_chunk(ts, spec, stats, weighting, tuples):
     cand = np.flatnonzero(z == zmin)
     if cand.size > 1:
         i = _lex_best(tuples, cand)
-    return float(zmin), tuples[i].copy(), tuples.shape[0], bool(degen.any())
+    return float(zmin), tuples[i].copy(), bool(degen.any())
 
 
 def _better(z_a, t_a, z_b, t_b) -> bool:
@@ -170,49 +452,39 @@ def _better(z_a, t_a, z_b, t_b) -> bool:
     return False
 
 
-def _scan(ts, spec, stats, weighting, chunks, workers):
+def _scan(ts, spec, stats, weighting, grids, chunks, workers):
+    """Screen, then re-score the surviving tuples with the exact kernel.
+
+    Returns (z_min, best, tuples scanned, degenerate hit); ``best`` is
+    None when the chunks hold no tuple.
+    """
+    mode = weighting_mode(ts, weighting)
+    total, survivors = _screen_scan(ts, spec, stats, mode, grids,
+                                    weighted_y(ts, mode)[:, None], chunks, workers)
     best_z = np.inf
     best_t = None
-    total = 0
     degenerate = False
-
-    def merge(res):
-        nonlocal best_z, best_t, total, degenerate
-        zmin, tup, count, degen = res
-        total += count
+    task = partial(_reduce_chunk, ts, spec, stats, weighting)
+    rows = _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET)
+    for zmin, tup, degen in ordered_map(task, _batches(survivors, rows), workers):
         degenerate = degenerate or degen
         if best_t is None or _better(zmin, tup, best_z, best_t):
             best_z, best_t = zmin, tup
-
-    if workers <= 1:
-        for tuples in chunks:
-            merge(_reduce_chunk(ts, spec, stats, weighting, tuples))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            inflight = set()
-            for tuples in chunks:
-                inflight.add(pool.submit(_reduce_chunk, ts, spec, stats, weighting, tuples))
-                if len(inflight) >= 2 * workers:
-                    done, inflight = wait(inflight, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        merge(fut.result())
-            for fut in inflight:
-                merge(fut.result())
     return best_z, best_t, total, degenerate
 
 
 def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
     """Misfit z along one frequency axis, the others held fixed.
 
-    Returns the z values over ``grid``.  Points where the varied
-    frequency duplicates a fixed one are evaluated through the same
-    rank-truncated solve as everywhere else.
+    Returns the z values over ``grid``, every one from the exact kernel.
+    Points where the varied frequency duplicates a fixed one are
+    evaluated through the same rank-truncated solve as everywhere else.
     """
     if stats is None:
         stats = span_stats(ts)
     freqs = np.asarray(freqs, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    rows = _chunk_rows(ts.n, spec.n_linear)
+    rows = _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET)
     out = np.empty(grid.size)
     for start in range(0, grid.size, rows):
         block = grid[start:start + rows]
@@ -251,10 +523,10 @@ def long_search(ts, spec, cfg: SearchConfig, stats=None, weighting=None, workers
     if stats is None:
         stats = span_stats(ts)
     grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
-    rows = _chunk_rows(ts.n, spec.n_linear)
-    chunks = _combination_chunks(grid, spec.k1, rows)
-    z_min, best, total, degen = _scan(ts, spec, stats, weighting, chunks, workers)
     grids = [grid] * spec.k1
+    z_min, best, total, degen = _scan(
+        ts, spec, stats, weighting, grids,
+        partial(_combination_chunks, grid, spec.k1), workers)
     slices = _build_slices(ts, spec, stats, weighting, grids, best)
     return Periodogram(
         stage="long", grids=grids, best=best, z_min=z_min,
@@ -266,8 +538,9 @@ def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1
     """Best tuple over the given grids for many data rounds at once.
 
     This is the bootstrap work horse: each resampled series re-runs the
-    short stage over the same candidate tuples, so the design matrices
-    and their factorisations are shared across rounds within a chunk.
+    short stage over the same candidate tuples.  The screen scores all
+    rounds from one set of Grams; the exact kernel factors each
+    surviving tuple once and reuses the factors for every round.
 
     Parameters
     ----------
@@ -291,6 +564,8 @@ def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1
         yw /= ts.sigma[:, None]
     rows = _chunk_rows(ts.n, spec.n_linear)
     r_block = int(max(1, min(n_rounds, _CHUNK_TARGET // max(1, rows * ts.n))))
+    _, survivors = _screen_scan(ts, spec, stats, mode, grids, yw,
+                                partial(_product_chunks, grids), workers)
 
     def chunk_task(tuples):
         solver = design_solver(ts, spec, tuples, stats, mode)
@@ -310,34 +585,16 @@ def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1
 
     best_z = np.full(n_rounds, np.inf)
     best_t = None
-
-    def merge(res):
-        nonlocal best_t
-        zc, tc = res
+    batch = _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET)
+    for zc, tc in ordered_map(chunk_task, _batches(survivors, batch), workers):
         if best_t is None:
             best_t = tc.copy()
             best_z[:] = zc
-            return
+            continue
         for r in range(n_rounds):
             if _better(zc[r], tc[r], best_z[r], best_t[r]):
                 best_z[r] = zc[r]
                 best_t[r] = tc[r]
-
-    chunks = _product_chunks(grids, rows)
-    if workers <= 1:
-        for tuples in chunks:
-            merge(chunk_task(tuples))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            inflight = set()
-            for tuples in chunks:
-                inflight.add(pool.submit(chunk_task, tuples))
-                if len(inflight) >= 2 * workers:
-                    done, inflight = wait(inflight, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        merge(fut.result())
-            for fut in inflight:
-                merge(fut.result())
     if best_t is None:
         raise UnstableSearchError("no ordered frequency tuple to scan")
     return best_z, best_t
@@ -368,9 +625,8 @@ def short_search(ts, spec, cfg: SearchConfig, centers, stats=None, weighting=Non
         lo = max(cfg.f_min, mid - a)
         hi = min(cfg.f_max, mid + a)
         grids.append(np.linspace(lo, hi, cfg.n_short))
-    rows = _chunk_rows(ts.n, spec.n_linear)
-    chunks = _product_chunks(grids, rows)
-    z_min, best, total, degen = _scan(ts, spec, stats, weighting, chunks, workers)
+    z_min, best, total, degen = _scan(
+        ts, spec, stats, weighting, grids, partial(_product_chunks, grids), workers)
     if best is None:
         raise UnstableSearchError(
             "short-stage windows admit no ordered frequency tuple")

@@ -15,6 +15,15 @@ runs through one kernel, so a scan evaluated tuple-by-tuple reproduces
 a batched scan bit for bit.  Residuals are always computed explicitly
 as b - A x; norm-difference identities cancel catastrophically when
 the fit is near exact.
+
+This kernel is the reference every reported misfit comes from.  The
+grid scans (``gridsearch``) score most tuples far more cheaply from
+precomputed Gram blocks, through exactly such a norm-difference
+identity, but only to rule tuples out: each screened value carries a
+rigorous bound on its distance to this kernel's value, and every tuple
+the bound cannot rule out, together with every tuple whose Gram is too
+ill-conditioned to bound, is re-scored here.  The scan's best z and
+tuple are therefore always this kernel's bits.
 """
 
 from __future__ import annotations

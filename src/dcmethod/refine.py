@@ -14,13 +14,12 @@ draws feed the instability diagnostics.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .gridsearch import SearchConfig, scan_rounds
+from .gridsearch import SearchConfig, ordered_map, scan_rounds
 from .linfit import fit_columns, solve_linear, weighting_mode
 from .model import (BetaVector, ModelSpec, design_matrix, eval_model,
                     param_names, signal_values, summarize_signals)
@@ -276,12 +275,8 @@ def bootstrap(ts, spec, cfg: SearchConfig, refined: RefinedModel, grids,
         summaries[r] = summ
         ok[r] = True
 
-    if workers <= 1:
-        for r in range(n_rounds):
-            handle(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(handle, range(n_rounds)))
+    for _ in ordered_map(handle, range(n_rounds), workers):
+        pass
 
     good = draws[ok]
     n_ok = int(ok.sum())

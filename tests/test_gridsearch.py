@@ -11,25 +11,31 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcmethod import (
     ConfigError,
     ModelSpec,
     SearchConfig,
+    SimulationSpec,
     TimeSeries,
     UnstableSearchError,
     long_search,
     short_search,
+    simulate,
     span_stats,
 )
+from dcmethod import gridsearch
 from dcmethod.gridsearch import (
+    _Blocks,
     _chunk_rows,
     _combination_chunks,
     _product_chunks,
+    ordered_map,
     periodogram_slice,
     scan_rounds,
 )
-from dcmethod.linfit import design_solver, solve_linear
+from dcmethod.linfit import design_solver, solve_linear, weighted_y, weighting_mode
 
 
 def two_sine_series(n=18, seed=3):
@@ -284,3 +290,162 @@ def test_scan_rounds_worker_invariance():
     z4, b4 = scan_rounds(ts, spec, grids, y_rounds, workers=4)
     assert np.array_equal(z1, z4)
     assert np.array_equal(b1, b4)
+
+
+# ---------------------------------------------------------------------------
+# the Gram screen and its exact verification
+# ---------------------------------------------------------------------------
+
+@st.composite
+def screen_cases(draw):
+    return dict(
+        n=draw(st.integers(6, 60)),
+        spec=ModelSpec(draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2])),
+                       draw(st.integers(-1, 2))),
+        weighted=draw(st.booleans()),
+        noise=10.0 ** draw(st.integers(-8, 0)),
+        rounds=draw(st.sampled_from([1, 3])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(screen_cases())
+def test_screen_bound_holds_and_degenerate_tuples_are_guarded(case):
+    n, spec = case["n"], case["spec"]
+    rng = np.random.default_rng(case["seed"])
+    t = np.sort(rng.random(n)) * rng.uniform(0.5, 20.0)
+    f0 = rng.uniform(0.5, 3.0)
+    # harmonic-coincident (j f0), near-duplicate and unrelated frequencies;
+    # all k1-products of the grid add exact duplicates and both orders
+    grid = np.unique(np.concatenate(
+        [[f0, 2.0 * f0, 3.0 * f0, f0 * (1.0 + 1e-9)], rng.uniform(0.2, 6.0, 3)]))
+    signal = (np.cos(2 * np.pi * f0 * t) + 0.5 * np.sin(2 * np.pi * 2 * f0 * t + 0.3)
+              + 0.2 * t / t[-1] + 1.0)
+    sigma = case["noise"] * rng.uniform(0.5, 2.0, n) if case["weighted"] else None
+    ts = TimeSeries(t, signal + case["noise"] * rng.normal(size=n), sigma)
+    stats = span_stats(ts)
+    mode = weighting_mode(ts, None)
+    yw = weighted_y(ts, mode)[:, None] + (case["noise"] * rng.normal(
+        size=(n, case["rounds"] - 1)) / (sigma[:, None] if sigma is not None else 1.0))
+    tuples = np.array(list(itertools.product(grid, repeat=spec.k1)))
+    blocks = _Blocks(ts, spec, stats, mode, [grid] * spec.k1, yw)
+    ok, rss, bound = blocks.score(tuples)
+
+    solver = design_solver(ts, spec, tuples, stats, mode)
+    # the screen's columns are the exact kernel's, bit for bit
+    assert np.array_equal(blocks.cols[:, blocks.columns(tuples)].transpose(1, 0, 2),
+                          solver.a)
+    _, resid = solver.solve(yw[None, :, :])
+    exact = np.einsum("bnr,bnr->br", resid, resid)
+    assert np.all(np.abs(rss - exact[ok]) <= bound)
+    assert not np.any(ok & solver.degenerate)
+
+
+def test_singular_tuples_are_routed_not_raised():
+    ts = two_sine_series()
+    spec = ModelSpec(2, 2, 0)
+    grid = np.array([3.0, 6.0, 6.5])
+    tuples = np.array([[6.0, 6.0], [6.0, 3.0], [6.5, 3.0]])
+    blocks = _Blocks(ts, spec, span_stats(ts), "chi-square", [grid, grid],
+                     weighted_y(ts)[:, None])
+    ok, rss, bound = blocks.score(tuples)
+    # a duplicated frequency and f_a = 2 f_b with two harmonics
+    assert ok.tolist() == [False, False, True]
+    assert rss.shape == bound.shape == (1, 1)
+
+
+def test_degenerate_tuples_reach_the_exact_kernel():
+    # the grid holds exact octaves (3, 6), (4, 8), ...: with two harmonics
+    # those tuples are rank deficient, so only the exact kernel flags them
+    ts = two_sine_series()
+    spec = ModelSpec(2, 2, 0)
+    stats = span_stats(ts)
+    cfg = SearchConfig(2.0, 8.0, n_long=13)
+    grid = np.linspace(2.0, 8.0, 13)
+    tuples = np.concatenate(list(_combination_chunks(grid, 2, 4096)))
+    _, degenerate = gridsearch.evaluate_z(ts, spec, tuples, stats)
+    assert degenerate.any()
+    pg = long_search(ts, spec, cfg, stats)
+    assert pg.degenerate_hit
+    z_want, f_want = brute_force_best(ts, spec, [grid, grid])
+    assert pg.z_min == z_want
+    assert np.array_equal(pg.best, f_want)
+
+
+def test_ordered_map_keeps_input_order():
+    items = range(23)
+    for workers in (1, 3):
+        assert list(ordered_map(lambda i: i * i, items, workers)) == [i * i for i in items]
+
+
+def test_rescored_tuples_do_not_depend_on_workers(monkeypatch):
+    ts = two_sine_series(n=20, seed=8)
+    spec = ModelSpec(2, 1, 0)
+    cfg = SearchConfig(4.0, 8.0, n_long=40, n_short=12)
+    exact = gridsearch.evaluate_z
+    seen = {}
+
+    def recording(ts_, spec_, tuples, *args):
+        seen.setdefault(workers, []).extend(map(tuple, tuples))
+        return exact(ts_, spec_, tuples, *args)
+
+    monkeypatch.setattr(gridsearch, "evaluate_z", recording)
+    for workers in (1, 3):
+        pg = long_search(ts, spec, cfg, workers=workers)
+        short_search(ts, spec, cfg, pg.best, workers=workers)
+    assert sorted(seen[1]) == sorted(seen[3])
+    # slices aside, the exact kernel sees a small share of the tuples
+    slice_points = 2 * (2 * 40 + 2 * 12)
+    assert len(seen[1]) - slice_points < comb(40, 2) // 10
+
+
+def test_model7_hazard_scans_match_brute_force():
+    # model 7 g(2,2,2) at SN = 1e6: scored from the Grams alone, the long
+    # stage picks a near-singular tuple and the short stage a near-tie
+    # neighbour; the exact re-score must restore the brute-force winner
+    ts = simulate(SimulationSpec(7, 40, 1e6, seed=5))
+    spec = ModelSpec(2, 2, 2)
+    stats = span_stats(ts)
+    cfg = SearchConfig.from_periods(0.4, 3.6, n_long=20, n_short=12)
+    grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
+
+    long_tuples = np.concatenate(list(_combination_chunks(grid, 2, 4096)))
+    blocks = _Blocks(ts, spec, stats, "chi-square", [grid, grid], weighted_y(ts)[:, None])
+    idx = blocks.columns(long_tuples)
+    gram = blocks.gram[idx[:, :, None], idx[:, None, :]]
+    b = blocks.rhs[idx]
+    x = np.linalg.pinv(gram) @ b
+    gram_only = blocks.ss - 2 * np.einsum("bmr,bmr->b", b, x) + np.einsum(
+        "bmr,bmr->b", x, gram @ x)
+
+    pg = long_search(ts, spec, cfg, stats)
+    z_want, f_want = brute_force_best(ts, spec, [grid, grid])
+    assert pg.z_min == z_want
+    assert np.array_equal(pg.best, f_want)
+    assert not np.array_equal(long_tuples[np.argmin(gram_only)], f_want)
+
+    sh = short_search(ts, spec, cfg, pg.best, stats)
+    z_want, f_want = brute_force_best(ts, spec, sh.grids)
+    assert sh.z_min == z_want
+    assert np.array_equal(sh.best, f_want)
+    short_tuples = np.concatenate(list(_product_chunks(sh.grids, 4096)))
+    blocks = _Blocks(ts, spec, stats, "chi-square", sh.grids, weighted_y(ts)[:, None])
+    ok, rss, _ = blocks.score(short_tuples)
+    assert not np.array_equal(short_tuples[ok][np.argmin(rss[:, 0])], f_want)
+
+    # rounds: the per-tuple reference solves all rounds as one block, as
+    # the scanner does (one-column solves differ in the last digits here)
+    rng = np.random.default_rng(11)
+    y_rounds = ts.y[None, :] + ts.sigma[None, :] * rng.normal(size=(3, ts.n))
+    z_min, best = scan_rounds(ts, spec, sh.grids, y_rounds, stats)
+    yw = y_rounds.T / ts.sigma[:, None]
+    z_all = np.array([design_solver(ts, spec, f[None, :], stats).misfit(yw[None], ts.n)[0]
+                      for f in short_tuples])
+    for r in range(3):
+        order = np.lexsort(short_tuples.T[::-1])
+        i = order[np.argmin(z_all[order, r])]
+        assert z_min[r] == z_all[i, r]
+        assert np.array_equal(best[r], short_tuples[i])
+        ts_r = TimeSeries(ts.t, y_rounds[r], ts.sigma)
+        assert np.array_equal(best[r], brute_force_best(ts_r, spec, sh.grids)[1])
