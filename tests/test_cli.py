@@ -73,6 +73,17 @@ def test_run_output_bytes_ignore_worker_count(tmp_path):
         assert a == b, name
 
 
+def test_polish_stop_reason_stays_out_of_params_json(tmp_path):
+    make_data(tmp_path / "series.dat")
+    ctl = write_control(tmp_path / "case.ctl", RUN_CTL)
+    assert main(["run", "--control", ctl]) == 0
+    text = (tmp_path / "run.out" / "params.json").read_text()
+    assert "converged" in json.loads(text)["refined"]
+    assert '"stop"' not in text
+    for reason in ("grad", "z-tol", "no-descent", "max-iter"):
+        assert f'"{reason}"' not in text
+
+
 def test_run_strict_exits_one_on_flags(tmp_path, capsys):
     # a two-signal shape on one-signal data destabilises the bootstrap
     ts = simulate(SimulationSpec(1, 40, 5, seed=1))

@@ -1,15 +1,22 @@
 """Gauss-Newton polish, bootstrap spreads and instability diagnostics."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcmethod import (
+    MODELS,
     BetaVector,
     ConfigError,
     ModelSpec,
     SearchConfig,
+    SimulationSpec,
     TimeSeries,
+    model_truth,
     refine,
+    simulate,
     span_stats,
 )
 from dcmethod.refine import (
@@ -23,7 +30,7 @@ from dcmethod.refine import (
     bootstrap,
     diagnose_stability,
 )
-from dcmethod.linfit import solve_linear
+from dcmethod.linfit import fit_columns, solve_linear
 from dcmethod.model import eval_model, summarize_signals
 
 
@@ -313,3 +320,318 @@ def test_leaking_periods_on_point_estimate():
                                draws, summaries, grid_step=0.001,
                                f_min=0.5, f_max=3.0, stats=stats)
     assert FLAG_LEAKING in flags
+
+
+# ---------------------------------------------------------------------------
+# the stacked polish kernel
+# ---------------------------------------------------------------------------
+
+refine_mod = importlib.import_module("dcmethod.refine")
+CONVERGED_STOPS = {"grad", "z-tol"}
+
+
+def reference_refine(ts, spec, beta0, stats, weighting, max_iter):
+    """One row at a time, as a plain loop: the Gauss-Newton iteration
+    the stacked kernel must reproduce bit for bit.  Returns (params,
+    residuals, weighted sum of squares, z0, accepted steps, stop)."""
+    w = 1.0 / ts.sigma if weighting == "chi-square" else np.ones(ts.n)
+    p = beta0.interleaved(spec).copy()
+
+    def misfit(pvec):
+        beta = BetaVector.from_interleaved(spec, pvec)
+        resid = ts.y - eval_model(ts.t, spec, beta, stats)
+        rw = resid * w
+        return beta, resid, rw, float(rw @ rw)
+
+    beta, resid, rw, s_sum = misfit(p)
+    z0 = float(np.sqrt(s_sum / ts.n))
+    z = z0
+    lam = 1e-3
+    accepted = 0
+    stop = "max-iter"
+    for _ in range(max_iter):
+        jw = _jacobian(ts.t, spec, beta, stats) * w[:, None]
+        grad = jw.T @ rw
+        if np.max(np.abs(grad), initial=0.0) < 1e-10:
+            stop = "grad"
+            break
+        scale = np.sqrt(np.einsum("ij,ij->j", jw, jw))
+        scale[scale == 0.0] = 1.0
+        stepped = False
+        while lam <= 1e12:
+            aug = np.vstack([jw, np.sqrt(lam) * np.diag(scale)])
+            rhs = np.concatenate([rw, np.zeros(spec.eta)])
+            delta, _, _ = fit_columns(aug, rhs)
+            trial = p + delta
+            beta_t, resid_t, rw_t, s_t = misfit(trial)
+            if np.isfinite(s_t) and s_t < s_sum:
+                p, beta, resid, rw, s_sum = trial, beta_t, resid_t, rw_t, s_t
+                lam = max(lam * 0.1, 1e-15)
+                accepted += 1
+                stepped = True
+                break
+            lam *= 10.0
+        if not stepped:
+            stop = "no-descent"
+            break
+        z_new = float(np.sqrt(s_sum / ts.n))
+        if z > 0.0 and (z - z_new) <= 1e-12 * z:
+            stop = "z-tol"
+            break
+        z = z_new
+    return p, resid, s_sum, z0, accepted, stop
+
+
+@st.composite
+def polish_cases(draw):
+    """R series on shared times, each with its own noise draw and a
+    start from the linear fit at mistuned frequencies."""
+    k1 = draw(st.integers(0, 2))
+    spec = ModelSpec(k1, draw(st.integers(1, 2)),
+                     draw(st.integers(0 if k1 == 0 else -1, 2)))
+    n = draw(st.integers(max(12, 2 * spec.eta), 70))
+    rows = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = 10.0 ** draw(st.integers(-9, 0))
+    t = np.sort(rng.random(n)) * 3.0
+    sigma = noise * (0.5 + rng.random(n))
+    stats = span_stats(TimeSeries(t, np.zeros(n)))
+    freqs = np.sort(rng.uniform(0.5, 4.0, k1))[::-1] + np.arange(k1)[::-1]
+    truth = BetaVector(freqs, rng.normal(size=spec.n_linear))
+    g = eval_model(t, spec, truth, stats)
+    series = [TimeSeries(t, g + rng.normal(0, 1, n) * sigma, sigma)
+              for _ in range(rows)]
+    mode = draw(st.sampled_from(["unweighted", "chi-square"]))
+    starts = [solve_linear(ts, spec, freqs + rng.normal(0, 0.01, k1), stats, mode).beta
+              for ts in series]
+    max_iter = draw(st.sampled_from([0, 1, 2, 5, 200]))
+    return spec, series, starts, stats, mode, max_iter
+
+
+def stacked(series, starts, spec):
+    y = np.array([ts.y for ts in series])
+    params = np.array([b.interleaved(spec) for b in starts])
+    return y, params
+
+
+def polish(series, starts, spec, stats, mode, max_iter, rows=None):
+    ts = series[0]
+    y, params = stacked(series, starts, spec)
+    if rows is not None:
+        y, params = y[rows], params[rows]
+    w = 1.0 / ts.sigma if mode == "chi-square" else np.ones(ts.n)
+    return refine_mod._polish(ts.t, y, w, spec, params, stats, max_iter)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polish_cases())
+def test_stacked_polish_equals_the_reference_loop_per_row(case):
+    spec, series, starts, stats, mode, max_iter = case
+    out = polish(series, starts, spec, stats, mode, max_iter)
+    for r, (ts, beta0) in enumerate(zip(series, starts)):
+        p, resid, s_sum, z0, steps, stop = reference_refine(
+            ts, spec, beta0, stats, mode, max_iter)
+        assert np.array_equal(out.params[r], p)
+        assert np.array_equal(out.resid[r], resid)
+        assert out.wsum[r] == s_sum
+        assert out.z0[r] == z0
+        assert out.steps[r] == steps
+        assert refine_mod._STOPS[out.stop[r]] == stop
+        single = refine(ts, spec, beta0, stats, mode, max_iter=max_iter)
+        assert single.stop == stop
+        assert single.iterations == steps
+        assert single.converged == (stop in CONVERGED_STOPS)
+        assert np.array_equal(single.beta.interleaved(spec), p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polish_cases(), st.data())
+def test_polishing_rows_together_equals_any_split(case, data):
+    spec, series, starts, stats, mode, max_iter = case
+    whole = polish(series, starts, spec, stats, mode, max_iter)
+    order = data.draw(st.permutations(range(len(series))))
+    cut = data.draw(st.integers(0, len(series)))
+    for part in (list(order[:cut]), list(order[cut:])):
+        if not part:
+            continue
+        sub = polish(series, starts, spec, stats, mode, max_iter, rows=part)
+        assert np.array_equal(sub.params, whole.params[part])
+        assert np.array_equal(sub.resid, whole.resid[part])
+        assert np.array_equal(sub.wsum, whole.wsum[part])
+        assert np.array_equal(sub.steps, whole.steps[part])
+        assert np.array_equal(sub.stop, whole.stop[part])
+
+
+@settings(max_examples=40, deadline=None)
+@given(polish_cases())
+def test_block_linear_fit_equals_solve_linear_per_round(case):
+    spec, series, _, stats, mode, _ = case
+    rng = np.random.default_rng(len(series))
+    tuples = np.sort(rng.uniform(0.5, 4.0, (len(series), spec.k1)), axis=1)[:, ::-1]
+    ts = series[0]
+    y = np.array([s.y for s in series])
+    params, wsum = refine_mod._linear_fit(ts, spec, tuples, y, stats, mode)
+    for r, s in enumerate(series):
+        fit = solve_linear(s, spec, tuples[r], stats, mode)
+        assert np.array_equal(params[r], fit.beta.interleaved(spec))
+        assert np.sqrt(wsum[r] / ts.n) == fit.z
+
+
+def test_capped_harmonic_polish_equals_the_reference_loop():
+    # model 7 g(2,2,2) at SN = 1e6: the polish runs into its step cap,
+    # and lambda sinks to its floor on the way
+    sim = SimulationSpec(7, 120, 1e6, 3)
+    ts = simulate(sim)
+    spec = MODELS[7].spec
+    stats = span_stats(ts)
+    fit = solve_linear(ts, spec, model_truth(sim).beta.freqs * (1 + 1e-4), stats)
+    mode = "chi-square" if ts.weighted else "unweighted"
+    p, resid, s_sum, z0, steps, stop = reference_refine(
+        ts, spec, fit.beta, stats, mode, 200)
+    out = refine(ts, spec, fit.beta, stats, mode)
+    assert (steps, stop) == (200, "max-iter")
+    assert (out.iterations, out.stop, out.converged) == (200, "max-iter", False)
+    assert np.array_equal(out.beta.interleaved(spec), p)
+    assert np.array_equal(out.residuals, resid)
+    assert out.z_initial == z0
+
+
+# ---------------------------------------------------------------------------
+# termination reasons
+# ---------------------------------------------------------------------------
+
+def clean_sine(f_true=1.7):
+    rng = np.random.default_rng(4)
+    t = np.sort(rng.random(80))
+    t[0], t[-1] = 0.0, 1.0
+    y = 0.6 * np.cos(2 * np.pi * f_true * t) - 0.8 * np.sin(2 * np.pi * f_true * t) + 2.0
+    return TimeSeries(t, y)
+
+
+def test_clean_data_stops_on_a_converged_reason():
+    ts = clean_sine()
+    fit = solve_linear(ts, ModelSpec(1, 1, 0), np.array([1.68]))
+    out = refine(ts, ModelSpec(1, 1, 0), fit.beta)
+    assert out.stop in CONVERGED_STOPS
+    assert out.converged
+
+
+def test_one_step_cap_stops_on_max_iter():
+    ts = clean_sine()
+    fit = solve_linear(ts, ModelSpec(1, 1, 0), np.array([1.68]))
+    out = refine(ts, ModelSpec(1, 1, 0), fit.beta, max_iter=1)
+    assert out.stop == "max-iter"
+    assert out.iterations == 1
+    assert not out.converged
+
+
+def test_zero_step_cap_returns_the_start():
+    ts = sine_series(seed=3)
+    spec = ModelSpec(1, 1, 0)
+    fit = solve_linear(ts, spec, np.array([1.45]))
+    out = refine(ts, spec, fit.beta, max_iter=0)
+    assert out.stop == "max-iter"
+    assert out.iterations == 0
+    assert np.array_equal(out.beta.interleaved(spec), fit.beta.interleaved(spec))
+    assert out.z == out.z_initial
+
+
+def test_z_tol_on_the_last_allowed_step_counts_as_converged():
+    ts = sine_series(seed=3)
+    spec = ModelSpec(1, 1, 0)
+    fit = solve_linear(ts, spec, np.array([1.45]))
+    free = refine(ts, spec, fit.beta)
+    assert free.stop == "z-tol"
+    capped = refine(ts, spec, fit.beta, max_iter=free.iterations)
+    assert (capped.stop, capped.converged) == ("z-tol", True)
+    assert capped.iterations == free.iterations
+    shorter = refine(ts, spec, fit.beta, max_iter=free.iterations - 1)
+    assert (shorter.stop, shorter.converged) == ("max-iter", False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(polish_cases())
+def test_converged_exactly_when_stopped_on_grad_or_z_tol(case):
+    spec, series, starts, stats, mode, max_iter = case
+    out = refine(series[0], spec, starts[0], stats, mode, max_iter=max_iter)
+    assert out.stop in refine_mod._STOPS
+    assert out.converged == (out.stop in CONVERGED_STOPS)
+    assert out.z <= out.z_initial
+
+
+# ---------------------------------------------------------------------------
+# bootstrap blocks
+# ---------------------------------------------------------------------------
+
+def wide_bootstrap(n_rounds, workers=1, spec=ModelSpec(1, 1, 0), seed=17):
+    """A series long enough that the default block size splits the
+    rounds: n = 1000, eta = 4 gives 25 rounds per block."""
+    ts = sine_series(n=1000, seed=20)
+    stats = span_stats(ts)
+    beta0 = solve_linear(ts, spec, np.array([1.4])[:spec.k1], stats).beta
+    refined = refine(ts, spec, beta0, stats)
+    grids = [np.linspace(1.3, 1.5, 21)][:spec.k1]
+    return bootstrap(ts, spec, SearchConfig(0.8, 2.5), refined, grids,
+                     n_rounds, seed, stats, workers=workers)
+
+
+def test_bootstrap_blocks_are_prefix_stable_and_worker_invariant():
+    per_block = refine_mod._BLOCK_ELEMENTS // (1000 * 4)
+    assert 30 > per_block
+    a = wide_bootstrap(30)
+    b = wide_bootstrap(2 * per_block + 7, workers=3)
+    c = wide_bootstrap(2 * per_block + 7, workers=1)
+    assert np.array_equal(a.draws, b.draws[:30])
+    assert np.array_equal(a.z_draws, b.z_draws[:30])
+    assert np.array_equal(b.draws, c.draws)
+    assert np.array_equal(b.z_draws, c.z_draws)
+    assert b.summary_sigma == c.summary_sigma
+    assert b.flags == c.flags
+
+
+@pytest.mark.parametrize("rounds_per_block", [1, 2, 3, 5])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_bootstrap_draws_do_not_depend_on_block_size(monkeypatch, rounds_per_block,
+                                                     workers):
+    ts = sine_series(seed=9)
+    cfg = SearchConfig(0.8, 2.5)
+    whole = run_bootstrap(ts, ModelSpec(1, 1, 0), cfg, n_rounds=8, seed=21)
+    monkeypatch.setattr(refine_mod, "_BLOCK_ELEMENTS", rounds_per_block * ts.n * 4)
+    split = run_bootstrap(ts, ModelSpec(1, 1, 0), cfg, n_rounds=8, seed=21,
+                          workers=workers)
+    assert np.array_equal(whole.draws, split.draws)
+    assert np.array_equal(whole.z_draws, split.z_draws)
+    assert whole.summary_sigma == split.summary_sigma
+
+
+def test_pure_trend_bootstrap_spans_blocks():
+    spec = ModelSpec(0, 1, 1)
+    a = wide_bootstrap(60, spec=spec)
+    b = wide_bootstrap(60, workers=3, spec=spec)
+    assert a.n_ok == 60
+    assert a.draws.shape == (60, 2)
+    assert np.array_equal(a.draws, b.draws)
+    assert set(a.summary_sigma) == {"M_0", "M_1"}
+
+
+@pytest.mark.parametrize("bad_round", [0, 4, 7])
+def test_a_failing_round_is_dropped_alone(monkeypatch, bad_round):
+    ts = sine_series(seed=9)
+    cfg = SearchConfig(0.8, 2.5)
+    monkeypatch.setattr(refine_mod, "_BLOCK_ELEMENTS", 3 * ts.n * 4)
+    clean = run_bootstrap(ts, ModelSpec(1, 1, 0), cfg, n_rounds=8, seed=21)
+    real_scan = refine_mod.scan_rounds
+
+    def scan_with_a_broken_round(*args, **kwargs):
+        z_min, best = real_scan(*args, **kwargs)
+        best = best.copy()
+        best[bad_round] = np.nan  # its design matrix is NaN: the SVD raises
+        return z_min, best
+
+    monkeypatch.setattr(refine_mod, "scan_rounds", scan_with_a_broken_round)
+    forced = run_bootstrap(ts, ModelSpec(1, 1, 0), cfg, n_rounds=8, seed=21)
+    keep = np.arange(8) != bad_round
+    assert forced.failed_rounds == 1
+    assert forced.n_ok == 7
+    assert np.array_equal(forced.draws, clean.draws[keep])
+    assert np.array_equal(forced.z_draws, clean.z_draws[keep])
