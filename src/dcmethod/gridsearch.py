@@ -1,11 +1,14 @@
 """Two-stage frequency grid search: screen every tuple, verify exactly.
 
-The long stage scans every strictly descending tuple drawn from one
-even frequency grid over [f_min, f_max].  The short stage re-scans a
-dense grid inside a narrow window around each long-stage frequency,
-taking all ordered combinations across the per-signal windows.
-``scan_rounds`` repeats a short-stage scan for many bootstrap data
-rounds at once.  All three run the same two passes.
+Every scan is one call of a single engine, given one grid per signal
+and R weighted right-hand sides.  It enumerates every strictly
+descending tuple across the grids, screens them all, re-scores the
+survivors with the exact kernel and keeps, per right-hand side, the
+lowest z with a lexicographic tie-break.  The long stage is the engine
+with R = 1 over k1 copies of one even grid on [f_min, f_max]; the short
+stage is R = 1 over a dense grid inside a narrow window around each
+long-stage frequency; ``scan_rounds`` runs the short-stage grids with
+one right-hand side per bootstrap round.
 
 Screen
 ------
@@ -94,16 +97,17 @@ Verify
 ------
 The bound brackets each unguarded tuple's exact z, as computed by the
 exact kernel, between z_lo = sqrt(max(rss - bound, 0) / n) and z_hi =
-sqrt((rss + bound) / n) (rounding is monotone).  Let Z be the smallest
-z_hi.  Every guarded tuple and every tuple with z_lo <= Z is re-scored
-by ``evaluate_z`` (or ``design_solver`` + ``misfit`` per round, with
-the same right-hand side blocks as always); the tuple that attains Z is
-among them.  Any other tuple has exact z >= z_lo > Z >= the exact
-minimum, strictly above it, so the exact comparison with its
-lexicographic tie-break yields the same z_min, best tuple and
-degenerate flag as an exact scan of every tuple, bit for bit.
-Unguarded tuples are never rank deficient, so the degenerate flag only
-needs the guarded ones.
+sqrt((rss + bound) / n) (rounding is monotone), per right-hand side.
+Let Z be the smallest z_hi of a right-hand side.  Every guarded tuple
+and every tuple with z_lo <= Z for some right-hand side is re-scored by
+``design_solver`` + ``misfit``, which factors the tuple once and solves
+the right-hand sides in blocks of ``r_block`` columns (one column when
+R = 1, as in ``evaluate_z``); the tuple that attains each Z is among
+them.  Any other tuple has exact z >= z_lo > Z >= the exact minimum,
+strictly above it, so the exact comparison with its lexicographic
+tie-break yields the same z_min, best tuple and degenerate flag as an
+exact scan of every tuple, bit for bit.  Unguarded tuples are never
+rank deficient, so the degenerate flag only needs the guarded ones.
 
 Work is split into tuple chunks whose size depends only on the problem
 dimensions, never on the worker count.  The set of re-scored tuples is
@@ -114,15 +118,13 @@ comparisons, so output is identical whatever the number of threads.
 from __future__ import annotations
 
 import collections
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, UnstableSearchError
-from .linfit import design_solver, evaluate_z, weighted_y, weighting_mode
+from .linfit import design_solver, evaluate_z, weighting_mode
 from .model import ModelSpec, design_matrix
 from .timeseries import TimeSeries, span_stats
 
@@ -133,9 +135,9 @@ __all__ = ["SearchConfig", "Slice", "Periodogram", "long_search", "short_search"
 # scans send only guarded and near-minimum tuples there, so small
 # batches cost little and keep peak memory down.
 _EXACT_TARGET = 1_000_000
-# scan_rounds solves its rounds in blocks of _CHUNK_TARGET // (rows n)
-# right-hand sides, rows = _chunk_rows(n, m); the exact misfit bits
-# depend on that block width, so it keeps this sizing.
+# The exact pass solves the right-hand sides in blocks of
+# _CHUNK_TARGET // (rows n) columns, rows = _chunk_rows(n, m); the exact
+# misfit bits depend on that block width, so it keeps this sizing.
 _CHUNK_TARGET = 4_000_000
 _CHUNK_MAX = 4096
 _CHUNK_MIN = 16
@@ -230,18 +232,6 @@ def ordered_map(fn, items, workers):
 def _chunk_rows(n: int, m: int, target: int = _CHUNK_TARGET) -> int:
     rows = target // max(1, n * m)
     return int(min(_CHUNK_MAX, max(_CHUNK_MIN, rows)))
-
-
-def _combination_chunks(grid: np.ndarray, k: int, rows: int):
-    """Yield (B, k) arrays of descending tuples from one shared grid,
-    enumerating index combinations in lexicographic order."""
-    combos = itertools.combinations(range(grid.size), k)
-    while True:
-        block = list(itertools.islice(combos, rows))
-        if not block:
-            return
-        idx = np.asarray(block, dtype=np.intp)
-        yield grid[idx[:, ::-1]]
 
 
 def _product_chunks(grids: list[np.ndarray], rows: int):
@@ -391,35 +381,6 @@ class _Blocks:
         return tuples.shape[0], tuples[keep], z_lo[keep], z_hi_min
 
 
-def _screen_scan(ts, spec, stats, mode, grids, yw, chunks, workers):
-    """Screen every tuple of a scan over ``grids``.
-
-    ``chunks`` maps a chunk size to the scan's tuple chunks, ``yw`` is
-    the (n, R) weighted data.  Returns the number of tuples scanned and,
-    as one (C, k1) array, the tuples the exact kernel must re-score:
-    every guarded tuple and every tuple whose z_lo is at most the
-    scan-wide smallest z_hi in some round.  The set depends on the final
-    minimum alone, not on the order chunks finish in.  The blocks are
-    released on return, before the exact pass allocates its own arrays.
-    """
-    blocks = _Blocks(ts, spec, stats, mode, grids, yw)
-    total = 0
-    z_star = np.full(blocks.n_rhs, np.inf)
-    kept, kept_lo = [], []
-    for count, tuples, z_lo, z_hi_min in ordered_map(
-            blocks.screen, chunks(blocks.rows), workers):
-        total += count
-        z_star = np.minimum(z_star, z_hi_min)
-        keep = (z_lo <= z_star).any(axis=1)
-        kept.append(tuples[keep])
-        kept_lo.append(z_lo[keep])
-    if not kept:
-        return 0, np.empty((0, blocks.spec.k1))
-    tuples = np.concatenate(kept)
-    z_lo = np.concatenate(kept_lo)
-    return total, tuples[(z_lo <= z_star).any(axis=1)]
-
-
 def _batches(tuples: np.ndarray, rows: int):
     for start in range(0, tuples.shape[0], rows):
         yield tuples[start:start + rows]
@@ -432,16 +393,6 @@ def _lex_best(tuples: np.ndarray, cand: np.ndarray) -> int:
     return int(cand[order[0]])
 
 
-def _reduce_chunk(ts, spec, stats, weighting, tuples):
-    z, degen = evaluate_z(ts, spec, tuples, stats, weighting)
-    i = int(np.argmin(z))
-    zmin = z[i]
-    cand = np.flatnonzero(z == zmin)
-    if cand.size > 1:
-        i = _lex_best(tuples, cand)
-    return float(zmin), tuples[i].copy(), bool(degen.any())
-
-
 def _better(z_a, t_a, z_b, t_b) -> bool:
     """True when candidate a beats b (lower z, then lexicographic tuple)."""
     if z_a != z_b:
@@ -452,25 +403,88 @@ def _better(z_a, t_a, z_b, t_b) -> bool:
     return False
 
 
-def _scan(ts, spec, stats, weighting, grids, chunks, workers):
-    """Screen, then re-score the surviving tuples with the exact kernel.
+def _scan(ts, spec, stats, mode, grids, y_rounds, workers):
+    """The scan engine: the best tuple over ``grids`` for every data round.
 
-    Returns (z_min, best, tuples scanned, degenerate hit); ``best`` is
-    None when the chunks hold no tuple.
+    Screens every strictly descending tuple across ``grids`` against all
+    R rounds of ``y_rounds`` (shape (R, n)), re-scores the survivors with
+    the exact kernel and merges per round with the exact
+    (z, lexicographic tuple) rule.
+
+    Returns
+    -------
+    z_min : ndarray, shape (R,)
+    best : ndarray, shape (R, k1)
+    count : int
+        Tuples scanned.
+    degenerate : bool
+        True when a re-scored tuple was rank deficient.
+
+    Raises
+    ------
+    UnstableSearchError
+        If the grids admit no strictly descending tuple.
     """
-    mode = weighting_mode(ts, weighting)
-    total, survivors = _screen_scan(ts, spec, stats, mode, grids,
-                                    weighted_y(ts, mode)[:, None], chunks, workers)
-    best_z = np.inf
-    best_t = None
+    yw = np.asarray(y_rounds, dtype=float).T.copy()
+    if mode == "chi-square":
+        yw /= ts.sigma[:, None]
+    n_rounds = yw.shape[1]
+
+    # Screen.  The survivors are every guarded tuple and every tuple
+    # whose z_lo is at most the scan-wide smallest z_hi in some round:
+    # the set depends on that final minimum alone, not on the order
+    # chunks finish in.
+    blocks = _Blocks(ts, spec, stats, mode, grids, yw)
+    count = 0
+    z_star = np.full(n_rounds, np.inf)
+    kept, kept_lo = [], []
+    for c, tuples, z_lo, z_hi_min in ordered_map(
+            blocks.screen, _product_chunks(grids, blocks.rows), workers):
+        count += c
+        z_star = np.minimum(z_star, z_hi_min)
+        keep = (z_lo <= z_star).any(axis=1)
+        kept.append(tuples[keep])
+        kept_lo.append(z_lo[keep])
+    if count == 0:
+        raise UnstableSearchError("the grids admit no ordered frequency tuple")
+    del blocks  # the Grams go before the exact pass allocates its arrays
+    survivors = np.concatenate(kept)
+    survivors = survivors[(np.concatenate(kept_lo) <= z_star).any(axis=1)]
+
+    # Exact re-score: each surviving tuple is factored once and solved
+    # for all rounds, r_block right-hand sides at a time.
+    rows = _chunk_rows(ts.n, spec.n_linear)
+    r_block = int(max(1, min(n_rounds, _CHUNK_TARGET // max(1, rows * ts.n))))
+
+    def exact(tuples):
+        solver = design_solver(ts, spec, tuples, stats, mode)
+        z_min = np.empty(n_rounds)
+        pick = np.empty(n_rounds, dtype=np.intp)
+        for r0 in range(0, n_rounds, r_block):
+            z = solver.misfit(yw[None, :, r0:r0 + r_block], ts.n)
+            idx = np.argmin(z, axis=0)
+            zblk = z[idx, np.arange(z.shape[1])]
+            ties = (z == zblk[None, :]).sum(axis=0) > 1
+            for c in np.flatnonzero(ties):
+                idx[c] = _lex_best(tuples, np.flatnonzero(z[:, c] == zblk[c]))
+            z_min[r0:r0 + r_block] = zblk
+            pick[r0:r0 + r_block] = idx
+        return z_min, tuples[pick], bool(solver.degenerate.any())
+
+    # Merge in chunk order, round by round.
+    best_z = best_t = None
     degenerate = False
-    task = partial(_reduce_chunk, ts, spec, stats, weighting)
-    rows = _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET)
-    for zmin, tup, degen in ordered_map(task, _batches(survivors, rows), workers):
+    batch = _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET)
+    for z_c, t_c, degen in ordered_map(exact, _batches(survivors, batch), workers):
         degenerate = degenerate or degen
-        if best_t is None or _better(zmin, tup, best_z, best_t):
-            best_z, best_t = zmin, tup
-    return best_z, best_t, total, degenerate
+        if best_t is None:
+            best_z, best_t = z_c, t_c
+            continue
+        for r in range(n_rounds):
+            if _better(z_c[r], t_c[r], best_z[r], best_t[r]):
+                best_z[r] = z_c[r]
+                best_t[r] = t_c[r]
+    return best_z, best_t, count, degenerate
 
 
 def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
@@ -494,20 +508,27 @@ def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
     return out
 
 
-def _build_slices(ts, spec, stats, weighting, grids, best):
-    slices = []
-    for i in range(spec.k1):
-        z = periodogram_slice(ts, spec, best, i, grids[i], stats, weighting)
-        slices.append(Slice(signal=i + 1, f=grids[i], z=z))
-    return slices
-
-
-def _check_size(ts: TimeSeries, spec: ModelSpec):
+def _stage(stage, ts, spec, grids, stats, weighting, workers) -> Periodogram:
+    """One search stage: the engine on the series itself (R = 1), then a
+    slice through the winner along every signal axis."""
     if spec.k1 < 1:
         raise ConfigError("grid search needs at least one signal (k1 >= 1)")
     if ts.n <= spec.eta + 1:
         raise ConfigError(
             f"need more than eta+1 = {spec.eta + 1} points, have {ts.n}")
+    if stats is None:
+        stats = span_stats(ts)
+    mode = weighting_mode(ts, weighting)
+    z_min, best, count, degenerate = _scan(ts, spec, stats, mode, grids,
+                                           ts.y[None], workers)
+    best = best[0]
+    slices = [Slice(signal=i + 1, f=g,
+                    z=periodogram_slice(ts, spec, best, i, g, stats, mode))
+              for i, g in enumerate(grids)]
+    return Periodogram(
+        stage=stage, grids=grids, best=best, z_min=float(z_min[0]),
+        slices=slices, combinations=count, degenerate_hit=degenerate,
+    )
 
 
 def long_search(ts, spec, cfg: SearchConfig, stats=None, weighting=None, workers=1):
@@ -518,86 +539,14 @@ def long_search(ts, spec, cfg: SearchConfig, stats=None, weighting=None, workers
     Periodogram
         ``best`` holds the winning tuple (descending), ``slices`` one
         cut per signal across the full grid.
+
+    Raises
+    ------
+    UnstableSearchError
+        If the grid has fewer points than signals.
     """
-    _check_size(ts, spec)
-    if stats is None:
-        stats = span_stats(ts)
     grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
-    grids = [grid] * spec.k1
-    z_min, best, total, degen = _scan(
-        ts, spec, stats, weighting, grids,
-        partial(_combination_chunks, grid, spec.k1), workers)
-    slices = _build_slices(ts, spec, stats, weighting, grids, best)
-    return Periodogram(
-        stage="long", grids=grids, best=best, z_min=z_min,
-        slices=slices, combinations=total, degenerate_hit=degen,
-    )
-
-
-def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1):
-    """Best tuple over the given grids for many data rounds at once.
-
-    This is the bootstrap work horse: each resampled series re-runs the
-    short stage over the same candidate tuples.  The screen scores all
-    rounds from one set of Grams; the exact kernel factors each
-    surviving tuple once and reuses the factors for every round.
-
-    Parameters
-    ----------
-    grids : list of ndarray
-        Per-signal candidate frequencies (as produced by the short stage).
-    y_rounds : ndarray, shape (R, n)
-        One resampled data vector per round.
-
-    Returns
-    -------
-    z_min : ndarray, shape (R,)
-    best : ndarray, shape (R, k1)
-    """
-    if stats is None:
-        stats = span_stats(ts)
-    mode = weighting_mode(ts, weighting)
-    y_rounds = np.asarray(y_rounds, dtype=float)
-    n_rounds = y_rounds.shape[0]
-    yw = y_rounds.T.copy()
-    if mode == "chi-square":
-        yw /= ts.sigma[:, None]
-    rows = _chunk_rows(ts.n, spec.n_linear)
-    r_block = int(max(1, min(n_rounds, _CHUNK_TARGET // max(1, rows * ts.n))))
-    _, survivors = _screen_scan(ts, spec, stats, mode, grids, yw,
-                                partial(_product_chunks, grids), workers)
-
-    def chunk_task(tuples):
-        solver = design_solver(ts, spec, tuples, stats, mode)
-        zmin = np.empty(n_rounds)
-        pick = np.empty(n_rounds, dtype=np.intp)
-        for r0 in range(0, n_rounds, r_block):
-            z = solver.misfit(yw[None, :, r0:r0 + r_block], ts.n)
-            idx = np.argmin(z, axis=0)
-            cols = np.arange(z.shape[1])
-            zblk = z[idx, cols]
-            ties = (z == zblk[None, :]).sum(axis=0) > 1
-            for c in np.flatnonzero(ties):
-                idx[c] = _lex_best(tuples, np.flatnonzero(z[:, c] == zblk[c]))
-            zmin[r0:r0 + r_block] = zblk
-            pick[r0:r0 + r_block] = idx
-        return zmin, tuples[pick]
-
-    best_z = np.full(n_rounds, np.inf)
-    best_t = None
-    batch = _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET)
-    for zc, tc in ordered_map(chunk_task, _batches(survivors, batch), workers):
-        if best_t is None:
-            best_t = tc.copy()
-            best_z[:] = zc
-            continue
-        for r in range(n_rounds):
-            if _better(zc[r], tc[r], best_z[r], best_t[r]):
-                best_z[r] = zc[r]
-                best_t[r] = tc[r]
-    if best_t is None:
-        raise UnstableSearchError("no ordered frequency tuple to scan")
-    return best_z, best_t
+    return _stage("long", ts, spec, [grid] * spec.k1, stats, weighting, workers)
 
 
 def short_search(ts, spec, cfg: SearchConfig, centers, stats=None, weighting=None,
@@ -613,25 +562,45 @@ def short_search(ts, spec, cfg: SearchConfig, centers, stats=None, weighting=Non
     UnstableSearchError
         If no strictly descending tuple exists across the windows.
     """
-    _check_size(ts, spec)
-    if stats is None:
-        stats = span_stats(ts)
     centers = np.asarray(centers, dtype=float)
     if centers.shape != (spec.k1,):
         raise ConfigError(f"expected {spec.k1} window centers")
     a = cfg.window_half_width
-    grids = []
-    for mid in centers:
-        lo = max(cfg.f_min, mid - a)
-        hi = min(cfg.f_max, mid + a)
-        grids.append(np.linspace(lo, hi, cfg.n_short))
-    z_min, best, total, degen = _scan(
-        ts, spec, stats, weighting, grids, partial(_product_chunks, grids), workers)
-    if best is None:
-        raise UnstableSearchError(
-            "short-stage windows admit no ordered frequency tuple")
-    slices = _build_slices(ts, spec, stats, weighting, grids, best)
-    return Periodogram(
-        stage="short", grids=grids, best=best, z_min=z_min,
-        slices=slices, combinations=total, degenerate_hit=degen,
-    )
+    grids = [np.linspace(max(cfg.f_min, mid - a), min(cfg.f_max, mid + a), cfg.n_short)
+             for mid in centers]
+    return _stage("short", ts, spec, grids, stats, weighting, workers)
+
+
+def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1):
+    """Best tuple over the given grids for many data rounds at once.
+
+    This is the bootstrap work horse: each resampled series re-runs the
+    short stage over the same candidate tuples.  It is the scan engine
+    behind both search stages with one right-hand side per round: the
+    screen scores all rounds from one set of Grams, and the exact kernel
+    factors each surviving tuple once and reuses the factors for every
+    round.  With ``y_rounds = ts.y[None]`` it returns the z_min and best
+    tuple of a search stage over the same grids, bit for bit.
+
+    Parameters
+    ----------
+    grids : list of ndarray
+        Per-signal candidate frequencies (as produced by the short stage).
+    y_rounds : ndarray, shape (R, n)
+        One resampled data vector per round.
+
+    Returns
+    -------
+    z_min : ndarray, shape (R,)
+    best : ndarray, shape (R, k1)
+
+    Raises
+    ------
+    UnstableSearchError
+        If no strictly descending tuple exists across the grids.
+    """
+    if stats is None:
+        stats = span_stats(ts)
+    z_min, best, _, _ = _scan(ts, spec, stats, weighting_mode(ts, weighting), grids,
+                              y_rounds, workers)
+    return z_min, best

@@ -92,14 +92,10 @@ def analyze(ts: TimeSeries, spec: ModelSpec, cfg: SearchConfig | None,
     summary = summarize_signals(spec, refined.beta, stats)
     boot = None
     if opts.n_boot >= 2:
-        if spec.k1 == 0:
-            # spreads of a pure trend need no frequency scan
-            boot_cfg = cfg if cfg is not None else SearchConfig(1.0, 2.0)
-            boot = bootstrap(ts, spec, boot_cfg, refined, [], opts.n_boot,
-                             opts.seed, stats, mode, opts.refine_rounds, workers)
-        else:
-            boot = bootstrap(ts, spec, cfg, refined, grids, opts.n_boot,
-                             opts.seed, stats, mode, opts.refine_rounds, workers)
+        # a pure trend has no frequencies: the placeholder range is never read
+        boot_cfg = cfg if cfg is not None else SearchConfig(1.0, 2.0)
+        boot = bootstrap(ts, spec, boot_cfg, refined, grids, opts.n_boot,
+                         opts.seed, stats, mode, opts.refine_rounds, workers)
     return DcmAnalysis(
         spec=spec, stats=stats, weighting=mode, n=ts.n,
         long=long, short=short, refined=refined, summary=summary, boot=boot,

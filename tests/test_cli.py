@@ -59,6 +59,15 @@ def test_run_writes_the_full_output_set(tmp_path, capsys):
     assert len(lines) == 3 + 40
 
 
+def test_run_without_ordered_long_tuple_exits_one(tmp_path, capsys):
+    # three signals on a two-point long grid: no f_1 > f_2 > f_3 exists
+    make_data(tmp_path / "series.dat")
+    text = RUN_CTL.replace("k1 = 1", "k1 = 3").replace("nlong = 40", "nlong = 2")
+    ctl = write_control(tmp_path / "case.ctl", text)
+    assert main(["run", "--control", ctl]) == 1
+    assert "no ordered frequency tuple" in capsys.readouterr().err
+
+
 def test_run_output_bytes_ignore_worker_count(tmp_path):
     for sub, workers in (("a", "1"), ("b", "4")):
         d = tmp_path / sub

@@ -29,7 +29,6 @@ from dcmethod import gridsearch
 from dcmethod.gridsearch import (
     _Blocks,
     _chunk_rows,
-    _combination_chunks,
     _product_chunks,
     ordered_map,
     periodogram_slice,
@@ -92,8 +91,10 @@ def test_window_half_width_formula():
 
 def test_combination_chunks_cover_all_descending_tuples():
     grid = np.linspace(1.0, 2.0, 9)
-    got = np.concatenate(list(_combination_chunks(grid, 2, rows=5)))
+    chunks = list(_product_chunks([grid] * 2, rows=5))
+    got = np.concatenate(chunks)
     assert got.shape == (comb(9, 2), 2)
+    assert all(c.shape[0] <= 5 for c in chunks)
     assert (got[:, 0] > got[:, 1]).all()
     # every pair appears exactly once
     seen = {tuple(row) for row in got}
@@ -194,6 +195,16 @@ def test_worker_count_never_changes_results():
         assert np.array_equal(other[1], runs[0][1])
         assert other[2] == runs[0][2]
         assert np.array_equal(other[3], runs[0][3])
+
+
+def test_no_ordered_tuple_raises_in_every_scan():
+    ts = two_sine_series()
+    # three signals on a two-point long grid
+    with pytest.raises(UnstableSearchError):
+        long_search(ts, ModelSpec(3, 1, 0), SearchConfig(0.1, 1.0, n_long=2))
+    with pytest.raises(UnstableSearchError):
+        scan_rounds(ts, ModelSpec(2, 1, 0), [np.array([1.0, 2.0]), np.array([3.0, 4.0])],
+                    ts.y[None])
 
 
 def test_search_rejects_too_short_series():
@@ -363,7 +374,7 @@ def test_degenerate_tuples_reach_the_exact_kernel():
     stats = span_stats(ts)
     cfg = SearchConfig(2.0, 8.0, n_long=13)
     grid = np.linspace(2.0, 8.0, 13)
-    tuples = np.concatenate(list(_combination_chunks(grid, 2, 4096)))
+    tuples = np.concatenate(list(_product_chunks([grid] * 2, 4096)))
     _, degenerate = gridsearch.evaluate_z(ts, spec, tuples, stats)
     assert degenerate.any()
     pg = long_search(ts, spec, cfg, stats)
@@ -383,21 +394,25 @@ def test_rescored_tuples_do_not_depend_on_workers(monkeypatch):
     ts = two_sine_series(n=20, seed=8)
     spec = ModelSpec(2, 1, 0)
     cfg = SearchConfig(4.0, 8.0, n_long=40, n_short=12)
-    exact = gridsearch.evaluate_z
+    exact = gridsearch.design_solver
     seen = {}
 
     def recording(ts_, spec_, tuples, *args):
-        seen.setdefault(workers, []).extend(map(tuple, tuples))
+        seen.setdefault((workers, stage), []).extend(map(tuple, tuples))
         return exact(ts_, spec_, tuples, *args)
 
-    monkeypatch.setattr(gridsearch, "evaluate_z", recording)
+    monkeypatch.setattr(gridsearch, "design_solver", recording)
     for workers in (1, 3):
+        stage = "long"
         pg = long_search(ts, spec, cfg, workers=workers)
+        stage = "short"
         short_search(ts, spec, cfg, pg.best, workers=workers)
-    assert sorted(seen[1]) == sorted(seen[3])
-    # slices aside, the exact kernel sees a small share of the tuples
-    slice_points = 2 * (2 * 40 + 2 * 12)
-    assert len(seen[1]) - slice_points < comb(40, 2) // 10
+    for stage in ("long", "short"):
+        assert seen[1, stage]
+        assert sorted(seen[1, stage]) == sorted(seen[3, stage])
+    # slices do not pass through here; the exact kernel sees a small
+    # share of the tuples
+    assert len(seen[1, "long"]) + len(seen[1, "short"]) < comb(40, 2) // 10
 
 
 def test_model7_hazard_scans_match_brute_force():
@@ -410,7 +425,7 @@ def test_model7_hazard_scans_match_brute_force():
     cfg = SearchConfig.from_periods(0.4, 3.6, n_long=20, n_short=12)
     grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
 
-    long_tuples = np.concatenate(list(_combination_chunks(grid, 2, 4096)))
+    long_tuples = np.concatenate(list(_product_chunks([grid] * 2, 4096)))
     blocks = _Blocks(ts, spec, stats, "chi-square", [grid, grid], weighted_y(ts)[:, None])
     idx = blocks.columns(long_tuples)
     gram = blocks.gram[idx[:, :, None], idx[:, None, :]]
@@ -449,3 +464,97 @@ def test_model7_hazard_scans_match_brute_force():
         assert np.array_equal(best[r], short_tuples[i])
         ts_r = TimeSeries(ts.t, y_rounds[r], ts.sigma)
         assert np.array_equal(best[r], brute_force_best(ts_r, spec, sh.grids)[1])
+
+
+# ---------------------------------------------------------------------------
+# one engine behind all three scans
+# ---------------------------------------------------------------------------
+
+def _stage_case(name):
+    if name == "hazard":
+        # model 7 g(2,2,2) at SN = 1e6: near-singular tuples and near ties
+        ts = simulate(SimulationSpec(7, 40, 1e6, seed=5))
+        return ts, ModelSpec(2, 2, 2), SearchConfig.from_periods(0.4, 3.6, n_long=20,
+                                                                 n_short=12)
+    ts = two_sine_series(n=20, seed=8)
+    if name == "weighted":
+        sigma = np.random.default_rng(4).uniform(0.05, 0.2, ts.n)
+        ts = TimeSeries(ts.t, ts.y, sigma)
+    else:
+        ts = TimeSeries(ts.t, ts.y)
+    return ts, ModelSpec(2, 1, 0), SearchConfig(4.0, 8.0, n_long=30, n_short=12)
+
+
+@pytest.mark.parametrize("case", ["weighted", "unweighted", "hazard"])
+def test_scan_rounds_of_the_series_equals_each_stage(case):
+    ts, spec, cfg = _stage_case(case)
+    stats = span_stats(ts)
+    pg = long_search(ts, spec, cfg, stats)
+    sh = short_search(ts, spec, cfg, pg.best, stats)
+    grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
+    for stage, grids in ((pg, [grid] * spec.k1), (sh, sh.grids)):
+        z_min, best = scan_rounds(ts, spec, grids, ts.y[None], stats)
+        assert z_min[0] == stage.z_min
+        assert np.array_equal(best[0], stage.best)
+
+
+def test_chunk_sizes_never_change_results(monkeypatch):
+    # f_a = 2 f_b and 3 f_b on the long grid make rank-deficient tuples,
+    # more of them than one exact-kernel chunk holds once it is shrunk
+    ts = two_sine_series(n=40)
+    spec = ModelSpec(2, 3, 0)
+    cfg = SearchConfig(2.0, 8.0, n_long=25, n_short=12)
+    rng = np.random.default_rng(29)
+    y_rounds = ts.y[None, :] + rng.normal(0, 0.1, (5, ts.n))
+    exact = gridsearch.design_solver
+    batches = []
+
+    def counting(*args):
+        batches.append(len(args[2]))
+        return exact(*args)
+
+    monkeypatch.setattr(gridsearch, "design_solver", counting)
+
+    def run():
+        batches.clear()
+        pg = long_search(ts, spec, cfg)
+        sh = short_search(ts, spec, cfg, pg.best)
+        z, best = scan_rounds(ts, spec, sh.grids, y_rounds)
+        stages = [(p.z_min, p.best.copy(), p.combinations, p.degenerate_hit)
+                  for p in (pg, sh)]
+        return stages, z, best, list(batches)
+
+    want = run()
+    assert want[0][0][3]  # the long stage hit a rank-deficient tuple
+    monkeypatch.setattr(gridsearch, "_SCREEN_TARGET", 1)
+    monkeypatch.setattr(gridsearch, "_EXACT_TARGET", 1)
+    got = run()
+    assert len(got[3]) > len(want[3])
+    assert sum(got[3]) == sum(want[3])
+    for (z_a, f_a, n_a, d_a), (z_b, f_b, n_b, d_b) in zip(got[0], want[0]):
+        assert z_a == z_b
+        assert np.array_equal(f_a, f_b)
+        assert (n_a, d_a) == (n_b, d_b)
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(got[2], want[2])
+
+
+def test_each_round_keeps_its_own_survivors_and_best(monkeypatch):
+    # two rounds with different signals, so different winners, and
+    # rank-deficient tuples (k2 = 3) enough for two exact-kernel chunks
+    monkeypatch.setattr(gridsearch, "_EXACT_TARGET", 1)
+    ts = two_sine_series(n=40)
+    rng = np.random.default_rng(3)
+    other = (np.cos(2 * np.pi * 7.4 * ts.t) + 0.7 * np.sin(2 * np.pi * 7.1 * ts.t)
+             + 1.0 + rng.normal(0, 0.1, ts.n))
+    spec = ModelSpec(2, 3, 0)
+    cfg = SearchConfig(2.0, 8.0, n_long=25)
+    grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
+    y_rounds = np.stack([ts.y, other])
+    z_min, best = scan_rounds(ts, spec, [grid] * 2, y_rounds)
+    for r in range(2):
+        pg = long_search(TimeSeries(ts.t, y_rounds[r], ts.sigma), spec, cfg)
+        assert np.array_equal(best[r], pg.best)
+        # one-column solves differ in the last digits (README, Determinism)
+        assert z_min[r] == pytest.approx(pg.z_min, rel=1e-12)
+    assert not np.array_equal(best[0], best[1])
