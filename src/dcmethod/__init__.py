@@ -3,10 +3,11 @@
 The core idea: fit every candidate combination of signal frequencies
 jointly, together with all harmonic amplitudes and a polynomial trend,
 instead of extracting signals one at a time.  A coarse scan over
-frequency tuples is followed by a dense windowed scan, a Gauss-Newton
-polish, residual-bootstrap uncertainties, Fisher tests between nested
-model shapes, and out-of-sample prediction checks.  A classical
-Lomb-Scargle pre-whitening baseline is included for comparison.
+frequency tuples is followed by a dense windowed scan, a
+variable-projection polish of the frequencies, residual-bootstrap
+uncertainties, Fisher tests between nested model shapes, and
+out-of-sample prediction checks.  A classical Lomb-Scargle
+pre-whitening baseline is included for comparison.
 """
 
 __version__ = "0.1.0"

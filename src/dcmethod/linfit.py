@@ -79,20 +79,18 @@ class BatchSolver:
     def degenerate(self) -> np.ndarray:
         return self.rank < self.m
 
-    def solve(self, b: np.ndarray):
-        """Minimum norm solutions and explicit residuals.
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Minimum norm solutions ``x`` of shape (batch, m, rhs).
 
-        ``b`` must broadcast against (batch, n, rhs).  Returns
-        ``x`` of shape (batch, m, rhs) and ``resid = b - a x``.
+        ``b`` must broadcast against (batch, n, rhs).  Callers that need
+        the residual form it explicitly as ``b - a x``.
         """
         uy = np.matmul(np.swapaxes(self.u, -1, -2), b)
-        x = np.matmul(np.swapaxes(self.vt, -1, -2), self._sinv[..., None] * uy)
-        resid = b - np.matmul(self.a, x)
-        return x, resid
+        return np.matmul(np.swapaxes(self.vt, -1, -2), self._sinv[..., None] * uy)
 
     def misfit(self, b: np.ndarray, n_points: int) -> np.ndarray:
         """z = sqrt(rss / n) per (batch, rhs) pair."""
-        _, resid = self.solve(b)
+        resid = b - np.matmul(self.a, self.solve(b))
         rss = np.einsum("bnr,bnr->br", resid, resid)
         return np.sqrt(rss / n_points)
 
@@ -163,9 +161,10 @@ def solve_linear(
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     solver = design_solver(ts, spec, freqs[None, :], stats, mode)
     bw = weighted_y(ts, mode)
-    x, resid_w = solver.solve(bw[None, :, None])
+    b = bw[None, :, None]
+    x = solver.solve(b)
+    resid_w = (b - np.matmul(solver.a, x))[0, :, 0]
     x = x[0, :, 0]
-    resid_w = resid_w[0, :, 0]
     wsum = float(resid_w @ resid_w)
     beta = BetaVector(freqs, x)
     if mode == "chi-square":
@@ -216,5 +215,7 @@ def fit_columns(columns: np.ndarray, b: np.ndarray):
     """Least squares on an explicit column matrix (helper for the
     spectral baseline).  Returns (coefficients, fitted values, residuals)."""
     solver = BatchSolver(np.asarray(columns, dtype=float)[None, :, :])
-    x, resid = solver.solve(np.asarray(b, dtype=float)[None, :, None])
-    return x[0, :, 0], b - resid[0, :, 0], resid[0, :, 0]
+    bb = np.asarray(b, dtype=float)[None, :, None]
+    x = solver.solve(bb)
+    resid = (bb - np.matmul(solver.a, x))[0, :, 0]
+    return x[0, :, 0], b - resid, resid

@@ -269,9 +269,13 @@ def _local_extrema(values, sign):
     """Indices of local maxima (sign=+1) or minima (sign=-1) on a
     periodic sample grid."""
     v = sign * values
-    prev = np.roll(v, 1)
-    nxt = np.roll(v, -1)
-    return np.where((v >= prev) & (v > nxt))[0]
+    n = v.size
+    peak = np.empty(n, dtype=bool)
+    peak[1:-1] = (v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])
+    # the two ends are each other's neighbours
+    peak[0] = v[0] >= v[-1] and v[0] > v[1 % n]
+    peak[-1] = v[-1] >= v[-2 % n] and v[-1] > v[0]
+    return np.flatnonzero(peak)
 
 
 def summarize_signals(spec: ModelSpec, beta: BetaVector, stats: SpanStats) -> SignalSummary:

@@ -1,8 +1,8 @@
 """End-to-end analysis of one model shape on one series.
 
-Chains the stages: long grid scan, windowed short scan, Gauss-Newton
-polish, signal summaries, residual bootstrap.  Pure trend models skip
-the scans and go straight to the linear fit.
+Chains the stages: long grid scan, windowed short scan,
+variable-projection polish, signal summaries, residual bootstrap.  Pure
+trend models skip the scans and go straight to the linear fit.
 """
 
 from __future__ import annotations

@@ -1,30 +1,31 @@
 """Non-linear refinement and bootstrap uncertainty estimation.
 
-Refinement polishes all parameters at once, frequencies included, with
-a damped Gauss-Newton iteration (Levenberg style lambda adaptation on a
-column-scaled step).  Steps are only ever accepted when they lower the
-misfit, so the refined z can never exceed the grid value.
+Refinement polishes the k1 frequencies by variable projection (Golub &
+Pereyra 1973, SIAM J. Numer. Anal. 10, 413).  At fixed frequencies f
+the model is linear, so the polish minimises the profile residual
+r(f) = y_w - A_w(f) A_w(f)^+ y_w, the misfit the grid scans minimise:
+every trial point is one linear least squares fit through
+``BatchSolver``, and the linear coefficients are always that fit's.
+The step is Levenberg-Marquardt on f alone, with Kaufman's Jacobian
+(1975, BIT 15, 49) J_i = -(I - U U^T) dA_w/df_i x, for which J^T r is
+the exact gradient of ||r||^2 / 2.  Steps are only ever accepted when
+they lower the misfit, so the refined z can never exceed the grid value.
 
 The polish is one kernel, ``_polish``, that advances a stack of R
 independent problems at once: same times and weights, each row with its
-own data and starting point.  Every row keeps its own state
-(parameters, misfit, damping lambda, accepted steps, whether its
-Jacobian is stale), and a row leaves the stack when it stops.  Each
-pass
+own data and starting frequencies.  Every row keeps its own state
+(frequencies, linear fit, misfit, damping lambda, accepted steps, the
+SVD of its scaled Jacobian), and a row leaves the stack when it stops.
+Each pass tries one lambda for every running row: one stacked
+factorisation of the design matrices at the trial points, one batched
+Jacobian there, and, for the rows that accept their step, one stacked
+n x k1 SVD that serves every damped step from the new point.
 
-* recomputes, in one batched ``_jacobian`` call, the Jacobian of the
-  rows that just accepted a step, and stops those whose gradient is
-  flat;
-* tries one lambda for every running row: one stacked factorisation of
-  the augmented systems [J_w; sqrt(lambda) diag(scale)] through
-  ``BatchSolver``, and one batched model evaluation at the trial
-  points.
-
-Rows stop independently, for one of the reasons in ``_STOPS``.  Every
-stacked call works slice by slice with the same BLAS/LAPACK call one
-row alone would make (design matrices, gemv, dot, SVD), so a row's
-result is the same bits whichever rows share its stack.  ``refine`` is
-the kernel on a stack of one.
+Rows stop independently, for one of the reasons in ``_STOPS``; the
+tests are scale-free (``_polish``).  Every stacked call works slice by
+slice with the same BLAS/LAPACK call one row alone would make (design
+matrices, gemv, dot, SVD), so a row's result is the same bits whichever
+rows share its stack.  ``refine`` is the kernel on a stack of one.
 
 The bootstrap resamples residuals with replacement, rebuilds synthetic
 series y* = g + eps*, re-runs the short search stage on each draw over
@@ -48,7 +49,7 @@ from .gridsearch import SearchConfig, ordered_map, scan_rounds
 from .linfit import BatchSolver, weighting_mode
 from .model import (BetaVector, ModelSpec, design_matrix, param_names,
                     signal_values, summarize_signals)
-from .timeseries import SpanStats, span_stats
+from .timeseries import span_stats
 
 # The per-round entry points the stacked kernel replaced.  The
 # benchmark's call-site tracer (bench/tracer.py) wraps these names on
@@ -64,9 +65,14 @@ FLAG_INTERSECTING = "IntersectingFrequencies"
 FLAG_DISPERSING = "DispersingAmplitudes"
 FLAG_LEAKING = "LeakingPeriods"
 
-# Convergence and damping controls for the Gauss-Newton loop.
+# Stop tests and damping of the projected Levenberg-Marquardt loop.
+# _GRAD_TOL bounds ||J^T r|| / (||J||_F ||r||): at the minimum it falls
+# to 1e-11 or below within a few steps, and at 1e-9 the z still to gain
+# is far below _Z_REL_TOL.  _STEP_TOL is in cycles over the span
+# (|delta f| delta_t), far below any frequency's statistical error.
+_GRAD_TOL = 1e-9
 _Z_REL_TOL = 1e-12
-_GRAD_TOL = 1e-10
+_STEP_TOL = 1e-10
 _LAMBDA0 = 1e-3
 _LAMBDA_MAX = 1e12
 _MAX_ITER = 200
@@ -76,7 +82,7 @@ _STOPS = ("grad", "z-tol", "no-descent", "max-iter")
 _GRAD, _Z_TOL, _NO_DESCENT, _CAPPED = range(len(_STOPS))
 
 # Bootstrap rounds per block: this many elements over n x eta.  Keeps a
-# block's stacked Jacobians, augmented systems and factors to a few MB.
+# block's stacked design matrices, factors and Jacobians to a few MB.
 _BLOCK_ELEMENTS = 100_000
 
 
@@ -84,12 +90,13 @@ _BLOCK_ELEMENTS = 100_000
 class RefinedModel:
     """Polished parameters and fit quality at the final point.
 
-    ``z_initial`` is the misfit at the starting parameters; monotone
-    step acceptance guarantees ``z <= z_initial``.  ``stop`` says why the
-    polish ended: ``grad`` (flat gradient), ``z-tol`` (negligible misfit
-    change over an accepted step), ``no-descent`` (no damping factor
-    lowers the misfit) or ``max-iter`` (step cap reached); ``converged``
-    holds exactly for the first two.  It is None where no polish ran.
+    ``z_initial`` is the misfit of the linear fit at the starting
+    frequencies; monotone step acceptance guarantees ``z <= z_initial``.
+    ``stop`` says why the polish ended: ``grad`` (gradient flat relative
+    to ||J|| ||r||), ``z-tol`` (a negligible step no longer lowers the
+    misfit), ``no-descent`` (no damping factor lowers the misfit) or
+    ``max-iter`` (step cap reached); ``converged`` holds exactly for the
+    first two.  It is None where no polish ran.
     """
 
     beta: BetaVector
@@ -107,69 +114,66 @@ class RefinedModel:
         return self.r_sum if self.chi2 is None else self.chi2
 
 
-def _weights(ts, mode):
-    return 1.0 / ts.sigma if mode == "chi-square" else np.ones(ts.n)
-
-
-def _linear_columns(spec: ModelSpec) -> np.ndarray:
-    """Positions of the linear coefficients in the interleaved vector."""
-    linear = np.ones(spec.eta, dtype=bool)
-    linear[_freq_columns(spec)] = False
-    return np.flatnonzero(linear)
-
-
 def _dots(x):
-    """x . x per row, each through the dot a 1-D ``x @ x`` makes."""
-    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+    """x . x along the last axis, each through the dot a 1-D ``x @ x``
+    makes."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
 
 
-def _jacobian(t, spec: ModelSpec, params, stats: SpanStats):
-    """d g / d p at interleaved parameter vectors.
+@dataclass
+class _Fit:
+    """The linear fit of each row at its own frequency tuple."""
 
-    ``params`` is one vector (a BetaVector or shape (eta,)), giving an
-    (n, eta) result, or a stack (R, eta), giving (R, n, eta).
+    solver: BatchSolver  # factors of the weighted design matrices
+    x: np.ndarray        # (R, m) linear coefficients
+    rw: np.ndarray       # (R, n) explicit weighted residuals yw - A_w x
+    wsum: np.ndarray     # (R,) weighted residual sums of squares
+
+
+def _fit(t, yw, sigma, spec, freqs, stats) -> _Fit:
+    """Fit row r of the weighted series ``yw`` (R, n) at the frequency
+    tuple ``freqs[r]``; ``sigma`` divides the design rows (None for an
+    unweighted fit).  Each slice is the computation ``solve_linear``
+    makes for one tuple."""
+    a = design_matrix(t, spec, freqs, stats)
+    if sigma is not None:
+        a = a / sigma[None, :, None]
+    solver = BatchSolver(a)
+    x = solver.solve(yw[:, :, None])
+    rw = yw - np.matmul(a, x)[:, :, 0]
+    return _Fit(solver, x[:, :, 0], rw, _dots(rw))
+
+
+def _jacobian(fit: _Fit, spec: ModelSpec, tau) -> np.ndarray:
+    """Kaufman's Jacobian of the profile residuals, transposed: shape
+    (R, k1, n), row i of slice r being J_i = -(I - U U^T) dA_w/df_i x.
+
+    The derivative columns d_i = dA_w/df_i x are built from the cos/sin
+    columns of A_w at ``tau`` = t - t_mid instead of t.  The difference,
+    t_mid times a combination of those same columns, lies in the range
+    of A_w, so the projection removes it exactly; at tau it stays well
+    conditioned far from t = 0.  The projection is the explicit
+    residual of the least squares fit of d_i on A_w.
     """
-    if isinstance(params, BetaVector):
-        params = params.interleaved(spec)
-    params = np.asarray(params, dtype=float)
-    p = np.atleast_2d(params)
-    t = np.asarray(t, dtype=float)
-    n = t.size
-    jac = np.empty((p.shape[0], n, spec.eta))
+    a, x = fit.solver.a, fit.x
+    d = np.zeros((a.shape[0], spec.k1, a.shape[1]))
     col = 0
-    two_pi_t = 2.0 * np.pi * t
     for i in range(spec.k1):
-        base = two_pi_t * p[:, col + 2 * spec.k2, None]
-        dfreq = np.zeros((p.shape[0], n))
         for j in range(1, spec.k2 + 1):
-            cj = np.cos(j * base)
-            sj = np.sin(j * base)
-            jac[:, :, col] = cj
-            jac[:, :, col + 1] = sj
-            dfreq += j * two_pi_t * (p[:, col + 1, None] * cj - p[:, col, None] * sj)
+            d[:, i] += (2.0 * np.pi * j * tau) * (x[:, col + 1, None] * a[:, :, col]
+                                                  - x[:, col, None] * a[:, :, col + 1])
             col += 2
-        jac[:, :, col] = dfreq
-        col += 1
-    if spec.k3 >= 0:
-        tt = 2.0 * (t - stats.t_mid) / stats.delta_t
-        power = np.ones(n)
-        for k in range(spec.k3 + 1):
-            if k:
-                power = power * tt
-            jac[:, :, col + k] = power
-    return jac[0] if params.ndim == 1 else jac
+    dt = d.transpose(0, 2, 1)
+    return np.matmul(a, fit.solver.solve(dt)).transpose(0, 2, 1) - d
 
 
-def _residuals(t, y, w, spec, params, stats, cols):
-    """Residuals, weighted residuals and weighted sums of squares of
-    each parameter row against the matching row of ``y``; ``cols`` are
-    the frequency and the linear positions in a row."""
-    fcols, lcols = cols
-    a = design_matrix(t, spec, params[:, fcols], stats)
-    model = np.matmul(a, params[:, lcols, None])[:, :, 0]
-    resid = y - model
-    rw = resid * w
-    return resid, rw, _dots(rw)
+def _interleaved(spec: ModelSpec, freqs, x) -> np.ndarray:
+    """Interleaved parameter rows from frequency and linear rows."""
+    params = np.empty((len(freqs), spec.eta))
+    fcols = _freq_columns(spec)
+    params[:, fcols] = freqs
+    params[:, np.setdiff1d(np.arange(spec.eta), fcols)] = x
+    return params
 
 
 @dataclass
@@ -177,7 +181,7 @@ class _Polished:
     """Final state of every row of one ``_polish`` call."""
 
     params: np.ndarray  # (R, eta) interleaved parameters
-    resid: np.ndarray   # (R, n) unweighted residuals
+    rw: np.ndarray      # (R, n) weighted residuals
     wsum: np.ndarray    # (R,) weighted residual sum of squares
     z0: np.ndarray      # (R,) misfit at the start
     steps: np.ndarray   # (R,) accepted steps
@@ -194,118 +198,141 @@ class _Live:
         for name, value in list(vars(self).items()):
             setattr(self, name, value[mask])
 
+    def put(self, mask, **arrays):
+        """Overwrite the masked rows of the named arrays."""
+        for name, value in arrays.items():
+            getattr(self, name)[mask] = value
 
-def _polish(t, y, w, spec, params, stats, max_iter) -> _Polished:
-    """Damped Gauss-Newton polish of a stack of independent rows.
 
-    Row r fits ``y[r]`` (shape (R, n)) from ``params[r]`` (shape
-    (R, eta)) with weights ``w``.  Per row the iteration is: lambda
-    starts at 1e-3 and moves x0.1 (down to 1e-15) on an accepted step,
-    x10 on a rejected one; the row stops when the gradient is flat, when an
-    accepted step changes z by at most 1e-12 relative, when lambda
-    passes ``_LAMBDA_MAX`` or after ``max_iter`` accepted steps.
-    Stopped rows leave the stack, so each pass works on running rows
-    only.
+def _step_factors(jt, rw, wsum):
+    """Per row: whether the gradient J^T r is flat, and the SVD of the
+    column-scaled Jacobian that every damped step from this point uses.
+
+    Flat means ||J^T r|| <= _GRAD_TOL ||J||_F ||r||.  With J scaled to
+    unit columns, J D^-1 = P S Q^T, the step at damping lambda is
+    delta = -D^-1 Q diag(s / (s^2 + lambda)) P^T r.
     """
-    params = np.array(params, dtype=float)
-    n_rows, eta = params.shape
+    grad = np.matmul(jt, rw[:, :, None])[:, :, 0]
+    col2 = _dots(jt)
+    flat = np.sqrt(_dots(grad)) <= _GRAD_TOL * np.sqrt(col2.sum(axis=1) * wsum)
+    scale = np.sqrt(col2)
+    scale[scale == 0.0] = 1.0
+    q, s, pt = np.linalg.svd(jt / scale[:, :, None], full_matrices=False)
+    return flat, dict(scale=scale, q=q, s=s, ptr=np.matmul(pt, rw[:, :, None])[:, :, 0])
+
+
+def _polish(t, y, sigma, spec, freqs, stats, max_iter) -> _Polished:
+    """Variable-projection Levenberg-Marquardt polish of a stack of
+    independent rows over their frequencies alone.
+
+    Row r fits ``y[r]`` (shape (R, n)) from the frequency tuple
+    ``freqs[r]`` (shape (R, k1)); the linear coefficients are always the
+    least squares fit at the current frequencies, so each row minimises
+    its profile misfit, the one the grid scans minimise.  Per row,
+    lambda starts at 1e-3 and moves x0.1 (down to 1e-15) on an accepted
+    step, x10 on a rejected one.  A row stops, for the first that holds
+    of
+
+    * ``grad``: at an accepted point, ||J^T r|| <= _GRAD_TOL ||J||_F ||r||;
+    * ``z-tol``: a step that moves no frequency by more than _STEP_TOL
+      cycles over the span (|delta f| delta_t) lowers z by at most
+      _Z_REL_TOL relative, or not at all;
+    * ``no-descent``: lambda passes ``_LAMBDA_MAX``;
+    * ``max-iter``: ``max_iter`` accepted steps.
+
+    Stopped rows leave the stack, so each pass works on running rows
+    only.  ``max_iter <= 0`` returns the linear fit at ``freqs``.
+    """
+    freqs = np.array(freqs, dtype=float)
+    n_rows = freqs.shape[0]
     n = t.size
-    cols = (_freq_columns(spec), _linear_columns(spec))
-    resid, rw, wsum = _residuals(t, y, w, spec, params, stats, cols)
-    z0 = np.sqrt(wsum / n)
-    out = _Polished(params.copy(), resid.copy(), wsum.copy(), z0,
-                    np.zeros(n_rows, dtype=int), np.full(n_rows, _CAPPED))
-    live = _Live(row=np.arange(n_rows), params=params, y=y, resid=resid,
-                 rw=rw, wsum=wsum, z=z0.copy(), lam=np.full(n_rows, _LAMBDA0),
-                 steps=np.zeros(n_rows, dtype=int),
-                 stale=np.ones(n_rows, dtype=bool),
-                 aug=np.zeros((n_rows, n + eta, eta)), scale=np.empty((n_rows, eta)))
+    yw = y if sigma is None else y / sigma
+    fit = _fit(t, yw, sigma, spec, freqs, stats)
+    z0 = np.sqrt(fit.wsum / n)
+    out = _Polished(_interleaved(spec, freqs, fit.x), fit.rw.copy(),
+                    fit.wsum.copy(), z0, np.zeros(n_rows, dtype=int),
+                    np.full(n_rows, _CAPPED))
+    if max_iter <= 0:
+        return out
+    tau = t - stats.t_mid
+    flat, factors = _step_factors(_jacobian(fit, spec, tau), fit.rw, fit.wsum)
+    live = _Live(row=np.arange(n_rows), freqs=freqs, yw=yw, x=fit.x, rw=fit.rw,
+                 wsum=fit.wsum, z=z0.copy(), lam=np.full(n_rows, _LAMBDA0),
+                 steps=np.zeros(n_rows, dtype=int), **factors)
 
     def retire(done, reason):
         rows = live.row[done]
-        out.params[rows] = live.params[done]
-        out.resid[rows] = live.resid[done]
+        out.params[rows] = _interleaved(spec, live.freqs[done], live.x[done])
+        out.rw[rows] = live.rw[done]
         out.wsum[rows] = live.wsum[done]
         out.steps[rows] = live.steps[done]
         out.stop[rows] = reason
         live.keep(~done)
 
-    if max_iter <= 0:
-        live.keep(np.zeros(n_rows, dtype=bool))
-    diag = np.arange(eta)
-    ridge = n + diag
+    if flat.any():
+        retire(flat, _GRAD)
     while live.row.size:
-        stale = live.stale
-        if stale.any():
-            rows = slice(None) if stale.all() else stale
-            jac = _jacobian(t, spec, live.params[rows], stats)
-            jac *= w[:, None]
-            grad = np.matmul(jac.transpose(0, 2, 1), live.rw[rows][:, :, None])
-            col_norm = np.sqrt(np.einsum("rij,rij->rj", jac, jac))
-            col_norm[col_norm == 0.0] = 1.0
-            live.aug[rows, :n] = jac
-            live.scale[rows] = col_norm
-            flat = np.zeros_like(stale)
-            flat[rows] = (np.abs(grad) < _GRAD_TOL).all(axis=(1, 2))
-            live.stale = np.zeros_like(stale)
-            if flat.any():
-                retire(flat, _GRAD)
-                continue
-        live.aug[:, ridge, diag] = np.sqrt(live.lam)[:, None] * live.scale
-        rhs = np.zeros((live.row.size, n + eta, 1))
-        rhs[:, :n, 0] = live.rw
-        delta, _ = BatchSolver(live.aug).solve(rhs)
-        trial = live.params + delta[:, :, 0]
-        resid_t, rw_t, wsum_t = _residuals(t, live.y, w, spec, trial, stats, cols)
-        better = np.isfinite(wsum_t) & (wsum_t < live.wsum)
-        z, z_new = live.z, np.sqrt(wsum_t / n)
-        settled = better & (z > 0.0) & (z - z_new <= _Z_REL_TOL * z)
+        gain = live.s / (live.s * live.s + live.lam[:, None])
+        delta = -np.matmul(live.q, (gain * live.ptr)[:, :, None])[:, :, 0] / live.scale
+        trial = live.freqs + delta
+        finite = np.isfinite(trial).all(axis=1)
+        trial[~finite] = live.freqs[~finite]
+        fit = _fit(t, live.yw, sigma, spec, trial, stats)
+        better = finite & np.isfinite(fit.wsum) & (fit.wsum < live.wsum)
+        z, z_new = live.z, np.sqrt(fit.wsum / n)
+        cycles = np.abs(delta).max(axis=1, initial=0.0) * stats.delta_t
+        small = finite & (cycles <= _STEP_TOL)
+        settled = small & ~(z - z_new > _Z_REL_TOL * z)
 
-        if better.all():
-            live.params, live.resid, live.rw = trial, resid_t, rw_t
-            live.wsum, live.z = wsum_t, z_new
-        elif better.any():
-            for state, value in ((live.params, trial), (live.resid, resid_t),
-                                 (live.rw, rw_t)):
-                np.copyto(state, value, where=better[:, None])
-            np.copyto(live.wsum, wsum_t, where=better)
-            np.copyto(live.z, z_new, where=better)
+        flat = np.zeros_like(better)
+        if better.any():
+            live.put(better, freqs=trial[better], x=fit.x[better],
+                     rw=fit.rw[better], wsum=fit.wsum[better], z=z_new[better])
+            flat[better], factors = _step_factors(
+                _jacobian(fit, spec, tau)[better], live.rw[better], live.wsum[better])
+            live.put(better, **factors)
         live.lam *= np.where(better, 0.1, 10.0)
         np.maximum(live.lam, 1e-15, out=live.lam)
         live.steps += better
-        live.stale = better
 
         # Only an accepted step can reach the cap, only a rejected one
         # can push lambda past its limit.
         capped = live.steps >= max_iter
         gone = live.lam > _LAMBDA_MAX
-        done = settled | capped | gone
+        done = flat | settled | capped | gone
         if done.any():
-            reason = np.where(settled, _Z_TOL, np.where(gone, _NO_DESCENT, _CAPPED))
+            reason = np.select([flat, settled, gone], [_GRAD, _Z_TOL, _NO_DESCENT],
+                               _CAPPED)
             retire(done, reason[done])
     return out
 
 
 def refine(ts, spec, beta0: BetaVector, stats=None, weighting=None,
            max_iter=_MAX_ITER) -> RefinedModel:
-    """Damped Gauss-Newton polish of all parameters.
+    """Polish the frequencies of ``beta0`` by variable projection.
 
-    Stops when the relative z change over an accepted step falls below
-    1e-12, when the misfit gradient norm falls below 1e-10, when no
-    damping factor yields a decrease, or after ``max_iter`` accepted
-    steps; ``stop`` records which.
+    Only the k1 frequencies are iterated; the linear coefficients are
+    the least squares fit at each trial point (``beta0.linear`` is not
+    read), so ``z_initial`` is the linear fit's misfit at
+    ``beta0.freqs``.  ``stop`` records why the polish ended: a flat
+    gradient relative to ||J|| ||r|| (``grad``), a negligible step that
+    no longer lowers z (``z-tol``), no damping factor that lowers z
+    (``no-descent``) or ``max_iter`` accepted steps (``max-iter``).
     """
     if stats is None:
         stats = span_stats(ts)
     mode = weighting_mode(ts, weighting)
-    out = _polish(ts.t, ts.y[None, :], _weights(ts, mode), spec,
-                  beta0.interleaved(spec)[None, :], stats, max_iter)
-    resid = out.resid[0]
+    sigma = ts.sigma if mode == "chi-square" else None
+    out = _polish(ts.t, ts.y[None, :], sigma, spec, beta0.freqs[None, :], stats,
+                  max_iter)
+    resid_w = out.rw[0]
     wsum = float(out.wsum[0])
-    if mode == "chi-square":
+    if sigma is not None:
+        resid = resid_w * sigma
         chi2 = wsum
         r_sum = float(resid @ resid)
     else:
+        resid = resid_w
         chi2 = None
         r_sum = wsum
     stop = _STOPS[out.stop[0]]
@@ -320,17 +347,10 @@ def refine(ts, spec, beta0: BetaVector, stats=None, weighting=None,
 def _linear_fit(ts, spec, tuples, y, stats, mode):
     """Linear coefficients at each row's frequency tuple against that
     row's series, as interleaved parameter rows, and the weighted
-    residual sums of squares.  Each slice is the computation
-    ``solve_linear`` makes for one tuple."""
-    a = design_matrix(ts.t, spec, tuples, stats)
-    if mode == "chi-square":
-        a = a / ts.sigma[None, :, None]
-        y = y / ts.sigma
-    x, resid = BatchSolver(a).solve(y[:, :, None])
-    params = np.empty((len(tuples), spec.eta))
-    params[:, _freq_columns(spec)] = tuples
-    params[:, _linear_columns(spec)] = x[:, :, 0]
-    return params, _dots(resid[:, :, 0])
+    residual sums of squares; each slice is ``solve_linear``'s."""
+    out = _polish(ts.t, y, ts.sigma if mode == "chi-square" else None, spec,
+                  tuples, stats, 0)
+    return out.params, out.wsum
 
 
 @dataclass
@@ -426,14 +446,15 @@ def bootstrap(ts, spec, cfg: SearchConfig, refined: RefinedModel, grids,
         grid_step = 0.0
         best_tuples = np.zeros((n_rounds, 0))
 
-    w = _weights(ts, mode)
+    sigma = ts.sigma if mode == "chi-square" else None
 
     def fit_rounds(rows):
         y = y_rounds[rows]
-        params, wsum = _linear_fit(ts, spec, best_tuples[rows], y, stats, mode)
         if refine_rounds:
-            out = _polish(ts.t, y, w, spec, params, stats, _MAX_ITER)
+            out = _polish(ts.t, y, sigma, spec, best_tuples[rows], stats, _MAX_ITER)
             params, wsum = out.params, out.wsum
+        else:
+            params, wsum = _linear_fit(ts, spec, best_tuples[rows], y, stats, mode)
         z = np.sqrt(wsum / ts.n)
         return [(params[i], z[i], summarize_signals(
                     spec, BetaVector.from_interleaved(spec, params[i]), stats))

@@ -347,7 +347,7 @@ def test_screen_bound_holds_and_degenerate_tuples_are_guarded(case):
     # the screen's columns are the exact kernel's, bit for bit
     assert np.array_equal(blocks.cols[:, blocks.columns(tuples)].transpose(1, 0, 2),
                           solver.a)
-    _, resid = solver.solve(yw[None, :, :])
+    resid = yw[None, :, :] - solver.a @ solver.solve(yw[None, :, :])
     exact = np.einsum("bnr,bnr->br", resid, resid)
     assert np.all(np.abs(rss - exact[ok]) <= bound)
     assert not np.any(ok & solver.degenerate)

@@ -20,7 +20,7 @@ from dcmethod import (
     trend_ranges,
     trend_values,
 )
-from dcmethod.model import param_names, scaled_time
+from dcmethod.model import _local_extrema, param_names, scaled_time
 
 UNIT = SpanStats(t_mid=0.5, delta_t=1.0, f0=1.0, y_mean=0.0, y_std=0.0)
 
@@ -166,6 +166,24 @@ def test_trend_ranges_doubles_odd_powers():
 # ---------------------------------------------------------------------------
 # signal summaries
 # ---------------------------------------------------------------------------
+
+def rolled_extrema(values, sign):
+    """The extrema test on a periodic grid, through np.roll copies."""
+    v = sign * values
+    return np.where((v >= np.roll(v, 1)) & (v > np.roll(v, -1)))[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10_001])
+def test_local_extrema_equal_the_rolled_form(n):
+    rng = np.random.default_rng(n)
+    for trial in range(100):
+        # random values, then plateaus of small integers, wrap included
+        v = rng.normal(size=n) if trial % 2 else rng.integers(0, 3, n).astype(float)
+        for sign in (+1, -1):
+            assert np.array_equal(_local_extrema(v, sign), rolled_extrema(v, sign))
+    h = np.cos(2 * np.pi * 3 * np.arange(n) / n)
+    assert np.array_equal(_local_extrema(h, -1), rolled_extrema(h, -1))
+
 
 def brute_extrema(spec, beta, i, t0, n=2_000_001):
     """Dense-grid oracle for one signal's extrema over one period."""

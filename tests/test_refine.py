@@ -1,5 +1,6 @@
-"""Gauss-Newton polish, bootstrap spreads and instability diagnostics."""
+"""Variable-projection polish, bootstrap spreads and instability diagnostics."""
 
+import functools
 import importlib
 
 import numpy as np
@@ -8,14 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from dcmethod import (
     MODELS,
+    AnalysisOptions,
     BetaVector,
     ConfigError,
     ModelSpec,
     SearchConfig,
     SimulationSpec,
     TimeSeries,
+    analyze,
+    long_search,
     model_truth,
     refine,
+    short_search,
     simulate,
     span_stats,
 )
@@ -24,13 +29,14 @@ from dcmethod.refine import (
     FLAG_INTERSECTING,
     FLAG_LEAKING,
     RefinedModel,
+    _fit,
     _jacobian,
     _resample_rounds,
     _wrap_epoch,
     bootstrap,
     diagnose_stability,
 )
-from dcmethod.linfit import fit_columns, solve_linear
+from dcmethod.linfit import solve_linear
 from dcmethod.model import eval_model, summarize_signals
 
 
@@ -43,25 +49,40 @@ def sine_series(n=60, seed=0, noise=0.05, f=1.4):
 
 
 # ---------------------------------------------------------------------------
-# jacobian
+# profile gradient
 # ---------------------------------------------------------------------------
 
-def test_jacobian_matches_finite_differences():
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("t0", [0.0, 1e3])
+def test_profile_gradient_matches_finite_differences(weighted, t0):
+    # d ||r(f)||^2 / df = 2 J^T r for Kaufman's J, at any time origin
     spec = ModelSpec(2, 2, 1)
     rng = np.random.default_rng(2)
-    beta = BetaVector(np.array([2.3, 1.1]), rng.normal(size=spec.n_linear))
-    t = np.sort(rng.random(25))
+    t = t0 + np.sort(rng.random(25))
     stats = span_stats(TimeSeries(t, np.zeros(25)))
-    jac = _jacobian(t, spec, beta, stats)
-    p0 = beta.interleaved(spec)
-    eps = 1e-7
-    for col in range(spec.eta):
-        dp = np.zeros_like(p0)
-        dp[col] = eps
-        hi = eval_model(t, spec, BetaVector.from_interleaved(spec, p0 + dp), stats)
-        lo = eval_model(t, spec, BetaVector.from_interleaved(spec, p0 - dp), stats)
+    freqs = np.array([[2.3, 1.1]])
+    y = eval_model(t, spec, BetaVector(freqs[0] * 1.01, rng.normal(size=spec.n_linear)),
+                   stats) + rng.normal(0, 0.1, 25)
+    sigma = rng.uniform(0.5, 2.0, 25) if weighted else None
+    yw = (y if sigma is None else y / sigma)[None, :]
+    fit = _fit(t, yw, sigma, spec, freqs, stats)
+    jt = _jacobian(fit, spec, t - stats.t_mid)
+    grad = 2.0 * np.matmul(jt, fit.rw[:, :, None])
+    # the columns are projected off the range of A_w, which holds the
+    # t_mid part of the derivative columns: any time origin gives them
+    a = fit.solver.a[0]
+    assert np.abs(a.T @ jt[0].T).max() <= 1e-12 * np.abs(a).sum(axis=0).max() \
+        * np.abs(jt).sum(axis=2).max()
+    assert np.allclose(_jacobian(fit, spec, t), jt, rtol=0,
+                       atol=1e-9 * np.abs(jt).max())
+    eps = 1e-5
+    for i in range(spec.k1):
+        df = np.zeros_like(freqs)
+        df[0, i] = eps
+        hi = _fit(t, yw, sigma, spec, freqs + df, stats).wsum[0]
+        lo = _fit(t, yw, sigma, spec, freqs - df, stats).wsum[0]
         fd = (hi - lo) / (2 * eps)
-        assert np.allclose(jac[:, col], fd, rtol=2e-6, atol=2e-6), f"column {col}"
+        assert abs(fd - grad[0, i, 0]) <= 1e-6 * np.linalg.norm(grad), f"frequency {i}"
 
 
 # ---------------------------------------------------------------------------
@@ -331,55 +352,67 @@ CONVERGED_STOPS = {"grad", "z-tol"}
 
 
 def reference_refine(ts, spec, beta0, stats, weighting, max_iter):
-    """One row at a time, as a plain loop: the Gauss-Newton iteration
-    the stacked kernel must reproduce bit for bit.  Returns (params,
-    residuals, weighted sum of squares, z0, accepted steps, stop)."""
-    w = 1.0 / ts.sigma if weighting == "chi-square" else np.ones(ts.n)
-    p = beta0.interleaved(spec).copy()
+    """One row at a time, as a plain loop: the variable-projection
+    Levenberg-Marquardt iteration the stacked kernel must reproduce bit
+    for bit.  Returns (params, weighted residuals, weighted sum of
+    squares, z0, accepted steps, stop)."""
+    sigma = ts.sigma if weighting == "chi-square" else None
+    yw = ts.y if sigma is None else ts.y / sigma
+    tau = ts.t - stats.t_mid
 
-    def misfit(pvec):
-        beta = BetaVector.from_interleaved(spec, pvec)
-        resid = ts.y - eval_model(ts.t, spec, beta, stats)
-        rw = resid * w
-        return beta, resid, rw, float(rw @ rw)
+    def fit_at(f):
+        fit = _fit(ts.t, yw[None, :], sigma, spec, f[None, :], stats)
+        return fit, fit.x[0], fit.rw[0], float(fit.wsum[0])
 
-    beta, resid, rw, s_sum = misfit(p)
-    z0 = float(np.sqrt(s_sum / ts.n))
-    z = z0
+    def factors(fit, rw, s_sum):
+        jt = _jacobian(fit, spec, tau)[0]
+        grad = jt @ rw
+        col2 = np.array([c @ c for c in jt])
+        flat = np.sqrt(grad @ grad) <= 1e-9 * np.sqrt(col2.sum() * s_sum)
+        scale = np.sqrt(col2)
+        scale[scale == 0.0] = 1.0
+        q, s, pt = np.linalg.svd(jt / scale[:, None], full_matrices=False)
+        return flat, (scale, q, s, pt @ rw)
+
+    def params(f, x):
+        return BetaVector(f, x).interleaved(spec)
+
+    f = beta0.freqs.copy()
+    fit, x, rw, s_sum = fit_at(f)
+    z0 = z = float(np.sqrt(s_sum / ts.n))
+    if max_iter <= 0:
+        return params(f, x), rw, s_sum, z0, 0, "max-iter"
+    flat, (scale, q, s, ptr) = factors(fit, rw, s_sum)
+    if flat:
+        return params(f, x), rw, s_sum, z0, 0, "grad"
     lam = 1e-3
     accepted = 0
-    stop = "max-iter"
-    for _ in range(max_iter):
-        jw = _jacobian(ts.t, spec, beta, stats) * w[:, None]
-        grad = jw.T @ rw
-        if np.max(np.abs(grad), initial=0.0) < 1e-10:
-            stop = "grad"
-            break
-        scale = np.sqrt(np.einsum("ij,ij->j", jw, jw))
-        scale[scale == 0.0] = 1.0
-        stepped = False
-        while lam <= 1e12:
-            aug = np.vstack([jw, np.sqrt(lam) * np.diag(scale)])
-            rhs = np.concatenate([rw, np.zeros(spec.eta)])
-            delta, _, _ = fit_columns(aug, rhs)
-            trial = p + delta
-            beta_t, resid_t, rw_t, s_t = misfit(trial)
-            if np.isfinite(s_t) and s_t < s_sum:
-                p, beta, resid, rw, s_sum = trial, beta_t, resid_t, rw_t, s_t
-                lam = max(lam * 0.1, 1e-15)
-                accepted += 1
-                stepped = True
-                break
+    while True:
+        delta = -(q @ (s / (s * s + lam) * ptr)) / scale
+        trial = f + delta
+        finite = bool(np.isfinite(trial).all())
+        fit_t, x_t, rw_t, s_t = fit_at(trial if finite else f)
+        z_t = float(np.sqrt(s_t / ts.n))
+        small = finite and np.max(np.abs(delta), initial=0.0) * stats.delta_t <= 1e-10
+        settled = small and not (z - z_t > 1e-12 * z)
+        if finite and np.isfinite(s_t) and s_t < s_sum:
+            f, x, rw, s_sum, z = trial, x_t, rw_t, s_t, z_t
+            flat, (scale, q, s, ptr) = factors(fit_t, rw, s_sum)
+            lam = max(lam * 0.1, 1e-15)
+            accepted += 1
+            if flat:
+                return params(f, x), rw, s_sum, z0, accepted, "grad"
+        else:
             lam *= 10.0
-        if not stepped:
-            stop = "no-descent"
-            break
-        z_new = float(np.sqrt(s_sum / ts.n))
-        if z > 0.0 and (z - z_new) <= 1e-12 * z:
+        if settled:
             stop = "z-tol"
-            break
-        z = z_new
-    return p, resid, s_sum, z0, accepted, stop
+        elif lam > 1e12:
+            stop = "no-descent"
+        elif accepted >= max_iter:
+            stop = "max-iter"
+        else:
+            continue
+        return params(f, x), rw, s_sum, z0, accepted, stop
 
 
 @st.composite
@@ -408,19 +441,14 @@ def polish_cases(draw):
     return spec, series, starts, stats, mode, max_iter
 
 
-def stacked(series, starts, spec):
-    y = np.array([ts.y for ts in series])
-    params = np.array([b.interleaved(spec) for b in starts])
-    return y, params
-
-
 def polish(series, starts, spec, stats, mode, max_iter, rows=None):
     ts = series[0]
-    y, params = stacked(series, starts, spec)
+    y = np.array([s.y for s in series])
+    freqs = np.array([b.freqs for b in starts])
     if rows is not None:
-        y, params = y[rows], params[rows]
-    w = 1.0 / ts.sigma if mode == "chi-square" else np.ones(ts.n)
-    return refine_mod._polish(ts.t, y, w, spec, params, stats, max_iter)
+        y, freqs = y[rows], freqs[rows]
+    sigma = ts.sigma if mode == "chi-square" else None
+    return refine_mod._polish(ts.t, y, sigma, spec, freqs, stats, max_iter)
 
 
 @settings(max_examples=40, deadline=None)
@@ -429,10 +457,10 @@ def test_stacked_polish_equals_the_reference_loop_per_row(case):
     spec, series, starts, stats, mode, max_iter = case
     out = polish(series, starts, spec, stats, mode, max_iter)
     for r, (ts, beta0) in enumerate(zip(series, starts)):
-        p, resid, s_sum, z0, steps, stop = reference_refine(
+        p, rw, s_sum, z0, steps, stop = reference_refine(
             ts, spec, beta0, stats, mode, max_iter)
         assert np.array_equal(out.params[r], p)
-        assert np.array_equal(out.resid[r], resid)
+        assert np.array_equal(out.rw[r], rw)
         assert out.wsum[r] == s_sum
         assert out.z0[r] == z0
         assert out.steps[r] == steps
@@ -456,7 +484,7 @@ def test_polishing_rows_together_equals_any_split(case, data):
             continue
         sub = polish(series, starts, spec, stats, mode, max_iter, rows=part)
         assert np.array_equal(sub.params, whole.params[part])
-        assert np.array_equal(sub.resid, whole.resid[part])
+        assert np.array_equal(sub.rw, whole.rw[part])
         assert np.array_equal(sub.wsum, whole.wsum[part])
         assert np.array_equal(sub.steps, whole.steps[part])
         assert np.array_equal(sub.stop, whole.stop[part])
@@ -477,23 +505,77 @@ def test_block_linear_fit_equals_solve_linear_per_round(case):
         assert np.sqrt(wsum[r] / ts.n) == fit.z
 
 
-def test_capped_harmonic_polish_equals_the_reference_loop():
-    # model 7 g(2,2,2) at SN = 1e6: the polish runs into its step cap,
-    # and lambda sinks to its floor on the way
+# The refined z the full-parameter Gauss-Newton polish reached on this
+# series when it stopped on its 200-step cap, without converging.
+GN_CAPPED_Z = 0.8798311502769377
+
+
+def test_harmonic_polish_converges_below_the_old_capped_z():
+    # model 7 g(2,2,2) at SN = 1e6: the full-parameter polish crawled
+    # along the (frequency, amplitude) valley into its step cap
     sim = SimulationSpec(7, 120, 1e6, 3)
     ts = simulate(sim)
     spec = MODELS[7].spec
     stats = span_stats(ts)
     fit = solve_linear(ts, spec, model_truth(sim).beta.freqs * (1 + 1e-4), stats)
     mode = "chi-square" if ts.weighted else "unweighted"
-    p, resid, s_sum, z0, steps, stop = reference_refine(
+    p, rw, s_sum, z0, steps, stop = reference_refine(
         ts, spec, fit.beta, stats, mode, 200)
     out = refine(ts, spec, fit.beta, stats, mode)
-    assert (steps, stop) == (200, "max-iter")
-    assert (out.iterations, out.stop, out.converged) == (200, "max-iter", False)
+    assert out.stop in CONVERGED_STOPS
+    assert out.converged
+    assert out.z <= GN_CAPPED_Z
+    assert (out.iterations, out.stop) == (steps, stop)
     assert np.array_equal(out.beta.interleaved(spec), p)
-    assert np.array_equal(out.residuals, resid)
-    assert out.z_initial == z0
+    assert np.array_equal(out.residuals, rw * ts.sigma)
+    assert out.z_initial == z0 == fit.z
+
+
+def test_harmonics_bench_shape_converges_to_the_true_periods():
+    # model 7 g(2,2,2), n = 300, SN = 1e6, seed 42, grids of the
+    # harmonics benchmark workload; period tolerances as derived there
+    sim = SimulationSpec(7, 300, 1e6, 42)
+    ts = simulate(sim)
+    cfg = SearchConfig.from_periods(*MODELS[7].period_range, n_long=80, n_short=50)
+    a = analyze(ts, MODELS[7].spec, cfg, AnalysisOptions(n_boot=0))
+    assert a.refined.stop in CONVERGED_STOPS
+    assert a.refined.z <= a.refined.z_initial
+    got = sorted(s.period for s in a.summary.signals)
+    want = sorted(s.period for s in model_truth(sim).summary.signals)
+    for p, p_true, tol in zip(got, want, (0.005, 0.03)):
+        assert abs(p - p_true) <= tol
+
+
+@st.composite
+def time_frames(draw):
+    """A time unit (t -> scale t) and an origin up to 3e6 spans away."""
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    offset = draw(st.sampled_from([0.0, 1e3, 2.45e6, -5e4]) | st.floats(-3e6, 3e6))
+    return scale, offset
+
+
+@functools.lru_cache(maxsize=None)
+def model1_start():
+    """Model 1, n = 100, SN = 100, seed 42 and its short-stage best."""
+    ts = simulate(SimulationSpec(1, 100, 100, seed=42))
+    spec = ModelSpec(1, 1, 0)
+    cfg = SearchConfig.from_periods(0.63, 5.70)
+    long = long_search(ts, spec, cfg)
+    best = short_search(ts, spec, cfg, long.best).best
+    return ts, spec, best, refine(ts, spec, solve_linear(ts, spec, best).beta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(time_frames())
+def test_polish_ignores_the_time_origin_and_unit(frame):
+    scale, offset = frame
+    ts, spec, best, ref = model1_start()
+    moved = TimeSeries(scale * (ts.t + offset), ts.y, ts.sigma)
+    stats = span_stats(moved)
+    start = solve_linear(moved, spec, best / scale, stats).beta
+    out = refine(moved, spec, start, stats)
+    assert out.stop in CONVERGED_STOPS
+    assert out.beta.freqs[0] * scale == pytest.approx(ref.beta.freqs[0], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +619,7 @@ def test_zero_step_cap_returns_the_start():
 
 
 def test_z_tol_on_the_last_allowed_step_counts_as_converged():
-    ts = sine_series(seed=3)
+    ts = sine_series(seed=5)
     spec = ModelSpec(1, 1, 0)
     fit = solve_linear(ts, spec, np.array([1.45]))
     free = refine(ts, spec, fit.beta)
