@@ -16,7 +16,8 @@ result (with --strict) or impossible search, 2 data or I/O problem,
 
 Outputs are deterministic: no timestamps, keys sorted, floats written
 with shortest round-trip precision.  The worker count never changes
-any output byte.
+any output byte.  A verb makes its output directory only when it
+writes its first file, so a failed run leaves none behind.
 """
 
 from __future__ import annotations
@@ -145,25 +146,20 @@ def _search_config(ctl: Control) -> SearchConfig:
     return SearchConfig(f_min=f_min, f_max=f_max, **kw)
 
 
-def _options(ctl: Control, args, default_boot=100) -> AnalysisOptions:
+def _seed(ctl: Control, args) -> int:
+    """The control file seed unless ``--seed`` overrides it; the key is
+    read either way, so it is never reported as unknown."""
     seed = ctl.get("seed", int, 0)
-    if args.seed is not None:
-        seed = args.seed
+    return seed if args.seed is None else args.seed
+
+
+def _options(ctl: Control, args, default_boot=100) -> AnalysisOptions:
     return AnalysisOptions(
+        seed=_seed(ctl, args),
         n_boot=ctl.get("nboot", int, default_boot),
-        seed=seed,
         refine_rounds=ctl.get("bootstrap_refine", _to_bool, True),
         weighting=ctl.get("weighting", str, None),
     )
-
-
-def _out_dir(ctl: Control) -> str:
-    out = ctl.path_of("out")
-    if out is None:
-        stem = os.path.splitext(os.path.basename(ctl.path))[0]
-        out = os.path.join(ctl.dir, stem + ".out")
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _jsonable(obj):
@@ -186,32 +182,69 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _csv_header(ctl: Control, extra=None):
-    lines = [f"# dcmethod {__version__}",
-             f"# control = {os.path.basename(ctl.path)}"]
-    if extra:
-        lines.insert(0, f"# {extra}")
-    return lines
+class _Output:
+    """The output directory of a series verb: the ``out`` key, or
+    ``<control stem>.out`` beside the control file.  It is made at the
+    first write, so a verb that fails before writing leaves nothing."""
+
+    def __init__(self, ctl: Control, data: str):
+        self.ctl = ctl
+        self.data = data
+        self.dir = ctl.path_of("out")
+        if self.dir is None:
+            stem = os.path.splitext(os.path.basename(ctl.path))[0]
+            self.dir = os.path.join(ctl.dir, stem + ".out")
+
+    def _path(self, name):
+        os.makedirs(self.dir, exist_ok=True)
+        return os.path.join(self.dir, name)
+
+    def json(self, name, payload):
+        """``payload`` with the version/control/data envelope."""
+        _write_json(self._path(name), dict(
+            payload, version=__version__,
+            control=os.path.basename(self.ctl.path),
+            data=os.path.basename(self.data)))
+
+    def csv(self, name, names, columns, extra=None):
+        header = ([f"# {extra}"] if extra else []) + [
+            f"# dcmethod {__version__}",
+            f"# control = {os.path.basename(self.ctl.path)}", ",".join(names)]
+        with open(self._path(name), "w", encoding="utf-8") as fh:
+            for line in header:
+                fh.write(line + "\n")
+            for row in zip(*(np.asarray(c) for c in columns)):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _write_csv(path, header_lines, names, columns):
-    columns = [np.asarray(c) for c in columns]
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+def _series_verb(read):
+    """A verb on a data series, from ``read(ctl, args)``.
+
+    ``read`` reads the verb's own keys and returns ``job(ts, cfg, out)``,
+    which analyses the series, writes through the ``_Output`` ``out``
+    and returns (summary, flag label, flagged names).  The data path
+    and search range are read first, the output directory last; every
+    key is read before unknown keys are rejected and the data loaded.
+    Flagged names make ``--strict`` exit 1.
+    """
+    def command(ctl: Control, args) -> int:
+        data = ctl.path_of("data", required=True)
+        cfg = _search_config(ctl)
+        job = read(ctl, args)
+        out = _Output(ctl, data)
+        ctl.reject_extras()
+        summary, label, flagged = job(load_series(data), cfg, out)
+        print(f"{args.verb}: {summary} -> {out.dir}")
+        if flagged:
+            print(f"{label}: " + ", ".join(flagged))
+            if args.strict:
+                return 1
+        return 0
+    return command
 
 
-def _write_slices(out, ctl, pg):
-    for sl in pg.slices:
-        name = f"slice_{pg.stage}_{sl.signal}.csv"
-        _write_csv(
-            os.path.join(out, name),
-            _csv_header(ctl, extra=f"signal={sl.signal} stage={pg.stage}"),
-            ["f", "z"], [sl.f, sl.z],
-        )
+def _parameters(spec, beta):
+    return dict(zip(param_names(spec), beta.interleaved(spec)))
 
 
 def _signal_dict(rep):
@@ -224,8 +257,6 @@ def _signal_dict(rep):
 
 
 def _analysis_dict(analysis):
-    names = param_names(analysis.spec)
-    values = analysis.refined.beta.interleaved(analysis.spec)
     payload = {
         "model": {
             "label": analysis.spec.label, "k1": analysis.spec.k1,
@@ -245,7 +276,7 @@ def _analysis_dict(analysis):
             "r_sum": analysis.refined.r_sum, "chi2": analysis.refined.chi2,
             "iterations": analysis.refined.iterations,
             "converged": analysis.refined.converged,
-            "parameters": dict(zip(names, values)),
+            "parameters": _parameters(analysis.spec, analysis.refined.beta),
         },
         "signals": [_signal_dict(s) for s in analysis.summary.signals],
         "trend": {
@@ -272,151 +303,116 @@ def _analysis_dict(analysis):
     return payload
 
 
-def _cmd_run(ctl: Control, args) -> int:
-    data = ctl.path_of("data", required=True)
-    cfg = _search_config(ctl)
+@_series_verb
+def _run(ctl: Control, args):
     spec = ModelSpec(
         ctl.get("k1", int, required=True),
         ctl.get("k2", int, required=True),
         ctl.get("k3", int, required=True),
     )
     opts = _options(ctl, args)
-    out = _out_dir(ctl)
-    ctl.reject_extras()
-    ts = load_series(data)
-    analysis = analyze(ts, spec, cfg, opts, workers=args.workers)
 
-    payload = _analysis_dict(analysis)
-    payload["version"] = __version__
-    payload["control"] = os.path.basename(ctl.path)
-    payload["data"] = os.path.basename(data)
-    payload["search"] = {
-        "f_min": cfg.f_min, "f_max": cfg.f_max, "n_long": cfg.n_long,
-        "n_short": cfg.n_short, "half_width_frac": cfg.half_width_frac,
-    }
-    _write_json(os.path.join(out, "params.json"), payload)
+    def job(ts, cfg, out):
+        analysis = analyze(ts, spec, cfg, opts, workers=args.workers)
+        payload = _analysis_dict(analysis)
+        payload["search"] = {
+            "f_min": cfg.f_min, "f_max": cfg.f_max, "n_long": cfg.n_long,
+            "n_short": cfg.n_short, "half_width_frac": cfg.half_width_frac,
+        }
+        out.json("params.json", payload)
 
-    g = ts.y - analysis.refined.residuals
-    _write_csv(os.path.join(out, "residuals.csv"), _csv_header(ctl),
-               ["t", "y", "model", "residual"],
-               [ts.t, ts.y, g, analysis.refined.residuals])
+        refined = analysis.refined
+        out.csv("residuals.csv", ["t", "y", "model", "residual"],
+                [ts.t, ts.y, ts.y - refined.residuals, refined.residuals])
 
-    tgrid = np.linspace(analysis.stats.t_start, analysis.stats.t_end,
-                        _CURVE_POINTS)
-    beta = analysis.refined.beta
-    cols = [tgrid, eval_model(tgrid, spec, beta, analysis.stats),
-            trend_values(tgrid, spec, beta, analysis.stats)]
-    names = ["t", "model", "trend"]
-    for i in range(spec.k1):
-        cols.append(signal_values(tgrid, spec, beta, analysis.stats, i))
-        names.append(f"signal_{i + 1}")
-    _write_csv(os.path.join(out, "curve.csv"), _csv_header(ctl), names, cols)
+        stats, beta = analysis.stats, refined.beta
+        tgrid = np.linspace(stats.t_start, stats.t_end, _CURVE_POINTS)
+        cols = [tgrid, eval_model(tgrid, spec, beta, stats),
+                trend_values(tgrid, spec, beta, stats)]
+        names = ["t", "model", "trend"]
+        for i in range(spec.k1):
+            cols.append(signal_values(tgrid, spec, beta, stats, i))
+            names.append(f"signal_{i + 1}")
+        out.csv("curve.csv", names, cols)
 
-    for pg in (analysis.long, analysis.short):
-        if pg is not None:
-            _write_slices(out, ctl, pg)
+        for pg in (analysis.long, analysis.short):
+            for sl in pg.slices if pg is not None else ():
+                out.csv(f"slice_{pg.stage}_{sl.signal}.csv", ["f", "z"],
+                        [sl.f, sl.z], extra=f"signal={sl.signal} stage={pg.stage}")
 
-    if analysis.boot is not None:
         boot = analysis.boot
-        names = ["round"] + boot.param_names + ["z"]
-        rounds = np.arange(boot.n_ok)
-        cols = [rounds] + [boot.draws[:, i] for i in range(boot.draws.shape[1])]
-        cols.append(boot.z_draws)
-        _write_csv(os.path.join(out, "bootstrap_draws.csv"),
-                   _csv_header(ctl), names, cols)
-
-    print(f"run: {spec.label} z = {analysis.z!r} -> {out}")
-    if analysis.flags:
-        print("flags: " + ", ".join(analysis.flags))
-        if args.strict:
-            return 1
-    return 0
+        if boot is not None:
+            cols = [np.arange(boot.n_ok)] + list(boot.draws.T) + [boot.z_draws]
+            out.csv("bootstrap_draws.csv", ["round"] + boot.param_names + ["z"],
+                    cols)
+        return f"{spec.label} z = {analysis.z!r}", "flags", analysis.flags
+    return job
 
 
-def _cmd_dft(ctl: Control, args) -> int:
-    data = ctl.path_of("data", required=True)
-    cfg = _search_config(ctl)
+@_series_verb
+def _dft(ctl: Control, args):
     n_signals = ctl.get("signals", int, 1)
     k3 = ctl.get("trend_order", int, 0)
     oversample = ctl.get("oversample", float, 10.0)
-    out = _out_dir(ctl)
-    ctl.reject_extras()
-    ts = load_series(data)
-    result = prewhiten(ts, n_signals, cfg, k3=k3, oversample=oversample)
-    payload = {
-        "version": __version__,
-        "control": os.path.basename(ctl.path),
-        "data": os.path.basename(data),
-        "oversample": oversample,
-        "trend": result.trend,
-        "passes": [
-            {
-                "frequency": p.frequency, "period": p.period,
-                "amplitude": p.amplitude, "peak_power": p.peak_power,
-                "cos_amp": p.cos_amp, "sin_amp": p.sin_amp,
-            }
-            for p in result.passes
-        ],
-    }
-    _write_json(os.path.join(out, "dft.json"), payload)
-    for i, p in enumerate(result.passes, start=1):
-        _write_csv(os.path.join(out, f"dft_pass_{i}.csv"),
-                   _csv_header(ctl, extra=f"pass={i}"),
-                   ["f", "power"], [p.freq_grid, p.power])
-    periods = ", ".join(repr(p.period) for p in result.passes)
-    print(f"dft: {len(result.passes)} pass(es), periods {periods} -> {out}")
-    return 0
+
+    def job(ts, cfg, out):
+        result = prewhiten(ts, n_signals, cfg, k3=k3, oversample=oversample)
+        out.json("dft.json", {
+            "oversample": oversample,
+            "trend": result.trend,
+            "passes": [
+                {
+                    "frequency": p.frequency, "period": p.period,
+                    "amplitude": p.amplitude, "peak_power": p.peak_power,
+                    "cos_amp": p.cos_amp, "sin_amp": p.sin_amp,
+                }
+                for p in result.passes
+            ],
+        })
+        for i, p in enumerate(result.passes, start=1):
+            out.csv(f"dft_pass_{i}.csv", ["f", "power"], [p.freq_grid, p.power],
+                    extra=f"pass={i}")
+        periods = ", ".join(repr(p.period) for p in result.passes)
+        return f"{len(result.passes)} pass(es), periods {periods}", None, []
+    return job
 
 
-def _cmd_ladder(ctl: Control, args) -> int:
-    data = ctl.path_of("data", required=True)
-    cfg = _search_config(ctl)
+@_series_verb
+def _ladder(ctl: Control, args):
     specs = ctl.get("models", _model_list, required=True)
     opts = _options(ctl, args)
-    out = _out_dir(ctl)
-    ctl.reject_extras()
-    ts = load_series(data)
-    report = model_ladder(ts, specs, cfg, opts, workers=args.workers)
-    payload = {
-        "version": __version__,
-        "control": os.path.basename(ctl.path),
-        "data": os.path.basename(data),
-        "best": report.best,
-        "ambiguous": report.ambiguous,
-        "entries": [
-            {
-                "label": e.label, "eta": e.eta, "stat": e.stat, "z": e.z,
-                "flags": e.flags,
-                "parameters": dict(zip(
-                    param_names(e.spec),
-                    e.analysis.refined.beta.interleaved(e.spec))),
-            }
-            for e in report.entries
-        ],
-        "comparisons": [
-            {
-                "simple": c.simple, "complex": c.complex,
-                "eta1": c.eta1, "eta2": c.eta2,
-                "stat1": c.stat1, "stat2": c.stat2,
-                "f": c.f_value, "qf": c.q_f,
-                "verdict": c.verdict, "preferred": c.preferred,
-            }
-            for c in report.comparisons
-        ],
-    }
-    _write_json(os.path.join(out, "ladder.json"), payload)
-    print(f"ladder: best {', '.join(report.best) or '(none)'} -> {out}")
-    flagged = [e.label for e in report.entries if e.flags]
-    if flagged:
-        print("flagged: " + ", ".join(flagged))
-        if args.strict:
-            return 1
-    return 0
+
+    def job(ts, cfg, out):
+        report = model_ladder(ts, specs, cfg, opts, workers=args.workers)
+        out.json("ladder.json", {
+            "best": report.best,
+            "ambiguous": report.ambiguous,
+            "entries": [
+                {
+                    "label": e.label, "eta": e.eta, "stat": e.stat, "z": e.z,
+                    "flags": e.flags,
+                    "parameters": _parameters(e.spec, e.analysis.refined.beta),
+                }
+                for e in report.entries
+            ],
+            "comparisons": [
+                {
+                    "simple": c.simple, "complex": c.complex,
+                    "eta1": c.eta1, "eta2": c.eta2,
+                    "stat1": c.stat1, "stat2": c.stat2,
+                    "f": c.f_value, "qf": c.q_f,
+                    "verdict": c.verdict, "preferred": c.preferred,
+                }
+                for c in report.comparisons
+            ],
+        })
+        flagged = [e.label for e in report.entries if e.flags]
+        return f"best {', '.join(report.best) or '(none)'}", "flagged", flagged
+    return job
 
 
-def _cmd_predict(ctl: Control, args) -> int:
-    data = ctl.path_of("data", required=True)
-    cfg = _search_config(ctl)
+@_series_verb
+def _predict(ctl: Control, args):
     specs = ctl.get("models", _model_list, required=True)
     split = ctl.get("split", int)
     split_time = ctl.get("split_time", float)
@@ -430,91 +426,73 @@ def _cmd_predict(ctl: Control, args) -> int:
             raise ConfigError(f"{ctl.path}: window must be 't_a, t_b'")
         window = (float(parts[0]), float(parts[1]))
     opts = _options(ctl, args, default_boot=0)
-    out = _out_dir(ctl)
-    ctl.reject_extras()
-    ts = load_series(data)
-    reports = prediction_test(
-        ts, split if split is not None else split_time, specs, cfg, opts,
-        window=window, window_points=window_points, workers=args.workers)
-    payload = {
-        "version": __version__,
-        "control": os.path.basename(ctl.path),
-        "data": os.path.basename(data),
-        "reports": [
+
+    def job(ts, cfg, out):
+        reports = prediction_test(
+            ts, split if split is not None else split_time, specs, cfg, opts,
+            window=window, window_points=window_points, workers=args.workers)
+        out.json("predict.json", {"reports": [
             {
                 "label": r.label, "n_fit": r.n_fit, "n_pred": r.n_pred,
                 "z_fit": r.z_fit, "z_pred": r.z_pred, "m_pred": r.m_pred,
-                "parameters": dict(zip(
-                    param_names(r.analysis.spec),
-                    r.analysis.refined.beta.interleaved(r.analysis.spec))),
+                "parameters": _parameters(r.analysis.spec, r.analysis.refined.beta),
             }
             for r in reports
-        ],
-    }
-    _write_json(os.path.join(out, "predict.json"), payload)
-    first = reports[0]
-    if first.n_pred:
-        rows_t = ts.t[first.n_fit:]
-        rows_y = ts.y[first.n_fit:]
-        names = ["t", "y"]
-        cols = [rows_t, rows_y]
-        for r in reports:
-            names += [f"model_{r.label}", f"residual_{r.label}"]
-            cols += [r.predicted, r.residuals_pred]
-        _write_csv(os.path.join(out, "predict_residuals.csv"),
-                   _csv_header(ctl), names, cols)
-    summary = ", ".join(
-        f"{r.label} z_pred={r.z_pred!r}" if r.z_pred is not None else
-        f"{r.label} m_pred={r.m_pred!r}" for r in reports)
-    print(f"predict: {summary} -> {out}")
-    return 0
+        ]})
+        n_fit = reports[0].n_fit
+        if reports[0].n_pred:
+            names = ["t", "y"]
+            cols = [ts.t[n_fit:], ts.y[n_fit:]]
+            for r in reports:
+                names += [f"model_{r.label}", f"residual_{r.label}"]
+                cols += [r.predicted, r.residuals_pred]
+            out.csv("predict_residuals.csv", names, cols)
+        summary = ", ".join(
+            f"{r.label} z_pred={r.z_pred!r}" if r.z_pred is not None else
+            f"{r.label} m_pred={r.m_pred!r}" for r in reports)
+        return summary, None, []
+    return job
 
 
-def _cmd_simulate(ctl: Control, args) -> int:
-    seed = ctl.get("seed", int, 0)
-    if args.seed is not None:
-        seed = args.seed
+def _simulate(ctl: Control, args) -> int:
     sim = SimulationSpec(
         model_id=ctl.get("model", int, required=True),
         n=ctl.get("n", int, required=True),
         sn=ctl.get("sn", float, required=True),
-        seed=seed,
+        seed=_seed(ctl, args),
     )
     out = ctl.path_of("out")
     ctl.reject_extras()
     if out is None:
         out = ctl.dir
+    path = out
     if os.path.isdir(out) or not os.path.splitext(out)[1]:
-        os.makedirs(out, exist_ok=True)
         path = os.path.join(out, default_filename(sim))
-    else:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        path = out
     ts = simulate(sim)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     write_series(path, ts, header=(
         f"model {sim.model_id} n {sim.n} sn {sim.sn:g} seed {sim.seed}"))
     truth = model_truth(sim)
-    names = param_names(truth.spec)
-    payload = {
+    _write_json(os.path.splitext(path)[0] + ".truth.json", {
         "version": __version__,
         "model": sim.model_id, "n": sim.n, "sn": sim.sn, "seed": sim.seed,
         "sigma": truth.sigma,
         "period_range": list(truth.period_range),
         "spec": {"k1": truth.spec.k1, "k2": truth.spec.k2, "k3": truth.spec.k3},
-        "parameters": dict(zip(names, truth.beta.interleaved(truth.spec))),
+        "parameters": _parameters(truth.spec, truth.beta),
         "signals": [_signal_dict(s) for s in truth.summary.signals],
-    }
-    _write_json(os.path.splitext(path)[0] + ".truth.json", payload)
+    })
     print(f"simulate: wrote {path}")
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "dft": _cmd_dft,
-    "ladder": _cmd_ladder,
-    "predict": _cmd_predict,
-    "simulate": _cmd_simulate,
+# verb: (help, command(ctl, args) -> exit code)
+_VERBS = {
+    "run": ("full analysis of one model shape", _run),
+    "dft": ("periodogram baseline with pre-whitening", _dft),
+    "ladder": ("fit several shapes and cross-compare", _ladder),
+    "predict": ("fit early points, judge on withheld ones", _predict),
+    "simulate": ("generate a synthetic series", _simulate),
 }
 
 
@@ -525,13 +503,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"dcm {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, doc in (
-        ("run", "full analysis of one model shape"),
-        ("dft", "periodogram baseline with pre-whitening"),
-        ("ladder", "fit several shapes and cross-compare"),
-        ("predict", "fit early points, judge on withheld ones"),
-        ("simulate", "generate a synthetic series"),
-    ):
+    for verb, (doc, _) in _VERBS.items():
         p = sub.add_parser(verb, help=doc)
         p.add_argument("--control", required=True, help="control file path")
         p.add_argument("--workers", type=int, default=1,
@@ -550,7 +522,7 @@ def main(argv=None) -> int:
         return 3
     try:
         ctl = Control(args.control)
-        return _COMMANDS[args.verb](ctl, args)
+        return _VERBS[args.verb][1](ctl, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

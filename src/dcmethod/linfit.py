@@ -38,7 +38,7 @@ from .timeseries import SpanStats, TimeSeries, span_stats
 
 __all__ = [
     "FitResult", "RANK_RCOND", "BatchSolver", "design_solver",
-    "solve_linear", "evaluate_z", "fit_columns", "weighting_mode",
+    "solve_linear", "evaluate_z", "fit_columns", "weighting_mode", "unweighted",
 ]
 
 # Relative singular value cutoff below which directions are truncated.
@@ -113,6 +113,16 @@ def weighted_y(ts: TimeSeries, weighting: str | None = None) -> np.ndarray:
     return ts.y
 
 
+def unweighted(resid_w: np.ndarray, wsum: float, sigma: np.ndarray | None):
+    """Plain residuals, r_sum and chi2 of a fit from its weighted
+    residuals ``resid_w`` and their sum of squares ``wsum``.  ``sigma``
+    is None for an unweighted fit, whose chi2 is None."""
+    if sigma is None:
+        return resid_w, wsum, None
+    residuals = resid_w * sigma
+    return residuals, float(residuals @ residuals), wsum
+
+
 @dataclass
 class FitResult:
     """Outcome of one conditional linear fit.
@@ -164,19 +174,11 @@ def solve_linear(
     b = bw[None, :, None]
     x = solver.solve(b)
     resid_w = (b - np.matmul(solver.a, x))[0, :, 0]
-    x = x[0, :, 0]
     wsum = float(resid_w @ resid_w)
-    beta = BetaVector(freqs, x)
-    if mode == "chi-square":
-        residuals = resid_w * ts.sigma
-        r_sum = float(residuals @ residuals)
-        chi2 = wsum
-    else:
-        residuals = resid_w
-        r_sum = wsum
-        chi2 = None
+    residuals, r_sum, chi2 = unweighted(
+        resid_w, wsum, ts.sigma if mode == "chi-square" else None)
     return FitResult(
-        beta=beta,
+        beta=BetaVector(freqs, x[0, :, 0]),
         residuals=residuals,
         r_sum=r_sum,
         chi2=chi2,

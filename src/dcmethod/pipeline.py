@@ -1,8 +1,10 @@
 """End-to-end analysis of one model shape on one series.
 
 Chains the stages: long grid scan, windowed short scan,
-variable-projection polish, signal summaries, residual bootstrap.  Pure
-trend models skip the scans and go straight to the linear fit.
+variable-projection polish, signal summaries, residual bootstrap.  Every
+model shape runs the same sequence; a pure trend (k1 = 0) only skips
+the scans, and its polish starts from the empty frequency tuple and
+stops at once at the linear fit.
 """
 
 from __future__ import annotations
@@ -13,10 +15,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .gridsearch import Periodogram, SearchConfig, long_search, short_search
-from .linfit import solve_linear, weighting_mode
+from .linfit import weighting_mode
 from .model import ModelSpec, SignalSummary, summarize_signals
 from .refine import BootstrapReport, RefinedModel, bootstrap, refine
 from .timeseries import SpanStats, TimeSeries, span_stats
+
+# Not called here: the benchmark's call-site tracer (bench/tracer.py)
+# wraps this name on this module, so it stays importable from it.
+from .linfit import solve_linear  # noqa: F401
 
 __all__ = ["AnalysisOptions", "DcmAnalysis", "analyze"]
 
@@ -66,35 +72,27 @@ def analyze(ts: TimeSeries, spec: ModelSpec, cfg: SearchConfig | None,
             opts: AnalysisOptions = AnalysisOptions(), workers: int = 1) -> DcmAnalysis:
     """Run the full pipeline for one model shape.
 
-    ``cfg`` may be None only for pure trend models (k1 = 0), which have
-    no frequencies to search.
+    The scans run only for k1 >= 1; every shape is then polished by
+    ``refine``, from the short-stage best tuple or, for a pure trend,
+    from the empty tuple.  ``cfg`` may be None only for pure trend
+    models (k1 = 0), which have no frequencies to search.
     """
     stats = span_stats(ts)
     mode = weighting_mode(ts, opts.weighting)
-    if spec.k1 == 0:
-        fit = solve_linear(ts, spec, np.empty(0), stats, mode)
-        refined = RefinedModel(
-            beta=fit.beta, residuals=fit.residuals, r_sum=fit.r_sum,
-            chi2=fit.chi2, z=fit.z, z_initial=fit.z, iterations=0,
-            converged=True,
-        )
-        long = short = None
-        grids = []
-    else:
+    long = short = None
+    start, grids = np.empty(0), []
+    if spec.k1:
         if cfg is None:
             raise ConfigError("a search range is required when k1 >= 1")
         long = long_search(ts, spec, cfg, stats, mode, workers)
         short = short_search(ts, spec, cfg, long.best, stats, mode, workers)
-        fit = solve_linear(ts, spec, short.best, stats, mode)
-        refined = refine(ts, spec, fit.beta, stats, mode)
-        grids = short.grids
+        start, grids = short.best, short.grids
+    refined = refine(ts, spec, start, stats, mode)
 
     summary = summarize_signals(spec, refined.beta, stats)
     boot = None
     if opts.n_boot >= 2:
-        # a pure trend has no frequencies: the placeholder range is never read
-        boot_cfg = cfg if cfg is not None else SearchConfig(1.0, 2.0)
-        boot = bootstrap(ts, spec, boot_cfg, refined, grids, opts.n_boot,
+        boot = bootstrap(ts, spec, cfg, refined, grids, opts.n_boot,
                          opts.seed, stats, mode, opts.refine_rounds, workers)
     return DcmAnalysis(
         spec=spec, stats=stats, weighting=mode, n=ts.n,

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .gridsearch import SearchConfig, ordered_map, scan_rounds
-from .linfit import BatchSolver, weighting_mode
+from .linfit import BatchSolver, unweighted, weighting_mode
 from .model import (BetaVector, ModelSpec, design_matrix, param_names,
                     signal_values, summarize_signals)
 from .timeseries import span_stats
@@ -96,7 +96,8 @@ class RefinedModel:
     to ||J|| ||r||), ``z-tol`` (a negligible step no longer lowers the
     misfit), ``no-descent`` (no damping factor lowers the misfit) or
     ``max-iter`` (step cap reached); ``converged`` holds exactly for the
-    first two.  It is None where no polish ran.
+    first two; ``refine`` always sets ``stop``, and a pure trend, with
+    no frequency to polish, stops on ``grad`` after 0 steps.
     """
 
     beta: BetaVector
@@ -307,50 +308,34 @@ def _polish(t, y, sigma, spec, freqs, stats, max_iter) -> _Polished:
     return out
 
 
-def refine(ts, spec, beta0: BetaVector, stats=None, weighting=None,
+def refine(ts, spec, freqs, stats=None, weighting=None,
            max_iter=_MAX_ITER) -> RefinedModel:
-    """Polish the frequencies of ``beta0`` by variable projection.
+    """Polish the frequency tuple ``freqs`` by variable projection.
 
-    Only the k1 frequencies are iterated; the linear coefficients are
-    the least squares fit at each trial point (``beta0.linear`` is not
-    read), so ``z_initial`` is the linear fit's misfit at
-    ``beta0.freqs``.  ``stop`` records why the polish ended: a flat
-    gradient relative to ||J|| ||r|| (``grad``), a negligible step that
-    no longer lowers z (``z-tol``), no damping factor that lowers z
-    (``no-descent``) or ``max_iter`` accepted steps (``max-iter``).
+    ``freqs`` (shape (k1,), empty for a pure trend) is the start.  Only
+    the k1 frequencies are iterated; the linear coefficients are the
+    least squares fit at each trial point, so ``z_initial`` is the
+    linear fit's misfit at ``freqs``.  ``stop`` records why the polish
+    ended: a flat gradient relative to ||J|| ||r|| (``grad``, at once
+    for a pure trend), a negligible step that no longer lowers z
+    (``z-tol``), no damping factor that lowers z (``no-descent``) or
+    ``max_iter`` accepted steps (``max-iter``).
     """
     if stats is None:
         stats = span_stats(ts)
     mode = weighting_mode(ts, weighting)
     sigma = ts.sigma if mode == "chi-square" else None
-    out = _polish(ts.t, ts.y[None, :], sigma, spec, beta0.freqs[None, :], stats,
-                  max_iter)
-    resid_w = out.rw[0]
+    freqs = np.reshape(np.asarray(freqs, dtype=float), (1, spec.k1))
+    out = _polish(ts.t, ts.y[None, :], sigma, spec, freqs, stats, max_iter)
     wsum = float(out.wsum[0])
-    if sigma is not None:
-        resid = resid_w * sigma
-        chi2 = wsum
-        r_sum = float(resid @ resid)
-    else:
-        resid = resid_w
-        chi2 = None
-        r_sum = wsum
+    residuals, r_sum, chi2 = unweighted(out.rw[0], wsum, sigma)
     stop = _STOPS[out.stop[0]]
     return RefinedModel(
-        beta=BetaVector.from_interleaved(spec, out.params[0]), residuals=resid,
+        beta=BetaVector.from_interleaved(spec, out.params[0]), residuals=residuals,
         r_sum=r_sum, chi2=chi2, z=float(np.sqrt(wsum / ts.n)),
         z_initial=float(out.z0[0]), iterations=int(out.steps[0]),
         converged=stop in ("grad", "z-tol"), stop=stop,
     )
-
-
-def _linear_fit(ts, spec, tuples, y, stats, mode):
-    """Linear coefficients at each row's frequency tuple against that
-    row's series, as interleaved parameter rows, and the weighted
-    residual sums of squares; each slice is ``solve_linear``'s."""
-    out = _polish(ts.t, y, ts.sigma if mode == "chi-square" else None, spec,
-                  tuples, stats, 0)
-    return out.params, out.wsum
 
 
 @dataclass
@@ -402,13 +387,16 @@ def _wrap_epoch(value, period, reference):
     return value + period * np.round((reference - value) / period)
 
 
-def bootstrap(ts, spec, cfg: SearchConfig, refined: RefinedModel, grids,
+def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
               n_rounds, seed, stats=None, weighting=None, refine_rounds=True,
               workers=1) -> BootstrapReport:
     """Residual bootstrap around a refined model.
 
     Parameters
     ----------
+    cfg : SearchConfig or None
+        The searched range, for the LeakingPeriods flag; None only for
+        a pure trend (k1 = 0), which has no frequencies to flag.
     grids : list of ndarray
         The short-stage per-signal candidate frequencies; every round
         scans exactly these tuples before its own refinement.
@@ -449,15 +437,11 @@ def bootstrap(ts, spec, cfg: SearchConfig, refined: RefinedModel, grids,
     sigma = ts.sigma if mode == "chi-square" else None
 
     def fit_rounds(rows):
-        y = y_rounds[rows]
-        if refine_rounds:
-            out = _polish(ts.t, y, sigma, spec, best_tuples[rows], stats, _MAX_ITER)
-            params, wsum = out.params, out.wsum
-        else:
-            params, wsum = _linear_fit(ts, spec, best_tuples[rows], y, stats, mode)
-        z = np.sqrt(wsum / ts.n)
-        return [(params[i], z[i], summarize_signals(
-                    spec, BetaVector.from_interleaved(spec, params[i]), stats))
+        out = _polish(ts.t, y_rounds[rows], sigma, spec, best_tuples[rows], stats,
+                      _MAX_ITER if refine_rounds else 0)
+        z = np.sqrt(out.wsum / ts.n)
+        return [(out.params[i], z[i], summarize_signals(
+                    spec, BetaVector.from_interleaved(spec, out.params[i]), stats))
                 for i in range(len(rows))]
 
     def fit_block(rows):
@@ -511,7 +495,7 @@ def bootstrap(ts, spec, cfg: SearchConfig, refined: RefinedModel, grids,
     flags = diagnose_stability(
         ts, spec, refined, ref_summary, good, good_summaries,
         grid_step=grid_step, f_min=cfg.f_min, f_max=cfg.f_max, stats=stats,
-    )
+    ) if spec.k1 else []
     return BootstrapReport(
         n_rounds=n_rounds, n_ok=n_ok, seed=seed, param_names=names,
         draws=good, z_draws=z_draws[ok], param_sigma=param_sigma,

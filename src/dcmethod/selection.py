@@ -160,7 +160,7 @@ def model_ladder(ts: TimeSeries, specs, cfg: SearchConfig,
         raise ConfigError("a ladder needs at least one model shape")
     entries = []
     for spec in specs:
-        analysis = analyze(ts, spec, cfg if spec.k1 else None, opts, workers)
+        analysis = analyze(ts, spec, cfg, opts, workers)
         entries.append(LadderEntry(
             label=spec.label, spec=spec, eta=spec.eta, stat=analysis.stat,
             z=analysis.z, flags=analysis.flags, analysis=analysis,
@@ -319,7 +319,7 @@ def prediction_test(ts: TimeSeries, split, specs, cfg: SearchConfig,
 
     reports = []
     for spec in specs:
-        analysis = analyze(ts_fit, spec, cfg if spec.k1 else None, opts, workers)
+        analysis = analyze(ts_fit, spec, cfg, opts, workers)
         beta = analysis.refined.beta
         if t_pred.size:
             g_pred = eval_model(t_pred, spec, beta, stats_fit)

@@ -66,6 +66,7 @@ def test_run_without_ordered_long_tuple_exits_one(tmp_path, capsys):
     ctl = write_control(tmp_path / "case.ctl", text)
     assert main(["run", "--control", ctl]) == 1
     assert "no ordered frequency tuple" in capsys.readouterr().err
+    assert not (tmp_path / "run.out").exists()
 
 
 def test_run_output_bytes_ignore_worker_count(tmp_path):
@@ -123,6 +124,7 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
     assert main(["run", "--control", ctl]) == 3
     err = capsys.readouterr().err
     assert "typo_key" in err and "unknown keys" in err
+    assert not (tmp_path / "run.out").exists()
 
 
 def test_duplicate_key_is_rejected(tmp_path, capsys):
@@ -162,6 +164,7 @@ def test_missing_data_file_exits_two(tmp_path, capsys):
     ctl = write_control(tmp_path / "case.ctl", RUN_CTL)
     assert main(["run", "--control", ctl]) == 2
     assert "series.dat" in capsys.readouterr().err
+    assert not (tmp_path / "run.out").exists()
 
 
 def test_bad_worker_count(tmp_path, capsys):
@@ -247,6 +250,48 @@ nshort = 30
     lines = (out / "predict_residuals.csv").read_text().splitlines()
     assert len(lines) == 3 + 10
     assert "predict:" in capsys.readouterr().out
+
+
+def test_ladder_and_predict_with_a_pure_trend_ignore_worker_count(tmp_path):
+    # k1 = 0 shapes next to a signal shape, bootstrapped in the ladder
+    controls = {
+        "ladder": """\
+data = series.dat
+models = 0,1,1; 1,1,0
+pmin = 0.63
+pmax = 5.70
+nlong = 40
+nshort = 30
+nboot = 4
+seed = 3
+""",
+        "predict": """\
+data = series.dat
+models = 0,1,0; 1,1,0
+split = 40
+pmin = 0.63
+pmax = 5.70
+nlong = 40
+nshort = 30
+""",
+    }
+    for sub, workers in (("a", "1"), ("b", "4")):
+        d = tmp_path / sub
+        d.mkdir()
+        make_data(d / "series.dat", n=50, sn=50, seed=2)
+        for verb, text in controls.items():
+            ctl = write_control(d / f"{verb}.ctl", text)
+            assert main([verb, "--control", ctl, "--workers", workers]) == 0
+    names = sorted(p.relative_to(tmp_path / "a")
+                   for p in (tmp_path / "a").glob("*.out/*"))
+    assert [str(n) for n in names] == [
+        "ladder.out/ladder.json", "predict.out/predict.json",
+        "predict.out/predict_residuals.csv"]
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+    ladder = json.loads((tmp_path / "a" / "ladder.out" / "ladder.json").read_text())
+    assert [e["label"] for e in ladder["entries"]] == ["g(0,1,1)", "g(1,1,0)"]
 
 
 def test_predict_requires_one_split_form(tmp_path, capsys):

@@ -62,9 +62,12 @@ def test_pure_trend_skips_the_scans():
     assert a.long is None and a.short is None
     assert a.refined.iterations == 0
     assert a.refined.converged
+    assert a.refined.stop == "grad"
+    assert a.refined.z_initial == a.refined.z
     direct = solve_linear(ts, ModelSpec(0, 1, 1), np.empty(0), span_stats(ts))
     assert a.refined.z == direct.z
     assert np.array_equal(a.refined.beta.linear, direct.beta.linear)
+    assert np.array_equal(a.refined.residuals, direct.residuals)
 
 
 def test_pure_trend_bootstrap_works_without_a_range():

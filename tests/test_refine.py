@@ -94,7 +94,7 @@ def test_refine_never_increases_misfit():
     spec = ModelSpec(1, 1, 0)
     # deliberately mistuned starting frequency
     fit = solve_linear(ts, spec, np.array([1.45]))
-    out = refine(ts, spec, fit.beta)
+    out = refine(ts, spec, fit.beta.freqs)
     assert out.z <= out.z_initial
     assert out.iterations >= 1
 
@@ -107,7 +107,7 @@ def test_refine_recovers_exact_parameters_on_clean_data():
     y = 0.6 * np.cos(2 * np.pi * f_true * t) - 0.8 * np.sin(2 * np.pi * f_true * t) + 2.0
     ts = TimeSeries(t, y)
     fit = solve_linear(ts, ModelSpec(1, 1, 0), np.array([1.68]))
-    out = refine(ts, ModelSpec(1, 1, 0), fit.beta)
+    out = refine(ts, ModelSpec(1, 1, 0), fit.beta.freqs)
     assert out.converged
     assert out.beta.freqs[0] == pytest.approx(f_true, abs=1e-9)
     assert out.beta.linear == pytest.approx([0.6, -0.8, 2.0], abs=1e-8)
@@ -117,11 +117,11 @@ def test_refine_recovers_exact_parameters_on_clean_data():
 def test_refine_stat_follows_weighting():
     ts = sine_series(seed=5)
     fit = solve_linear(ts, ModelSpec(1, 1, 0), np.array([1.4]))
-    out = refine(ts, ModelSpec(1, 1, 0), fit.beta)
+    out = refine(ts, ModelSpec(1, 1, 0), fit.beta.freqs)
     assert out.chi2 is not None
     assert out.stat == out.chi2
     unw = TimeSeries(ts.t, ts.y)
-    out_u = refine(unw, ModelSpec(1, 1, 0), fit.beta)
+    out_u = refine(unw, ModelSpec(1, 1, 0), fit.beta.freqs)
     assert out_u.chi2 is None
     assert out_u.stat == out_u.r_sum
 
@@ -129,7 +129,7 @@ def test_refine_stat_follows_weighting():
 def test_refine_residuals_are_explicit():
     ts = sine_series(seed=6)
     spec = ModelSpec(1, 1, 0)
-    out = refine(ts, spec, solve_linear(ts, spec, np.array([1.4])).beta)
+    out = refine(ts, spec, solve_linear(ts, spec, np.array([1.4])).beta.freqs)
     stats = span_stats(ts)
     assert np.allclose(out.residuals,
                        ts.y - eval_model(ts.t, spec, out.beta, stats),
@@ -170,7 +170,7 @@ def test_wrap_epoch_maps_to_nearest_representative():
 def run_bootstrap(ts, spec, cfg, n_rounds, seed, workers=1, refine_rounds=True):
     stats = span_stats(ts)
     fit = solve_linear(ts, spec, np.array([1.4]), stats)
-    refined = refine(ts, spec, fit.beta, stats)
+    refined = refine(ts, spec, fit.beta.freqs, stats)
     grids = [np.linspace(1.3, 1.5, 21)]
     return bootstrap(ts, spec, cfg, refined, grids, n_rounds, seed, stats,
                      refine_rounds=refine_rounds, workers=workers)
@@ -465,7 +465,7 @@ def test_stacked_polish_equals_the_reference_loop_per_row(case):
         assert out.z0[r] == z0
         assert out.steps[r] == steps
         assert refine_mod._STOPS[out.stop[r]] == stop
-        single = refine(ts, spec, beta0, stats, mode, max_iter=max_iter)
+        single = refine(ts, spec, beta0.freqs, stats, mode, max_iter=max_iter)
         assert single.stop == stop
         assert single.iterations == steps
         assert single.converged == (stop in CONVERGED_STOPS)
@@ -498,7 +498,9 @@ def test_block_linear_fit_equals_solve_linear_per_round(case):
     tuples = np.sort(rng.uniform(0.5, 4.0, (len(series), spec.k1)), axis=1)[:, ::-1]
     ts = series[0]
     y = np.array([s.y for s in series])
-    params, wsum = refine_mod._linear_fit(ts, spec, tuples, y, stats, mode)
+    sigma = ts.sigma if mode == "chi-square" else None
+    out = refine_mod._polish(ts.t, y, sigma, spec, tuples, stats, 0)
+    params, wsum = out.params, out.wsum
     for r, s in enumerate(series):
         fit = solve_linear(s, spec, tuples[r], stats, mode)
         assert np.array_equal(params[r], fit.beta.interleaved(spec))
@@ -521,7 +523,7 @@ def test_harmonic_polish_converges_below_the_old_capped_z():
     mode = "chi-square" if ts.weighted else "unweighted"
     p, rw, s_sum, z0, steps, stop = reference_refine(
         ts, spec, fit.beta, stats, mode, 200)
-    out = refine(ts, spec, fit.beta, stats, mode)
+    out = refine(ts, spec, fit.beta.freqs, stats, mode)
     assert out.stop in CONVERGED_STOPS
     assert out.converged
     assert out.z <= GN_CAPPED_Z
@@ -562,7 +564,7 @@ def model1_start():
     cfg = SearchConfig.from_periods(0.63, 5.70)
     long = long_search(ts, spec, cfg)
     best = short_search(ts, spec, cfg, long.best).best
-    return ts, spec, best, refine(ts, spec, solve_linear(ts, spec, best).beta)
+    return ts, spec, best, refine(ts, spec, solve_linear(ts, spec, best).beta.freqs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -573,7 +575,7 @@ def test_polish_ignores_the_time_origin_and_unit(frame):
     moved = TimeSeries(scale * (ts.t + offset), ts.y, ts.sigma)
     stats = span_stats(moved)
     start = solve_linear(moved, spec, best / scale, stats).beta
-    out = refine(moved, spec, start, stats)
+    out = refine(moved, spec, start.freqs, stats)
     assert out.stop in CONVERGED_STOPS
     assert out.beta.freqs[0] * scale == pytest.approx(ref.beta.freqs[0], rel=1e-6)
 
@@ -593,7 +595,7 @@ def clean_sine(f_true=1.7):
 def test_clean_data_stops_on_a_converged_reason():
     ts = clean_sine()
     fit = solve_linear(ts, ModelSpec(1, 1, 0), np.array([1.68]))
-    out = refine(ts, ModelSpec(1, 1, 0), fit.beta)
+    out = refine(ts, ModelSpec(1, 1, 0), fit.beta.freqs)
     assert out.stop in CONVERGED_STOPS
     assert out.converged
 
@@ -601,7 +603,7 @@ def test_clean_data_stops_on_a_converged_reason():
 def test_one_step_cap_stops_on_max_iter():
     ts = clean_sine()
     fit = solve_linear(ts, ModelSpec(1, 1, 0), np.array([1.68]))
-    out = refine(ts, ModelSpec(1, 1, 0), fit.beta, max_iter=1)
+    out = refine(ts, ModelSpec(1, 1, 0), fit.beta.freqs, max_iter=1)
     assert out.stop == "max-iter"
     assert out.iterations == 1
     assert not out.converged
@@ -611,7 +613,7 @@ def test_zero_step_cap_returns_the_start():
     ts = sine_series(seed=3)
     spec = ModelSpec(1, 1, 0)
     fit = solve_linear(ts, spec, np.array([1.45]))
-    out = refine(ts, spec, fit.beta, max_iter=0)
+    out = refine(ts, spec, fit.beta.freqs, max_iter=0)
     assert out.stop == "max-iter"
     assert out.iterations == 0
     assert np.array_equal(out.beta.interleaved(spec), fit.beta.interleaved(spec))
@@ -622,12 +624,12 @@ def test_z_tol_on_the_last_allowed_step_counts_as_converged():
     ts = sine_series(seed=5)
     spec = ModelSpec(1, 1, 0)
     fit = solve_linear(ts, spec, np.array([1.45]))
-    free = refine(ts, spec, fit.beta)
+    free = refine(ts, spec, fit.beta.freqs)
     assert free.stop == "z-tol"
-    capped = refine(ts, spec, fit.beta, max_iter=free.iterations)
+    capped = refine(ts, spec, fit.beta.freqs, max_iter=free.iterations)
     assert (capped.stop, capped.converged) == ("z-tol", True)
     assert capped.iterations == free.iterations
-    shorter = refine(ts, spec, fit.beta, max_iter=free.iterations - 1)
+    shorter = refine(ts, spec, fit.beta.freqs, max_iter=free.iterations - 1)
     assert (shorter.stop, shorter.converged) == ("max-iter", False)
 
 
@@ -635,7 +637,7 @@ def test_z_tol_on_the_last_allowed_step_counts_as_converged():
 @given(polish_cases())
 def test_converged_exactly_when_stopped_on_grad_or_z_tol(case):
     spec, series, starts, stats, mode, max_iter = case
-    out = refine(series[0], spec, starts[0], stats, mode, max_iter=max_iter)
+    out = refine(series[0], spec, starts[0].freqs, stats, mode, max_iter=max_iter)
     assert out.stop in refine_mod._STOPS
     assert out.converged == (out.stop in CONVERGED_STOPS)
     assert out.z <= out.z_initial
@@ -651,7 +653,7 @@ def wide_bootstrap(n_rounds, workers=1, spec=ModelSpec(1, 1, 0), seed=17):
     ts = sine_series(n=1000, seed=20)
     stats = span_stats(ts)
     beta0 = solve_linear(ts, spec, np.array([1.4])[:spec.k1], stats).beta
-    refined = refine(ts, spec, beta0, stats)
+    refined = refine(ts, spec, beta0.freqs, stats)
     grids = [np.linspace(1.3, 1.5, 21)][:spec.k1]
     return bootstrap(ts, spec, SearchConfig(0.8, 2.5), refined, grids,
                      n_rounds, seed, stats, workers=workers)
