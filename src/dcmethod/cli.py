@@ -122,7 +122,9 @@ def _model_list(raw: str) -> list[ModelSpec]:
     return specs
 
 
-def _search_config(ctl: Control) -> SearchConfig:
+def _search_config(ctl: Control, required: bool = True) -> SearchConfig | None:
+    """The search range and grid sizes; None when the control file gives
+    no range and ``required`` is False."""
     p_min = ctl.get("pmin", float)
     p_max = ctl.get("pmax", float)
     f_min = ctl.get("fmin", float)
@@ -135,6 +137,8 @@ def _search_config(ctl: Control) -> SearchConfig:
     have_p = p_min is not None or p_max is not None
     have_f = f_min is not None or f_max is not None
     if have_p == have_f:
+        if not (have_p or required):
+            return None
         raise ConfigError(
             f"{ctl.path}: give exactly one range pair, pmin/pmax or fmin/fmax")
     if have_p:
@@ -220,20 +224,19 @@ class _Output:
 def _series_verb(read):
     """A verb on a data series, from ``read(ctl, args)``.
 
-    ``read`` reads the verb's own keys and returns ``job(ts, cfg, out)``,
-    which analyses the series, writes through the ``_Output`` ``out``
-    and returns (summary, flag label, flagged names).  The data path
-    and search range are read first, the output directory last; every
-    key is read before unknown keys are rejected and the data loaded.
-    Flagged names make ``--strict`` exit 1.
+    ``read`` reads the verb's own keys, the search range among them, and
+    returns ``job(ts, out)``, which analyses the series, writes through
+    the ``_Output`` ``out`` and returns (summary, flag label, flagged
+    names).  The data path is read first, the output directory last;
+    every key is read before unknown keys are rejected and the data
+    loaded.  Flagged names make ``--strict`` exit 1.
     """
     def command(ctl: Control, args) -> int:
         data = ctl.path_of("data", required=True)
-        cfg = _search_config(ctl)
         job = read(ctl, args)
         out = _Output(ctl, data)
         ctl.reject_extras()
-        summary, label, flagged = job(load_series(data), cfg, out)
+        summary, label, flagged = job(load_series(data), out)
         print(f"{args.verb}: {summary} -> {out.dir}")
         if flagged:
             print(f"{label}: " + ", ".join(flagged))
@@ -310,15 +313,18 @@ def _run(ctl: Control, args):
         ctl.get("k2", int, required=True),
         ctl.get("k3", int, required=True),
     )
+    # a pure trend runs no scan, so its range is optional
+    cfg = _search_config(ctl, required=spec.k1 > 0)
     opts = _options(ctl, args)
 
-    def job(ts, cfg, out):
+    def job(ts, out):
         analysis = analyze(ts, spec, cfg, opts, workers=args.workers)
         payload = _analysis_dict(analysis)
-        payload["search"] = {
-            "f_min": cfg.f_min, "f_max": cfg.f_max, "n_long": cfg.n_long,
-            "n_short": cfg.n_short, "half_width_frac": cfg.half_width_frac,
-        }
+        if cfg is not None:
+            payload["search"] = {
+                "f_min": cfg.f_min, "f_max": cfg.f_max, "n_long": cfg.n_long,
+                "n_short": cfg.n_short, "half_width_frac": cfg.half_width_frac,
+            }
         out.json("params.json", payload)
 
         refined = analysis.refined
@@ -351,11 +357,12 @@ def _run(ctl: Control, args):
 
 @_series_verb
 def _dft(ctl: Control, args):
+    cfg = _search_config(ctl)
     n_signals = ctl.get("signals", int, 1)
     k3 = ctl.get("trend_order", int, 0)
     oversample = ctl.get("oversample", float, 10.0)
 
-    def job(ts, cfg, out):
+    def job(ts, out):
         result = prewhiten(ts, n_signals, cfg, k3=k3, oversample=oversample)
         out.json("dft.json", {
             "oversample": oversample,
@@ -379,10 +386,11 @@ def _dft(ctl: Control, args):
 
 @_series_verb
 def _ladder(ctl: Control, args):
+    cfg = _search_config(ctl)
     specs = ctl.get("models", _model_list, required=True)
     opts = _options(ctl, args)
 
-    def job(ts, cfg, out):
+    def job(ts, out):
         report = model_ladder(ts, specs, cfg, opts, workers=args.workers)
         out.json("ladder.json", {
             "best": report.best,
@@ -413,6 +421,7 @@ def _ladder(ctl: Control, args):
 
 @_series_verb
 def _predict(ctl: Control, args):
+    cfg = _search_config(ctl)
     specs = ctl.get("models", _model_list, required=True)
     split = ctl.get("split", int)
     split_time = ctl.get("split_time", float)
@@ -427,7 +436,7 @@ def _predict(ctl: Control, args):
         window = (float(parts[0]), float(parts[1]))
     opts = _options(ctl, args, default_boot=0)
 
-    def job(ts, cfg, out):
+    def job(ts, out):
         reports = prediction_test(
             ts, split if split is not None else split_time, specs, cfg, opts,
             window=window, window_points=window_points, workers=args.workers)

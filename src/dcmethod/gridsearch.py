@@ -8,7 +8,10 @@ lowest z with a lexicographic tie-break.  The long stage is the engine
 with R = 1 over k1 copies of one even grid on [f_min, f_max]; the short
 stage is R = 1 over a dense grid inside a narrow window around each
 long-stage frequency; ``scan_rounds`` runs the short-stage grids with
-one right-hand side per bootstrap round.
+one right-hand side per bootstrap round.  After a stage's merge has
+fixed its best tuple, the same engine scores the slices through it:
+one tuple per grid point and signal axis, the other frequencies held
+at the best tuple's.
 
 Screen
 ------
@@ -17,11 +20,12 @@ tuple that contains it.  The columns of all scan frequencies plus the
 trend columns are therefore built once, as one matrix C, by the exact
 kernel's own expression (``model.design_matrix``, rows divided by
 sigma), so the design matrix A of a tuple is a column subset of C, bit
-for bit.  One matmul gives every cross-Gram C^T C, one more every
-right-hand side C^T y_w (all bootstrap rounds at once).  Each tuple
-gathers its m x m Gram G = A^T A and b = A^T y_w and is scored in
-O(m^3), independent of n (the joint, multi-term form of the generalised
-Lomb-Scargle normal equations):
+for bit.  C is kept for the whole scan: the exact pass gathers each
+tuple's A from it instead of rebuilding it.  One matmul gives every
+cross-Gram C^T C, one more every right-hand side C^T y_w (all bootstrap
+rounds at once).  Each tuple gathers its m x m Gram G = A^T A and
+b = A^T y_w and is scored in O(m^3), independent of n (the joint,
+multi-term form of the generalised Lomb-Scargle normal equations):
 
     x = G^-1 b,    rss = s - 2 b^T x + x^T G x,    s = y_w^T y_w.
 
@@ -100,19 +104,31 @@ exact kernel, between z_lo = sqrt(max(rss - bound, 0) / n) and z_hi =
 sqrt((rss + bound) / n) (rounding is monotone), per right-hand side.
 Let Z be the smallest z_hi of a right-hand side.  Every guarded tuple
 and every tuple with z_lo <= Z for some right-hand side is re-scored by
-``design_solver`` + ``misfit``, which factors the tuple once and solves
-the right-hand sides in blocks of ``r_block`` columns (one column when
-R = 1, as in ``evaluate_z``); the tuple that attains each Z is among
-them.  Any other tuple has exact z >= z_lo > Z >= the exact minimum,
-strictly above it, so the exact comparison with its lexicographic
-tie-break yields the same z_min, best tuple and degenerate flag as an
-exact scan of every tuple, bit for bit.  Unguarded tuples are never
-rank deficient, so the degenerate flag only needs the guarded ones.
+the exact kernel: its weighted design matrix is gathered from C into a
+C-contiguous (B, n, m) array, the layout ``design_matrix`` returns (the
+matmul bits depend on it), so it equals ``design_matrix(...) / sigma``
+bit for bit; ``BatchSolver`` factors it once and ``misfit`` solves the
+right-hand sides in blocks of ``r_block`` columns.  The tuple that
+attains each Z is among them.  Any other tuple has exact z >= z_lo > Z
+>= the exact minimum, strictly above it, so the exact comparison with
+its lexicographic tie-break yields the same z_min, best tuple and
+degenerate flag as an exact scan of every tuple, bit for bit.
+Unguarded tuples are never rank deficient, so the degenerate flag only
+needs the guarded ones.
+
+A slice point is a tuple over the stage's grids too (the varied
+frequency is on its axis's grid, the others are the best tuple's), so
+its columns are in C as well.  Slice points skip the screen: each is
+scored from gathered columns with the one-column ``misfit`` of
+``evaluate_z``, so every slice z equals ``periodogram_slice``'s bit for
+bit, duplicated frequencies included.
 
 Work is split into tuple chunks whose size depends only on the problem
-dimensions, never on the worker count.  The set of re-scored tuples is
-fixed by the final Z alone, and results are merged with exact
-comparisons, so output is identical whatever the number of threads.
+dimensions, never on the worker count, and every stage (screen, exact
+re-score, slices) runs its chunks through one ``ordered_map``.  The set
+of re-scored tuples is fixed by the final Z alone, results are merged
+with exact comparisons, and a tuple's z does not depend on the chunk it
+is in, so output is identical whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -124,17 +140,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnstableSearchError
-from .linfit import design_solver, evaluate_z, weighting_mode
+from .linfit import BatchSolver, evaluate_z, weighted_y, weighting_mode
 from .model import ModelSpec, design_matrix
 from .timeseries import TimeSeries, span_stats
+
+# Not called here: the benchmark's call-site tracer (bench/tracer.py)
+# wraps this name on this module, so it stays importable from it.
+from .linfit import design_solver  # noqa: F401
 
 __all__ = ["SearchConfig", "Slice", "Periodogram", "long_search", "short_search",
            "periodogram_slice", "scan_rounds", "ordered_map"]
 
 # Elements of one (tuples, n, m) exact-kernel array per chunk.  The
-# scans send only guarded and near-minimum tuples there, so small
-# batches cost little and keep peak memory down.
-_EXACT_TARGET = 1_000_000
+# scans send only guarded and near-minimum tuples and the slice points
+# there; small batches keep peak memory down and give a pool of two or
+# more workers several chunks per stage.
+_EXACT_TARGET = 250_000
 # The exact pass solves the right-hand sides in blocks of
 # _CHUNK_TARGET // (rows n) columns, rows = _chunk_rows(n, m); the exact
 # misfit bits depend on that block width, so it keeps this sizing.
@@ -142,7 +163,7 @@ _CHUNK_TARGET = 4_000_000
 _CHUNK_MAX = 4096
 _CHUNK_MIN = 16
 # Elements of one (tuples, m, m + rounds) screen array per chunk.
-_SCREEN_TARGET = 250_000
+_SCREEN_TARGET = 50_000
 
 _U = np.finfo(float).eps / 2.0
 
@@ -270,8 +291,9 @@ def _product_chunks(grids: list[np.ndarray], rows: int):
 
 
 class _Blocks:
-    """Weighted columns of every scan frequency, their cross-Grams and
-    right-hand sides, and the screen of a tuple chunk against them.
+    """Weighted columns C of every scan frequency, their cross-Grams and
+    right-hand sides, and the screen and exact re-score of a tuple chunk
+    against them.
 
     ``grids`` holds one grid per signal axis; axes that share
     one grid object (the long stage) share its columns.  ``yw`` is the
@@ -299,6 +321,7 @@ class _Blocks:
         self.gram = cols.T @ cols
         self.rhs = cols.T @ yw
         self.ss = np.einsum("nr,nr->r", yw, yw)
+        self.yw = yw
         h = 2 * spec.k2
         self._harm = np.arange(h)
         self._trend = np.arange(freqs.size * h, freqs.size * h + spec.n_trend)
@@ -308,6 +331,13 @@ class _Blocks:
         self.delta = _gamma(ts.n + 2 * m + 4)
         self.delta_m = _gamma(m + 1)
         self.rows = _chunk_rows(m + self.n_rhs, m, _SCREEN_TARGET)
+        self.exact_rows = _chunk_rows(ts.n, m, _EXACT_TARGET)
+        self.r_block = int(max(1, min(self.n_rhs, _CHUNK_TARGET
+                                      // max(1, _chunk_rows(ts.n, m) * ts.n))))
+
+    def drop_screen(self):
+        """Free the Grams and right-hand sides; C stays for the exact pass."""
+        self.gram = self.rhs = None
 
     def columns(self, tuples: np.ndarray) -> np.ndarray:
         """Column indices into C of each tuple's design matrix, (B, m)."""
@@ -318,6 +348,48 @@ class _Blocks:
             parts.append(q[:, None] * h + self._harm)
         parts.append(np.broadcast_to(self._trend, (tuples.shape[0], self._trend.size)))
         return np.concatenate(parts, axis=1)
+
+    def design(self, tuples: np.ndarray) -> np.ndarray:
+        """Each tuple's weighted design matrix, gathered from C.
+
+        Returns a C-contiguous (B, n, m) array, the layout of
+        ``design_matrix``: equal to ``design_matrix(...) / sigma`` bit for
+        bit, and so factored and solved to the same bits.
+        """
+        idx = self.columns(tuples)
+        out = np.empty((idx.shape[0], self.n, idx.shape[1]))
+        # one column at a time: a (B, n) copy each is several times
+        # faster than one three-axis fancy index and a transposed copy
+        for j in range(idx.shape[1]):
+            out[:, :, j] = self.cols[:, idx[:, j]].T
+        return out
+
+    def rescore(self, tuples: np.ndarray):
+        """Exact kernel on a chunk of survivors.
+
+        Each tuple is factored once and solved for every round,
+        ``r_block`` right-hand sides at a time.  Returns per round the
+        lowest z and its tuple (lexicographic tie-break), and whether
+        any tuple of the chunk was rank deficient.
+        """
+        solver = BatchSolver(self.design(tuples))
+        z_min = np.empty(self.n_rhs)
+        pick = np.empty(self.n_rhs, dtype=np.intp)
+        for r0 in range(0, self.n_rhs, self.r_block):
+            z = solver.misfit(self.yw[None, :, r0:r0 + self.r_block], self.n)
+            idx = np.argmin(z, axis=0)
+            zblk = z[idx, np.arange(z.shape[1])]
+            ties = (z == zblk[None, :]).sum(axis=0) > 1
+            for c in np.flatnonzero(ties):
+                idx[c] = _lex_best(tuples, np.flatnonzero(z[:, c] == zblk[c]))
+            z_min[r0:r0 + self.r_block] = zblk
+            pick[r0:r0 + self.r_block] = idx
+        return z_min, tuples[pick], bool(solver.degenerate.any())
+
+    def misfit(self, tuples: np.ndarray, bw: np.ndarray) -> np.ndarray:
+        """Exact z of each tuple against the one data column ``bw``,
+        solved as ``evaluate_z`` solves it, (B,)."""
+        return BatchSolver(self.design(tuples)).misfit(bw[None, :, None], self.n)[:, 0]
 
     def score(self, tuples: np.ndarray):
         """Screen a tuple chunk.
@@ -419,6 +491,9 @@ def _scan(ts, spec, stats, mode, grids, y_rounds, workers):
         Tuples scanned.
     degenerate : bool
         True when a re-scored tuple was rank deficient.
+    blocks : _Blocks
+        The scan's columns, for exact scores of further tuples over
+        ``grids``.
 
     Raises
     ------
@@ -447,35 +522,15 @@ def _scan(ts, spec, stats, mode, grids, y_rounds, workers):
         kept_lo.append(z_lo[keep])
     if count == 0:
         raise UnstableSearchError("the grids admit no ordered frequency tuple")
-    del blocks  # the Grams go before the exact pass allocates its arrays
+    blocks.drop_screen()  # before the exact pass allocates its arrays
     survivors = np.concatenate(kept)
     survivors = survivors[(np.concatenate(kept_lo) <= z_star).any(axis=1)]
 
-    # Exact re-score: each surviving tuple is factored once and solved
-    # for all rounds, r_block right-hand sides at a time.
-    rows = _chunk_rows(ts.n, spec.n_linear)
-    r_block = int(max(1, min(n_rounds, _CHUNK_TARGET // max(1, rows * ts.n))))
-
-    def exact(tuples):
-        solver = design_solver(ts, spec, tuples, stats, mode)
-        z_min = np.empty(n_rounds)
-        pick = np.empty(n_rounds, dtype=np.intp)
-        for r0 in range(0, n_rounds, r_block):
-            z = solver.misfit(yw[None, :, r0:r0 + r_block], ts.n)
-            idx = np.argmin(z, axis=0)
-            zblk = z[idx, np.arange(z.shape[1])]
-            ties = (z == zblk[None, :]).sum(axis=0) > 1
-            for c in np.flatnonzero(ties):
-                idx[c] = _lex_best(tuples, np.flatnonzero(z[:, c] == zblk[c]))
-            z_min[r0:r0 + r_block] = zblk
-            pick[r0:r0 + r_block] = idx
-        return z_min, tuples[pick], bool(solver.degenerate.any())
-
-    # Merge in chunk order, round by round.
+    # Exact re-score, merged in chunk order, round by round.
     best_z = best_t = None
     degenerate = False
-    batch = _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET)
-    for z_c, t_c, degen in ordered_map(exact, _batches(survivors, batch), workers):
+    for z_c, t_c, degen in ordered_map(
+            blocks.rescore, _batches(survivors, blocks.exact_rows), workers):
         degenerate = degenerate or degen
         if best_t is None:
             best_z, best_t = z_c, t_c
@@ -484,7 +539,7 @@ def _scan(ts, spec, stats, mode, grids, y_rounds, workers):
             if _better(z_c[r], t_c[r], best_z[r], best_t[r]):
                 best_z[r] = z_c[r]
                 best_t[r] = t_c[r]
-    return best_z, best_t, count, degenerate
+    return best_z, best_t, count, degenerate, blocks
 
 
 def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
@@ -493,6 +548,8 @@ def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
     Returns the z values over ``grid``, every one from the exact kernel.
     Points where the varied frequency duplicates a fixed one are
     evaluated through the same rank-truncated solve as everywhere else.
+    The search stages compute their slices inside the scan engine, from
+    its columns, to the same bits.
     """
     if stats is None:
         stats = span_stats(ts)
@@ -508,9 +565,31 @@ def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
     return out
 
 
+def _slices(blocks, ts, mode, grids, best, workers) -> list[Slice]:
+    """Cuts through ``best`` along every axis of ``grids``, one exact z
+    per grid point, each equal to ``periodogram_slice``'s bit for bit.
+
+    The k1 x grid-size points are scored from ``blocks``' columns in
+    ``_EXACT_TARGET`` chunks through ``ordered_map``.
+    """
+    points = []
+    for axis, g in enumerate(grids):
+        tuples = np.tile(best, (g.size, 1))
+        tuples[:, axis] = g
+        points.append(tuples)
+    bw = weighted_y(ts, mode)
+    z = np.concatenate(list(ordered_map(
+        lambda tuples: blocks.misfit(tuples, bw),
+        _batches(np.concatenate(points), blocks.exact_rows), workers)))
+    cuts = np.cumsum([g.size for g in grids])[:-1]
+    return [Slice(signal=i + 1, f=g, z=zi)
+            for i, (g, zi) in enumerate(zip(grids, np.split(z, cuts)))]
+
+
 def _stage(stage, ts, spec, grids, stats, weighting, workers) -> Periodogram:
-    """One search stage: the engine on the series itself (R = 1), then a
-    slice through the winner along every signal axis."""
+    """One search stage: the engine on the series itself (R = 1), then,
+    from the engine's columns and through its ``ordered_map``, a slice
+    through the winner along every signal axis."""
     if spec.k1 < 1:
         raise ConfigError("grid search needs at least one signal (k1 >= 1)")
     if ts.n <= spec.eta + 1:
@@ -519,15 +598,13 @@ def _stage(stage, ts, spec, grids, stats, weighting, workers) -> Periodogram:
     if stats is None:
         stats = span_stats(ts)
     mode = weighting_mode(ts, weighting)
-    z_min, best, count, degenerate = _scan(ts, spec, stats, mode, grids,
-                                           ts.y[None], workers)
+    z_min, best, count, degenerate, blocks = _scan(ts, spec, stats, mode, grids,
+                                                   ts.y[None], workers)
     best = best[0]
-    slices = [Slice(signal=i + 1, f=g,
-                    z=periodogram_slice(ts, spec, best, i, g, stats, mode))
-              for i, g in enumerate(grids)]
     return Periodogram(
         stage=stage, grids=grids, best=best, z_min=float(z_min[0]),
-        slices=slices, combinations=count, degenerate_hit=degenerate,
+        slices=_slices(blocks, ts, mode, grids, best, workers),
+        combinations=count, degenerate_hit=degenerate,
     )
 
 
@@ -601,6 +678,6 @@ def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1
     """
     if stats is None:
         stats = span_stats(ts)
-    z_min, best, _, _ = _scan(ts, spec, stats, weighting_mode(ts, weighting), grids,
-                              y_rounds, workers)
+    z_min, best, _, _, _ = _scan(ts, spec, stats, weighting_mode(ts, weighting),
+                                 grids, y_rounds, workers)
     return z_min, best

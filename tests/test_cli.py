@@ -70,17 +70,62 @@ def test_run_without_ordered_long_tuple_exits_one(tmp_path, capsys):
 
 
 def test_run_output_bytes_ignore_worker_count(tmp_path):
-    for sub, workers in (("a", "1"), ("b", "4")):
+    # every output file; with k1 = 2 the slices of both signals come
+    # from the engine's parallel slice chunks
+    for k1 in (1, 2):
+        for sub, workers in (("a", "1"), ("b", "4")):
+            d = tmp_path / f"k{k1}{sub}"
+            d.mkdir()
+            make_data(d / "series.dat")
+            ctl = write_control(d / "case.ctl", RUN_CTL.replace("k1 = 1", f"k1 = {k1}"))
+            assert main(["run", "--control", ctl, "--workers", workers]) == 0
+        names = sorted(p.name for p in (tmp_path / f"k{k1}a" / "run.out").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / f"k{k1}b" / "run.out").iterdir())
+        assert {f"slice_{stage}_{i}.csv" for stage in ("long", "short")
+                for i in range(1, k1 + 1)} <= set(names)
+        assert "bootstrap_draws.csv" in names
+        for name in names:
+            a = (tmp_path / f"k{k1}a" / "run.out" / name).read_bytes()
+            b = (tmp_path / f"k{k1}b" / "run.out" / name).read_bytes()
+            assert a == b, (k1, name)
+
+
+TREND_CTL = """\
+data = series.dat
+k1 = 0
+k2 = 1
+k3 = 2
+nboot = 4
+seed = 3
+out = run.out
+"""
+
+
+def test_pure_trend_run_needs_no_range(tmp_path):
+    # no scan runs for k1 = 0; without a range params.json has no
+    # "search" entry and is otherwise what the ranged run writes
+    for sub, text in (("plain", TREND_CTL), ("ranged", TREND_CTL + "pmin = 0.63\npmax = 5.70\n")):
         d = tmp_path / sub
         d.mkdir()
         make_data(d / "series.dat")
-        ctl = write_control(d / "case.ctl", RUN_CTL)
-        assert main(["run", "--control", ctl, "--workers", workers]) == 0
-    for name in ("params.json", "bootstrap_draws.csv", "curve.csv",
-                 "slice_long_1.csv"):
-        a = (tmp_path / "a" / "run.out" / name).read_bytes()
-        b = (tmp_path / "b" / "run.out" / name).read_bytes()
-        assert a == b, name
+        assert main(["run", "--control", write_control(d / "case.ctl", text)]) == 0
+    plain = json.loads((tmp_path / "plain" / "run.out" / "params.json").read_text())
+    ranged = json.loads((tmp_path / "ranged" / "run.out" / "params.json").read_text())
+    assert "search" not in plain
+    assert ranged.pop("search")["n_long"] == 200
+    assert plain == ranged
+    for name in ("residuals.csv", "curve.csv", "bootstrap_draws.csv"):
+        assert ((tmp_path / "plain" / "run.out" / name).read_bytes()
+                == (tmp_path / "ranged" / "run.out" / name).read_bytes()), name
+
+
+def test_signal_run_without_range_exits_three(tmp_path, capsys):
+    make_data(tmp_path / "series.dat")
+    text = RUN_CTL.replace("pmin = 0.63\n", "").replace("pmax = 5.70\n", "")
+    ctl = write_control(tmp_path / "case.ctl", text)
+    assert main(["run", "--control", ctl]) == 3
+    assert "exactly one range pair" in capsys.readouterr().err
+    assert not (tmp_path / "run.out").exists()
 
 
 def test_polish_stop_reason_stays_out_of_params_json(tmp_path):

@@ -35,6 +35,7 @@ from dcmethod.gridsearch import (
     scan_rounds,
 )
 from dcmethod.linfit import design_solver, solve_linear, weighted_y, weighting_mode
+from dcmethod.model import design_matrix
 
 
 def two_sine_series(n=18, seed=3):
@@ -394,14 +395,14 @@ def test_rescored_tuples_do_not_depend_on_workers(monkeypatch):
     ts = two_sine_series(n=20, seed=8)
     spec = ModelSpec(2, 1, 0)
     cfg = SearchConfig(4.0, 8.0, n_long=40, n_short=12)
-    exact = gridsearch.design_solver
+    exact = gridsearch._Blocks.rescore
     seen = {}
 
-    def recording(ts_, spec_, tuples, *args):
+    def recording(blocks, tuples):
         seen.setdefault((workers, stage), []).extend(map(tuple, tuples))
-        return exact(ts_, spec_, tuples, *args)
+        return exact(blocks, tuples)
 
-    monkeypatch.setattr(gridsearch, "design_solver", recording)
+    monkeypatch.setattr(gridsearch._Blocks, "rescore", recording)
     for workers in (1, 3):
         stage = "long"
         pg = long_search(ts, spec, cfg, workers=workers)
@@ -498,6 +499,63 @@ def test_scan_rounds_of_the_series_equals_each_stage(case):
         assert np.array_equal(best[0], stage.best)
 
 
+@pytest.mark.parametrize("case", ["weighted", "unweighted", "hazard"])
+@pytest.mark.parametrize("exact_target", [None, 1])
+def test_stage_slices_equal_periodogram_slice(case, exact_target, monkeypatch):
+    # the stages score their slices inside the engine, from gathered
+    # columns and in worker-independent chunks; on the shared long grid a
+    # slice point duplicates the other frequency (a rank-deficient solve),
+    # and the hazard case adds near-singular harmonic tuples
+    if exact_target is not None:
+        monkeypatch.setattr(gridsearch, "_EXACT_TARGET", exact_target)
+    ts, spec, cfg = _stage_case(case)
+    stats = span_stats(ts)
+    mode = weighting_mode(ts, None)
+    degenerate = False
+    for workers in (1, 3):
+        pg = long_search(ts, spec, cfg, stats, workers=workers)
+        sh = short_search(ts, spec, cfg, pg.best, stats, workers=workers)
+        for stage in (pg, sh):
+            assert [sl.signal for sl in stage.slices] == list(range(1, spec.k1 + 1))
+            for i, (sl, grid) in enumerate(zip(stage.slices, stage.grids)):
+                assert sl.f is grid
+                want = periodogram_slice(ts, spec, stage.best, i, grid, stats, mode)
+                assert np.array_equal(sl.z, want)
+                tuples = np.tile(stage.best, (grid.size, 1))
+                tuples[:, i] = grid
+                degenerate |= gridsearch.evaluate_z(ts, spec, tuples, stats)[1].any()
+    assert degenerate
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("shape", [(2, 1, 0), (2, 3, 0), (2, 1, -1), (3, 2, 2)])
+def test_gathered_design_matrices_equal_design_matrix(weighted, shape):
+    # the exact pass gathers each tuple's matrix from the screen's
+    # columns; matmul bits depend on the layout, so it must also be
+    # C-contiguous like design_matrix's output
+    ts = two_sine_series(n=23, seed=6)
+    if weighted:
+        ts = TimeSeries(ts.t, ts.y, np.random.default_rng(2).uniform(0.05, 0.2, ts.n))
+    else:
+        ts = TimeSeries(ts.t, ts.y)
+    spec = ModelSpec(*shape)
+    stats = span_stats(ts)
+    mode = weighting_mode(ts, None)
+    long_grid = np.linspace(2.0, 8.0, 9)
+    short_grids = [np.linspace(c - 0.7, c + 0.7, 6) for c in (7.1, 6.6, 3.0)[:spec.k1]]
+    for grids in ([long_grid] * spec.k1, short_grids):
+        blocks = _Blocks(ts, spec, stats, mode, grids, weighted_y(ts)[:, None])
+        # every combination, descending or not, as slice points are
+        tuples = np.array(list(itertools.product(*grids)))
+        got = blocks.design(tuples)
+        want = design_matrix(ts.t, spec, tuples, stats)
+        if weighted:
+            want = want / ts.sigma[None, :, None]
+        assert got.flags.c_contiguous
+        assert got.shape == (len(tuples), ts.n, spec.n_linear)
+        assert np.array_equal(got, want)
+
+
 def test_chunk_sizes_never_change_results(monkeypatch):
     # f_a = 2 f_b and 3 f_b on the long grid make rank-deficient tuples,
     # more of them than one exact-kernel chunk holds once it is shrunk
@@ -506,14 +564,14 @@ def test_chunk_sizes_never_change_results(monkeypatch):
     cfg = SearchConfig(2.0, 8.0, n_long=25, n_short=12)
     rng = np.random.default_rng(29)
     y_rounds = ts.y[None, :] + rng.normal(0, 0.1, (5, ts.n))
-    exact = gridsearch.design_solver
+    exact = gridsearch._Blocks.rescore
     batches = []
 
-    def counting(*args):
-        batches.append(len(args[2]))
-        return exact(*args)
+    def counting(blocks, tuples):
+        batches.append(len(tuples))
+        return exact(blocks, tuples)
 
-    monkeypatch.setattr(gridsearch, "design_solver", counting)
+    monkeypatch.setattr(gridsearch._Blocks, "rescore", counting)
 
     def run():
         batches.clear()
