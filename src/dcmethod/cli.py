@@ -26,12 +26,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .dft import prewhiten
-from .errors import ConfigError, DataError, DcmError, UnstableSearchError
+from .errors import ConfigError, DataError, DcmError
 from .gridsearch import SearchConfig
 from .model import ModelSpec, eval_model, param_names, signal_values, trend_values
 from .pipeline import AnalysisOptions, analyze
@@ -250,15 +251,6 @@ def _parameters(spec, beta):
     return dict(zip(param_names(spec), beta.interleaved(spec)))
 
 
-def _signal_dict(rep):
-    return {
-        "period": rep.period, "amplitude": rep.amplitude,
-        "t_max1": rep.t_max1, "t_min1": rep.t_min1,
-        "t_max2": rep.t_max2, "t_min2": rep.t_min2,
-        "tie": rep.tie,
-    }
-
-
 def _analysis_dict(analysis):
     payload = {
         "model": {
@@ -281,7 +273,7 @@ def _analysis_dict(analysis):
             "converged": analysis.refined.converged,
             "parameters": _parameters(analysis.spec, analysis.refined.beta),
         },
-        "signals": [_signal_dict(s) for s in analysis.summary.signals],
+        "signals": [asdict(s) for s in analysis.summary.signals],
         "trend": {
             "coefficients": analysis.summary.trend,
             "ranges": analysis.summary.trend_ranges,
@@ -489,7 +481,7 @@ def _simulate(ctl: Control, args) -> int:
         "period_range": list(truth.period_range),
         "spec": {"k1": truth.spec.k1, "k2": truth.spec.k2, "k3": truth.spec.k3},
         "parameters": _parameters(truth.spec, truth.beta),
-        "signals": [_signal_dict(s) for s in truth.summary.signals],
+        "signals": [asdict(s) for s in truth.summary.signals],
     })
     print(f"simulate: wrote {path}")
     return 0
@@ -538,9 +530,6 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnstableSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DcmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,14 +18,14 @@ Screen
 A scan frequency contributes the same weighted cos/sin columns to every
 tuple that contains it.  The columns of all scan frequencies plus the
 trend columns are therefore built once, as one matrix C, by the exact
-kernel's own expression (``model.design_matrix``, rows divided by
-sigma), so the design matrix A of a tuple is a column subset of C, bit
-for bit.  C is kept for the whole scan: the exact pass gathers each
-tuple's A from it instead of rebuilding it.  One matmul gives every
-cross-Gram C^T C, one more every right-hand side C^T y_w (all bootstrap
-rounds at once).  Each tuple gathers its m x m Gram G = A^T A and
-b = A^T y_w and is scored in O(m^3), independent of n (the joint,
-multi-term form of the generalised Lomb-Scargle normal equations):
+kernel's own expression (``linfit.weighted_design``), so the design
+matrix A of a tuple is a column subset of C, bit for bit.  C is kept
+for the whole scan: the exact pass gathers each tuple's A from it
+instead of rebuilding it.  One matmul gives every cross-Gram C^T C, one
+more every right-hand side C^T y_w (all bootstrap rounds at once).
+Each tuple gathers its m x m Gram G = A^T A and b = A^T y_w and is
+scored in O(m^3), independent of n (the joint, multi-term form of the
+generalised Lomb-Scargle normal equations):
 
     x = G^-1 b,    rss = s - 2 b^T x + x^T G x,    s = y_w^T y_w.
 
@@ -106,12 +106,14 @@ Let Z be the smallest z_hi of a right-hand side.  Every guarded tuple
 and every tuple with z_lo <= Z for some right-hand side is re-scored by
 the exact kernel: its weighted design matrix is gathered from C into a
 C-contiguous (B, n, m) array, the layout ``design_matrix`` returns (the
-matmul bits depend on it), so it equals ``design_matrix(...) / sigma``
-bit for bit; ``BatchSolver`` factors it once and ``misfit`` solves the
+matmul bits depend on it), so it equals ``weighted_design(...)`` bit
+for bit; ``BatchSolver`` factors it once and ``misfit`` solves the
 right-hand sides in blocks of ``r_block`` columns.  The tuple that
 attains each Z is among them.  Any other tuple has exact z >= z_lo > Z
->= the exact minimum, strictly above it, so the exact comparison with
-its lexicographic tie-break yields the same z_min, best tuple and
+>= the exact minimum, strictly above it.  One rule, ``_lex_argmin``
+(lowest exact z, ties to the lexicographically smallest tuple), picks
+each round's winner inside every exact chunk and once more over the
+chunk winners, so the scan yields the same z_min, best tuple and
 degenerate flag as an exact scan of every tuple, bit for bit.
 Unguarded tuples are never rank deficient, so the degenerate flag only
 needs the guarded ones.
@@ -140,8 +142,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnstableSearchError
-from .linfit import BatchSolver, evaluate_z, weighted_y, weighting_mode
-from .model import ModelSpec, design_matrix
+from .linfit import BatchSolver, evaluate_z, row_sigma, weighted_design
+from .model import ModelSpec
 from .timeseries import TimeSeries, span_stats
 
 # Not called here: the benchmark's call-site tracer (bench/tracer.py)
@@ -258,12 +260,6 @@ def _chunk_rows(n: int, m: int, target: int = _CHUNK_TARGET) -> int:
 def _product_chunks(grids: list[np.ndarray], rows: int):
     """Yield (B, k) arrays of strictly descending tuples drawn from
     per-signal grids, enumerated in lexicographic index order."""
-    k = len(grids)
-    if k == 1:
-        g = grids[0]
-        for start in range(0, g.size, rows):
-            yield g[start:start + rows, None]
-        return
     tail = grids[1:]
     tail_size = int(np.prod([g.size for g in tail]))
     # Lead-axis blocks keep the unfiltered mesh bounded.
@@ -300,8 +296,7 @@ class _Blocks:
     (n, R) weighted data, one column per round.
     """
 
-    def __init__(self, ts: TimeSeries, spec: ModelSpec, stats, mode, grids, yw):
-        self.spec = spec
+    def __init__(self, ts: TimeSeries, spec: ModelSpec, stats, weighting, grids, yw):
         distinct = []
         self._axis = []
         for g in grids:
@@ -313,13 +308,10 @@ class _Blocks:
             start = sum(h.size for h in distinct[:pos])
             self._axis.append((g[order], start + order))
         freqs = np.concatenate(distinct)
-        cols = design_matrix(ts.t, ModelSpec(freqs.size, spec.k2, spec.k3),
-                             freqs, stats)
-        if mode == "chi-square":
-            cols = cols / ts.sigma[:, None]
-        self.cols = cols
-        self.gram = cols.T @ cols
-        self.rhs = cols.T @ yw
+        self.cols = weighted_design(ts.t, ModelSpec(freqs.size, spec.k2, spec.k3),
+                                    freqs, stats, row_sigma(ts, weighting))
+        self.gram = self.cols.T @ self.cols
+        self.rhs = self.cols.T @ yw
         self.ss = np.einsum("nr,nr->r", yw, yw)
         self.yw = yw
         h = 2 * spec.k2
@@ -353,7 +345,7 @@ class _Blocks:
         """Each tuple's weighted design matrix, gathered from C.
 
         Returns a C-contiguous (B, n, m) array, the layout of
-        ``design_matrix``: equal to ``design_matrix(...) / sigma`` bit for
+        ``design_matrix``: equal to ``weighted_design(...)`` bit for
         bit, and so factored and solved to the same bits.
         """
         idx = self.columns(tuples)
@@ -369,27 +361,19 @@ class _Blocks:
 
         Each tuple is factored once and solved for every round,
         ``r_block`` right-hand sides at a time.  Returns per round the
-        lowest z and its tuple (lexicographic tie-break), and whether
-        any tuple of the chunk was rank deficient.
+        lowest z and its tuple (``_lex_argmin``), and whether any tuple
+        of the chunk was rank deficient.
         """
         solver = BatchSolver(self.design(tuples))
-        z_min = np.empty(self.n_rhs)
-        pick = np.empty(self.n_rhs, dtype=np.intp)
-        for r0 in range(0, self.n_rhs, self.r_block):
-            z = solver.misfit(self.yw[None, :, r0:r0 + self.r_block], self.n)
-            idx = np.argmin(z, axis=0)
-            zblk = z[idx, np.arange(z.shape[1])]
-            ties = (z == zblk[None, :]).sum(axis=0) > 1
-            for c in np.flatnonzero(ties):
-                idx[c] = _lex_best(tuples, np.flatnonzero(z[:, c] == zblk[c]))
-            z_min[r0:r0 + self.r_block] = zblk
-            pick[r0:r0 + self.r_block] = idx
-        return z_min, tuples[pick], bool(solver.degenerate.any())
+        z = np.concatenate([solver.misfit(self.yw[None, :, r0:r0 + self.r_block], self.n)
+                            for r0 in range(0, self.n_rhs, self.r_block)], axis=1)
+        pick = _lex_argmin(z, tuples)
+        return z[pick, np.arange(self.n_rhs)], tuples[pick], bool(solver.degenerate.any())
 
-    def misfit(self, tuples: np.ndarray, bw: np.ndarray) -> np.ndarray:
-        """Exact z of each tuple against the one data column ``bw``,
-        solved as ``evaluate_z`` solves it, (B,)."""
-        return BatchSolver(self.design(tuples)).misfit(bw[None, :, None], self.n)[:, 0]
+    def misfit(self, tuples: np.ndarray) -> np.ndarray:
+        """Exact z of each tuple against the first data column, solved as
+        ``evaluate_z`` solves it, (B,)."""
+        return BatchSolver(self.design(tuples)).misfit(self.yw[None, :, :1], self.n)[:, 0]
 
     def score(self, tuples: np.ndarray):
         """Screen a tuple chunk.
@@ -458,30 +442,26 @@ def _batches(tuples: np.ndarray, rows: int):
         yield tuples[start:start + rows]
 
 
-def _lex_best(tuples: np.ndarray, cand: np.ndarray) -> int:
-    """Index (within cand) of the lexicographically smallest tuple."""
-    sub = tuples[cand]
-    order = np.lexsort(sub.T[::-1])
-    return int(cand[order[0]])
+def _lex_argmin(z: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """The scan's one selection rule: per column of ``z`` (B, R), the row
+    of the lowest z, ties going to the lexicographically smallest tuple.
+
+    ``tuples`` is (B, k), one tuple per row for every column, or
+    (B, R, k), a tuple per row and column.  Returns (R,) row indices.
+    """
+    t = tuples if tuples.ndim == 3 else np.broadcast_to(
+        tuples[:, None, :], z.shape + tuples.shape[-1:])
+    keys = [t[..., j] for j in range(t.shape[-1] - 1, -1, -1)] + [z]
+    return np.lexsort(keys, axis=0)[0]
 
 
-def _better(z_a, t_a, z_b, t_b) -> bool:
-    """True when candidate a beats b (lower z, then lexicographic tuple)."""
-    if z_a != z_b:
-        return z_a < z_b
-    for x, y in zip(t_a, t_b):
-        if x != y:
-            return x < y
-    return False
-
-
-def _scan(ts, spec, stats, mode, grids, y_rounds, workers):
+def _scan(ts, spec, stats, weighting, grids, y_rounds, workers):
     """The scan engine: the best tuple over ``grids`` for every data round.
 
     Screens every strictly descending tuple across ``grids`` against all
     R rounds of ``y_rounds`` (shape (R, n)), re-scores the survivors with
-    the exact kernel and merges per round with the exact
-    (z, lexicographic tuple) rule.
+    the exact kernel and picks per round with ``_lex_argmin``: within
+    each exact chunk, then once over the stacked chunk winners.
 
     Returns
     -------
@@ -501,15 +481,16 @@ def _scan(ts, spec, stats, mode, grids, y_rounds, workers):
         If the grids admit no strictly descending tuple.
     """
     yw = np.asarray(y_rounds, dtype=float).T.copy()
-    if mode == "chi-square":
-        yw /= ts.sigma[:, None]
+    sigma = row_sigma(ts, weighting)
+    if sigma is not None:
+        yw /= sigma[:, None]
     n_rounds = yw.shape[1]
 
     # Screen.  The survivors are every guarded tuple and every tuple
     # whose z_lo is at most the scan-wide smallest z_hi in some round:
     # the set depends on that final minimum alone, not on the order
     # chunks finish in.
-    blocks = _Blocks(ts, spec, stats, mode, grids, yw)
+    blocks = _Blocks(ts, spec, stats, weighting, grids, yw)
     count = 0
     z_star = np.full(n_rounds, np.inf)
     kept, kept_lo = [], []
@@ -526,20 +507,13 @@ def _scan(ts, spec, stats, mode, grids, y_rounds, workers):
     survivors = np.concatenate(kept)
     survivors = survivors[(np.concatenate(kept_lo) <= z_star).any(axis=1)]
 
-    # Exact re-score, merged in chunk order, round by round.
-    best_z = best_t = None
-    degenerate = False
-    for z_c, t_c, degen in ordered_map(
-            blocks.rescore, _batches(survivors, blocks.exact_rows), workers):
-        degenerate = degenerate or degen
-        if best_t is None:
-            best_z, best_t = z_c, t_c
-            continue
-        for r in range(n_rounds):
-            if _better(z_c[r], t_c[r], best_z[r], best_t[r]):
-                best_z[r] = z_c[r]
-                best_t[r] = t_c[r]
-    return best_z, best_t, count, degenerate, blocks
+    # Exact re-score, then the same rule over the chunk winners.
+    z_c, t_c, degen = zip(*ordered_map(
+        blocks.rescore, _batches(survivors, blocks.exact_rows), workers))
+    z_c, t_c = np.stack(z_c), np.stack(t_c)
+    pick = _lex_argmin(z_c, t_c)
+    rounds = np.arange(n_rounds)
+    return z_c[pick, rounds], t_c[pick, rounds], count, any(degen), blocks
 
 
 def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
@@ -565,7 +539,7 @@ def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
     return out
 
 
-def _slices(blocks, ts, mode, grids, best, workers) -> list[Slice]:
+def _slices(blocks, grids, best, workers) -> list[Slice]:
     """Cuts through ``best`` along every axis of ``grids``, one exact z
     per grid point, each equal to ``periodogram_slice``'s bit for bit.
 
@@ -577,10 +551,8 @@ def _slices(blocks, ts, mode, grids, best, workers) -> list[Slice]:
         tuples = np.tile(best, (g.size, 1))
         tuples[:, axis] = g
         points.append(tuples)
-    bw = weighted_y(ts, mode)
     z = np.concatenate(list(ordered_map(
-        lambda tuples: blocks.misfit(tuples, bw),
-        _batches(np.concatenate(points), blocks.exact_rows), workers)))
+        blocks.misfit, _batches(np.concatenate(points), blocks.exact_rows), workers)))
     cuts = np.cumsum([g.size for g in grids])[:-1]
     return [Slice(signal=i + 1, f=g, z=zi)
             for i, (g, zi) in enumerate(zip(grids, np.split(z, cuts)))]
@@ -597,13 +569,12 @@ def _stage(stage, ts, spec, grids, stats, weighting, workers) -> Periodogram:
             f"need more than eta+1 = {spec.eta + 1} points, have {ts.n}")
     if stats is None:
         stats = span_stats(ts)
-    mode = weighting_mode(ts, weighting)
-    z_min, best, count, degenerate, blocks = _scan(ts, spec, stats, mode, grids,
+    z_min, best, count, degenerate, blocks = _scan(ts, spec, stats, weighting, grids,
                                                    ts.y[None], workers)
     best = best[0]
     return Periodogram(
         stage=stage, grids=grids, best=best, z_min=float(z_min[0]),
-        slices=_slices(blocks, ts, mode, grids, best, workers),
+        slices=_slices(blocks, grids, best, workers),
         combinations=count, degenerate_hit=degenerate,
     )
 
@@ -678,6 +649,5 @@ def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1
     """
     if stats is None:
         stats = span_stats(ts)
-    z_min, best, _, _, _ = _scan(ts, spec, stats, weighting_mode(ts, weighting),
-                                 grids, y_rounds, workers)
+    z_min, best, _, _, _ = _scan(ts, spec, stats, weighting, grids, y_rounds, workers)
     return z_min, best

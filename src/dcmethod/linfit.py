@@ -10,11 +10,16 @@ rank-deficient solve returns the minimum norm solution and sets a
 condition flag rather than failing.
 
 Weighted fits scale rows by 1/sigma_i, which turns the residual sum of
-squares into chi-square.  Every entry point, single tuple or batched,
-runs through one kernel, so a scan evaluated tuple-by-tuple reproduces
-a batched scan bit for bit.  Residuals are always computed explicitly
-as b - A x; norm-difference identities cancel catastrophically when
-the fit is near exact.
+squares into chi-square.  That is one step: ``row_sigma`` turns the
+weighting into the row divisor (None unweighted), ``weighted_design``
+divides the design rows by it.  Every solve runs through one kernel,
+``BatchSolver``, with two entries: ``fit`` for rows that each have their
+own matrix and data (a single fit, the polish, the spectral baseline),
+``BatchSolver.misfit`` for one matrix per tuple against many right-hand
+sides (the scans, the slices, the bootstrap rounds).  A scan evaluated
+tuple-by-tuple thus reproduces a batched scan bit for bit.  Residuals
+are always explicit, b - A x; norm-difference identities cancel
+catastrophically when the fit is near exact.
 
 This kernel is the reference every reported misfit comes from.  The
 grid scans (``gridsearch``) score most tuples far more cheaply from
@@ -37,8 +42,9 @@ from .model import BetaVector, ModelSpec, design_matrix
 from .timeseries import SpanStats, TimeSeries, span_stats
 
 __all__ = [
-    "FitResult", "RANK_RCOND", "BatchSolver", "design_solver",
-    "solve_linear", "evaluate_z", "fit_columns", "weighting_mode", "unweighted",
+    "FitResult", "RANK_RCOND", "BatchSolver", "RowFit", "fit", "design_solver",
+    "solve_linear", "evaluate_z", "fit_columns", "weighting_mode", "row_sigma",
+    "weighted_design", "unweighted", "sumsq",
 ]
 
 # Relative singular value cutoff below which directions are truncated.
@@ -54,6 +60,19 @@ def weighting_mode(ts: TimeSeries, weighting: str | None) -> str:
     if weighting == "chi-square" and not ts.weighted:
         raise ConfigError("chi-square weighting needs a sigma column")
     return weighting
+
+
+def row_sigma(ts: TimeSeries, weighting: str | None) -> np.ndarray | None:
+    """The row divisor of a fit: ``ts.sigma`` under chi-square
+    weighting, None for an unweighted fit."""
+    return ts.sigma if weighting_mode(ts, weighting) == "chi-square" else None
+
+
+def weighted_design(t, spec: ModelSpec, freqs, stats: SpanStats, sigma) -> np.ndarray:
+    """``design_matrix`` with every row divided by ``sigma`` (kept as is
+    when ``sigma`` is None)."""
+    a = design_matrix(t, spec, freqs, stats)
+    return a if sigma is None else a / sigma[:, None]
 
 
 class BatchSolver:
@@ -98,19 +117,40 @@ class BatchSolver:
 def design_solver(ts, spec, freq_batch, stats, weighting=None) -> BatchSolver:
     """Build the weighted design matrices for a tuple batch and factor
     them.  Pair with :meth:`BatchSolver.misfit` using ``weighted_y``."""
-    mode = weighting_mode(ts, weighting)
     fb = np.atleast_2d(np.asarray(freq_batch, dtype=float))
-    a = design_matrix(ts.t, spec, fb, stats)
-    if mode == "chi-square":
-        a = a / ts.sigma[None, :, None]
-    return BatchSolver(a)
+    return BatchSolver(weighted_design(ts.t, spec, fb, stats, row_sigma(ts, weighting)))
 
 
 def weighted_y(ts: TimeSeries, weighting: str | None = None) -> np.ndarray:
     """The right hand side matching ``design_solver`` row scaling."""
-    if weighting_mode(ts, weighting) == "chi-square":
-        return ts.y / ts.sigma
-    return ts.y
+    sigma = row_sigma(ts, weighting)
+    return ts.y if sigma is None else ts.y / sigma
+
+
+def sumsq(x):
+    """x . x along the last axis, each through the dot a 1-D ``x @ x``
+    makes."""
+    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+
+
+@dataclass
+class RowFit:
+    """The linear fit of each row of a stack."""
+
+    solver: BatchSolver  # factors of the weighted design matrices
+    x: np.ndarray        # (R, m) linear coefficients
+    rw: np.ndarray       # (R, n) explicit weighted residuals yw - A_w x
+    wsum: np.ndarray     # (R,) weighted residual sums of squares
+
+
+def fit(a: np.ndarray, yw: np.ndarray) -> RowFit:
+    """Least squares of row r of ``yw`` (R, n) on its own weighted
+    design matrix ``a[r]`` (R, n, m).  Each slice is the computation one
+    row alone makes: factor, solve, explicit residual, sum of squares."""
+    solver = BatchSolver(a)
+    x = solver.solve(yw[:, :, None])
+    rw = yw - np.matmul(solver.a, x)[:, :, 0]
+    return RowFit(solver, x[:, :, 0], rw, sumsq(rw))
 
 
 def unweighted(resid_w: np.ndarray, wsum: float, sigma: np.ndarray | None):
@@ -167,24 +207,20 @@ def solve_linear(
     """
     if stats is None:
         stats = span_stats(ts)
-    mode = weighting_mode(ts, weighting)
+    sigma = row_sigma(ts, weighting)
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    solver = design_solver(ts, spec, freqs[None, :], stats, mode)
-    bw = weighted_y(ts, mode)
-    b = bw[None, :, None]
-    x = solver.solve(b)
-    resid_w = (b - np.matmul(solver.a, x))[0, :, 0]
-    wsum = float(resid_w @ resid_w)
-    residuals, r_sum, chi2 = unweighted(
-        resid_w, wsum, ts.sigma if mode == "chi-square" else None)
+    f = fit(weighted_design(ts.t, spec, freqs[None, :], stats, sigma),
+            weighted_y(ts, weighting)[None, :])
+    wsum = float(f.wsum[0])
+    residuals, r_sum, chi2 = unweighted(f.rw[0], wsum, sigma)
     return FitResult(
-        beta=BetaVector(freqs, x[0, :, 0]),
+        beta=BetaVector(freqs, f.x[0]),
         residuals=residuals,
         r_sum=r_sum,
         chi2=chi2,
         z=float(np.sqrt(wsum / ts.n)),
-        rank=int(solver.rank[0]),
-        condition_flag=bool(solver.degenerate[0]),
+        rank=int(f.solver.rank[0]),
+        condition_flag=bool(f.solver.degenerate[0]),
     )
 
 
@@ -216,8 +252,5 @@ def evaluate_z(
 def fit_columns(columns: np.ndarray, b: np.ndarray):
     """Least squares on an explicit column matrix (helper for the
     spectral baseline).  Returns (coefficients, fitted values, residuals)."""
-    solver = BatchSolver(np.asarray(columns, dtype=float)[None, :, :])
-    bb = np.asarray(b, dtype=float)[None, :, None]
-    x = solver.solve(bb)
-    resid = (bb - np.matmul(solver.a, x))[0, :, 0]
-    return x[0, :, 0], b - resid, resid
+    f = fit(np.asarray(columns, dtype=float)[None], np.asarray(b, dtype=float)[None])
+    return f.x[0], b - f.rw[0], f.rw[0]

@@ -99,15 +99,10 @@ class BetaVector:
 
     def interleaved(self, spec: ModelSpec) -> np.ndarray:
         """Full parameter vector [B_11, C_11, .., f_1, .., M_0, ..]."""
+        freq_at, linear_at = layout(spec)
         out = np.empty(spec.eta)
-        pos = 0
-        for i in range(spec.k1):
-            c = self.signal_coeffs(spec, i).ravel()
-            out[pos:pos + c.size] = c
-            pos += c.size
-            out[pos] = self.freqs[i]
-            pos += 1
-        out[pos:] = self.trend_coeffs(spec)
+        out[freq_at] = self.freqs
+        out[linear_at] = self.linear
         return out
 
     @classmethod
@@ -115,15 +110,18 @@ class BetaVector:
         vec = np.asarray(vec, dtype=float)
         if vec.size != spec.eta:
             raise ConfigError(f"expected {spec.eta} parameters, got {vec.size}")
-        per = 2 * spec.k2 + 1
-        freqs = np.empty(spec.k1)
-        linear = np.empty(spec.n_linear)
-        for i in range(spec.k1):
-            blk = vec[i * per:(i + 1) * per]
-            linear[i * 2 * spec.k2:(i + 1) * 2 * spec.k2] = blk[:-1]
-            freqs[i] = blk[-1]
-        linear[2 * spec.k1 * spec.k2:] = vec[spec.k1 * per:]
-        return cls(freqs, linear)
+        freq_at, linear_at = layout(spec)
+        return cls(vec[freq_at], vec[linear_at])
+
+
+def layout(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the frequencies and of the linear coefficients, in
+    ``BetaVector.linear`` order, in the interleaved parameter vector:
+    each signal's cos/sin pairs followed by its frequency, then the trend."""
+    freq_at = np.arange(spec.k1) * (2 * spec.k2 + 1) + 2 * spec.k2
+    linear = np.ones(spec.eta, dtype=bool)
+    linear[freq_at] = False
+    return freq_at, np.flatnonzero(linear)
 
 
 def param_names(spec: ModelSpec) -> list[str]:

@@ -5,7 +5,7 @@ Pereyra 1973, SIAM J. Numer. Anal. 10, 413).  At fixed frequencies f
 the model is linear, so the polish minimises the profile residual
 r(f) = y_w - A_w(f) A_w(f)^+ y_w, the misfit the grid scans minimise:
 every trial point is one linear least squares fit through
-``BatchSolver``, and the linear coefficients are always that fit's.
+``linfit.fit``, and the linear coefficients are always that fit's.
 The step is Levenberg-Marquardt on f alone, with Kaufman's Jacobian
 (1975, BIT 15, 49) J_i = -(I - U U^T) dA_w/df_i x, for which J^T r is
 the exact gradient of ||r||^2 / 2.  Steps are only ever accepted when
@@ -46,9 +46,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .gridsearch import SearchConfig, ordered_map, scan_rounds
-from .linfit import BatchSolver, unweighted, weighting_mode
-from .model import (BetaVector, ModelSpec, design_matrix, param_names,
-                    signal_values, summarize_signals)
+from .linfit import RowFit, fit, row_sigma, sumsq, unweighted, weighted_design
+from .model import (BetaVector, ModelSpec, layout, param_names, signal_values,
+                    summarize_signals)
 from .timeseries import span_stats
 
 # The per-round entry points the stacked kernel replaced.  The
@@ -115,37 +115,13 @@ class RefinedModel:
         return self.r_sum if self.chi2 is None else self.chi2
 
 
-def _dots(x):
-    """x . x along the last axis, each through the dot a 1-D ``x @ x``
-    makes."""
-    return np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0]
+def _fit(t, yw, sigma, spec, freqs, stats) -> RowFit:
+    """``linfit.fit`` of row r of the weighted series ``yw`` (R, n) at the
+    frequency tuple ``freqs[r]``, design rows divided by ``sigma``."""
+    return fit(weighted_design(t, spec, freqs, stats, sigma), yw)
 
 
-@dataclass
-class _Fit:
-    """The linear fit of each row at its own frequency tuple."""
-
-    solver: BatchSolver  # factors of the weighted design matrices
-    x: np.ndarray        # (R, m) linear coefficients
-    rw: np.ndarray       # (R, n) explicit weighted residuals yw - A_w x
-    wsum: np.ndarray     # (R,) weighted residual sums of squares
-
-
-def _fit(t, yw, sigma, spec, freqs, stats) -> _Fit:
-    """Fit row r of the weighted series ``yw`` (R, n) at the frequency
-    tuple ``freqs[r]``; ``sigma`` divides the design rows (None for an
-    unweighted fit).  Each slice is the computation ``solve_linear``
-    makes for one tuple."""
-    a = design_matrix(t, spec, freqs, stats)
-    if sigma is not None:
-        a = a / sigma[None, :, None]
-    solver = BatchSolver(a)
-    x = solver.solve(yw[:, :, None])
-    rw = yw - np.matmul(a, x)[:, :, 0]
-    return _Fit(solver, x[:, :, 0], rw, _dots(rw))
-
-
-def _jacobian(fit: _Fit, spec: ModelSpec, tau) -> np.ndarray:
+def _jacobian(fit: RowFit, spec: ModelSpec, tau) -> np.ndarray:
     """Kaufman's Jacobian of the profile residuals, transposed: shape
     (R, k1, n), row i of slice r being J_i = -(I - U U^T) dA_w/df_i x.
 
@@ -170,10 +146,10 @@ def _jacobian(fit: _Fit, spec: ModelSpec, tau) -> np.ndarray:
 
 def _interleaved(spec: ModelSpec, freqs, x) -> np.ndarray:
     """Interleaved parameter rows from frequency and linear rows."""
+    freq_at, linear_at = layout(spec)
     params = np.empty((len(freqs), spec.eta))
-    fcols = _freq_columns(spec)
-    params[:, fcols] = freqs
-    params[:, np.setdiff1d(np.arange(spec.eta), fcols)] = x
+    params[:, freq_at] = freqs
+    params[:, linear_at] = x
     return params
 
 
@@ -214,8 +190,8 @@ def _step_factors(jt, rw, wsum):
     delta = -D^-1 Q diag(s / (s^2 + lambda)) P^T r.
     """
     grad = np.matmul(jt, rw[:, :, None])[:, :, 0]
-    col2 = _dots(jt)
-    flat = np.sqrt(_dots(grad)) <= _GRAD_TOL * np.sqrt(col2.sum(axis=1) * wsum)
+    col2 = sumsq(jt)
+    flat = np.sqrt(sumsq(grad)) <= _GRAD_TOL * np.sqrt(col2.sum(axis=1) * wsum)
     scale = np.sqrt(col2)
     scale[scale == 0.0] = 1.0
     q, s, pt = np.linalg.svd(jt / scale[:, :, None], full_matrices=False)
@@ -323,8 +299,7 @@ def refine(ts, spec, freqs, stats=None, weighting=None,
     """
     if stats is None:
         stats = span_stats(ts)
-    mode = weighting_mode(ts, weighting)
-    sigma = ts.sigma if mode == "chi-square" else None
+    sigma = row_sigma(ts, weighting)
     freqs = np.reshape(np.asarray(freqs, dtype=float), (1, spec.k1))
     out = _polish(ts.t, ts.y[None, :], sigma, spec, freqs, stats, max_iter)
     wsum = float(out.wsum[0])
@@ -416,7 +391,7 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
         raise ConfigError("bootstrap needs at least 2 rounds")
     if stats is None:
         stats = span_stats(ts)
-    mode = weighting_mode(ts, weighting)
+    sigma = row_sigma(ts, weighting)
     g_fit = ts.y - refined.residuals
     y_rounds = _resample_rounds(g_fit, refined.residuals, n_rounds, seed)
 
@@ -429,12 +404,10 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
 
     if spec.k1 > 0:
         grid_step = float(min(g[1] - g[0] for g in grids if g.size > 1))
-        _, best_tuples = scan_rounds(ts, spec, grids, y_rounds, stats, mode, workers)
+        _, best_tuples = scan_rounds(ts, spec, grids, y_rounds, stats, weighting, workers)
     else:
         grid_step = 0.0
         best_tuples = np.zeros((n_rounds, 0))
-
-    sigma = ts.sigma if mode == "chi-square" else None
 
     def fit_rounds(rows):
         out = _polish(ts.t, y_rounds[rows], sigma, spec, best_tuples[rows], stats,
@@ -488,9 +461,8 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
                 summary_sigma[key] = float(np.std(np.asarray(vals), ddof=1))
             elif ref_e is not None:
                 summary_sigma[key] = float("nan")
-    for k in range(spec.k3 + 1):
-        col = eta - (spec.k3 + 1) + k
-        summary_sigma[f"M_{k}"] = float(param_sigma[col])
+    for k in range(spec.n_trend):
+        summary_sigma[f"M_{k}"] = float(param_sigma[eta - spec.n_trend + k])
 
     flags = diagnose_stability(
         ts, spec, refined, ref_summary, good, good_summaries,
@@ -502,11 +474,6 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
         summary_sigma=summary_sigma, flags=flags,
         failed_rounds=int(n_rounds - n_ok), grid_step=grid_step,
     )
-
-
-def _freq_columns(spec: ModelSpec) -> np.ndarray:
-    per = 2 * spec.k2 + 1
-    return np.array([i * per + 2 * spec.k2 for i in range(spec.k1)], dtype=np.intp)
 
 
 def _pair_cancellation(ts, spec, beta, stats, amps, threshold):
@@ -536,8 +503,7 @@ def diagnose_stability(ts, spec, refined: RefinedModel, ref_summary, draws,
     flags = []
     if spec.k1 == 0:
         return flags
-    fcols = _freq_columns(spec)
-    freq_draws = draws[:, fcols] if draws.size else np.zeros((0, spec.k1))
+    freq_draws = draws[:, layout(spec)[0]] if draws.size else np.zeros((0, spec.k1))
     all_freqs = np.vstack([refined.beta.freqs[None, :], freq_draws])
 
     intersecting = False

@@ -25,7 +25,7 @@ from scipy.special import fdtrc
 
 from .errors import ConfigError
 from .gridsearch import SearchConfig
-from .linfit import solve_linear
+from .linfit import row_sigma, solve_linear
 from .model import BetaVector, ModelSpec, eval_model
 from .pipeline import AnalysisOptions, DcmAnalysis, analyze
 from .timeseries import SpanStats, TimeSeries, span_stats
@@ -315,7 +315,6 @@ def prediction_test(ts: TimeSeries, split, specs, cfg: SearchConfig,
     stats_fit = span_stats(ts_fit)
     t_pred = ts.t[k:]
     y_pred = ts.y[k:]
-    sig_pred = sig[k:] if sig is not None else None
 
     reports = []
     for spec in specs:
@@ -324,10 +323,9 @@ def prediction_test(ts: TimeSeries, split, specs, cfg: SearchConfig,
         if t_pred.size:
             g_pred = eval_model(t_pred, spec, beta, stats_fit)
             resid = y_pred - g_pred
-            if analysis.weighting == "chi-square":
-                z_pred = float(np.sqrt(np.mean((resid / sig_pred) ** 2)))
-            else:
-                z_pred = float(np.sqrt(np.mean(resid ** 2)))
+            sigma = row_sigma(ts, analysis.weighting)
+            resid_w = resid if sigma is None else resid / sigma[k:]
+            z_pred = float(np.sqrt(np.mean(resid_w ** 2)))
         else:
             g_pred = np.empty(0)
             resid = None

@@ -304,6 +304,29 @@ def test_scan_rounds_worker_invariance():
     assert np.array_equal(b1, b4)
 
 
+@st.composite
+def lex_cases(draw):
+    b, r, k = draw(st.integers(1, 7)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    # few distinct values, so that equal z and equal tuple prefixes are common
+    z = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=b * r, max_size=b * r))
+    shape = (b, k) if draw(st.booleans()) else (b, r, k)
+    t = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=int(np.prod(shape)),
+                      max_size=int(np.prod(shape))))
+    return np.reshape(z, (b, r)), np.reshape(t, shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lex_cases())
+def test_lex_argmin_is_the_sort_rule(case):
+    z, tuples = case
+    got = gridsearch._lex_argmin(z, tuples)
+    assert got.shape == (z.shape[1],)
+    for c in range(z.shape[1]):
+        t = tuples if tuples.ndim == 2 else tuples[:, c]
+        want = min(range(z.shape[0]), key=lambda i: (z[i, c], tuple(t[i])))
+        assert got[c] == want
+
+
 # ---------------------------------------------------------------------------
 # the Gram screen and its exact verification
 # ---------------------------------------------------------------------------

@@ -5,10 +5,14 @@ them with Cramer's rule, hand-expanded determinants and all.  It shares
 no code path with the SVD machinery under test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from dcmethod import ConfigError, ModelSpec, TimeSeries, span_stats
+from dcmethod import (ConfigError, ModelSpec, SearchConfig, TimeSeries, long_search,
+                      periodogram_slice, refine, short_search, span_stats)
+from dcmethod.gridsearch import scan_rounds
 from dcmethod.linfit import (
     BatchSolver,
     design_solver,
@@ -71,6 +75,69 @@ def test_weighting_chi_square_needs_sigma():
 def test_weighting_unknown_mode():
     with pytest.raises(ConfigError):
         weighting_mode(sine_series(), "quadrature")
+
+
+def _bits(obj):
+    """Every float of a result as bytes, walking dataclasses and lists."""
+    if dataclasses.is_dataclass(obj):
+        return [_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [_bits(o) for o in obj]
+    if isinstance(obj, (np.ndarray, float)):
+        a = np.asarray(obj)
+        return a.dtype.str, a.shape, a.tobytes()
+    return obj
+
+
+def test_unweighted_mode_ignores_the_sigma_column():
+    # one weighting resolver: weighting="unweighted" on a weighted series
+    # gives the bits of the same series without its sigma column, through
+    # every entry that takes a weighting
+    rng = np.random.default_rng(4)
+    n = 40
+    t = np.sort(rng.random(n)) * 3.0
+    y = (np.cos(2 * np.pi * 2.1 * t) + 0.6 * np.sin(2 * np.pi * 1.3 * t) + 0.5
+         + rng.normal(0, 0.1, n))
+    weighted = TimeSeries(t, y, rng.uniform(0.05, 0.3, n))
+    plain = TimeSeries(t, y)
+    spec = ModelSpec(2, 1, 0)
+    cfg = SearchConfig(0.8, 2.6, n_long=24, n_short=12)
+    stats = span_stats(plain)
+    y_rounds = y[None, :] + rng.normal(0, 0.1, (3, n))
+    start = np.array([2.05, 1.32])
+
+    def entries(ts, weighting):
+        long = long_search(ts, spec, cfg, stats, weighting)
+        short = short_search(ts, spec, cfg, long.best, stats, weighting)
+        return [
+            long, short,
+            scan_rounds(ts, spec, short.grids, y_rounds, stats, weighting),
+            periodogram_slice(ts, spec, start, 1, short.grids[1], stats, weighting),
+            refine(ts, spec, start, stats, weighting),
+            solve_linear(ts, spec, start, stats, weighting),
+            evaluate_z(ts, spec, np.stack([start, start[::-1], [2.0, 2.0]]), stats,
+                       weighting),
+        ]
+
+    want = entries(plain, None)
+    got = entries(weighted, "unweighted")
+    for name, w, g in zip(["long_search", "short_search", "scan_rounds",
+                           "periodogram_slice", "refine", "solve_linear", "evaluate_z"],
+                          want, got):
+        assert _bits(g) == _bits(w), name
+    assert _bits(entries(weighted, "chi-square")) != _bits(want)
+
+    grids = want[1].grids
+    for call in (lambda: long_search(plain, spec, cfg, stats, "chi-square"),
+                 lambda: short_search(plain, spec, cfg, start, stats, "chi-square"),
+                 lambda: scan_rounds(plain, spec, grids, y_rounds, stats, "chi-square"),
+                 lambda: periodogram_slice(plain, spec, start, 0, grids[0], stats,
+                                           "chi-square"),
+                 lambda: refine(plain, spec, start, stats, "chi-square"),
+                 lambda: solve_linear(plain, spec, start, stats, "chi-square"),
+                 lambda: evaluate_z(plain, spec, start[None], stats, "chi-square")):
+        with pytest.raises(ConfigError, match="sigma column"):
+            call()
 
 
 # ---------------------------------------------------------------------------

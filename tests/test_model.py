@@ -21,6 +21,7 @@ from dcmethod import (
     trend_values,
 )
 from dcmethod.model import _local_extrema, param_names, scaled_time
+from dcmethod.refine import _interleaved
 
 UNIT = SpanStats(t_mid=0.5, delta_t=1.0, f0=1.0, y_mean=0.0, y_std=0.0)
 
@@ -78,6 +79,30 @@ def test_interleaved_round_trip():
     assert np.array_equal(back.linear, beta.linear)
     # frequencies sit after each signal's cos/sin block
     assert vec[4] == 2.0 and vec[9] == 1.0
+
+    # every entry, by name, on shapes with no signal, no trend and
+    # several signals and harmonics; the polish's stacked rows agree
+    for spec in (ModelSpec(2, 2, 1), ModelSpec(0, 1, 2), ModelSpec(1, 1, -1),
+                 ModelSpec(2, 3, -1), ModelSpec(3, 2, 1)):
+        freqs = rng.uniform(1.0, 3.0, size=(4, spec.k1))
+        linear = rng.normal(size=(4, spec.n_linear))
+        rows = _interleaved(spec, freqs, linear)
+        for f, x, row in zip(freqs, linear, rows):
+            beta = BetaVector(f, x)
+            vec = beta.interleaved(spec)
+            assert np.array_equal(row, vec), spec.label
+            named = dict(zip(param_names(spec), vec))
+            assert len(named) == spec.eta
+            for i in range(spec.k1):
+                assert named[f"f_{i + 1}"] == f[i]
+                block = beta.signal_coeffs(spec, i)
+                for j in range(spec.k2):
+                    assert named[f"B_{i + 1}_{j + 1}"] == block[j, 0]
+                    assert named[f"C_{i + 1}_{j + 1}"] == block[j, 1]
+            for k, m in enumerate(beta.trend_coeffs(spec)):
+                assert named[f"M_{k}"] == m
+            back = BetaVector.from_interleaved(spec, vec)
+            assert np.array_equal(back.freqs, f) and np.array_equal(back.linear, x)
 
 
 def test_from_interleaved_wrong_length():
