@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ConfigError
 from .timeseries import SpanStats
@@ -209,7 +210,7 @@ def trend_values(t, spec: ModelSpec, beta: BetaVector, stats: SpanStats):
         return np.zeros_like(t)
     tt = scaled_time(t, stats)
     m = beta.trend_coeffs(spec)
-    return np.polynomial.polynomial.polyval(tt, m)
+    return polyval(tt, m)
 
 
 def trend_ranges(spec: ModelSpec, beta: BetaVector) -> np.ndarray:

@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigError
 from .gridsearch import SearchConfig, ordered_map, scan_rounds
@@ -96,8 +97,8 @@ class RefinedModel:
     to ||J|| ||r||), ``z-tol`` (a negligible step no longer lowers the
     misfit), ``no-descent`` (no damping factor lowers the misfit) or
     ``max-iter`` (step cap reached); ``converged`` holds exactly for the
-    first two; ``refine`` always sets ``stop``, and a pure trend, with
-    no frequency to polish, stops on ``grad`` after 0 steps.
+    first two.  A pure trend, with no frequency to polish, stops on
+    ``grad`` after 0 steps.
     """
 
     beta: BetaVector
@@ -108,7 +109,7 @@ class RefinedModel:
     z_initial: float
     iterations: int
     converged: bool
-    stop: str | None = None
+    stop: str
 
     @property
     def stat(self) -> float:
@@ -347,7 +348,7 @@ def _resample_rounds(g_fit, residuals, n_rounds, seed):
     n = g_fit.size
     out = np.empty((n_rounds, n))
     for r in range(n_rounds):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        rng = default_rng(SeedSequence(seed, spawn_key=(r,)))
         out[r] = g_fit + residuals[rng.integers(0, n, size=n)]
     return out
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .errors import ConfigError
 from .gridsearch import SearchConfig
@@ -111,6 +110,9 @@ def fisher_test(simple: ModelScore, complex: ModelScore, n: int,
     elif np.isinf(f_value):
         q_f = QF_FLOOR
     else:
+        # SciPy is loaded here, on the first finite F, so that the verbs
+        # without an F test start without it.
+        from scipy.special import fdtrc
         q_f = max(float(fdtrc(nu1, nu2, f_value)), QF_FLOOR)
     reject = q_f < gamma
     return FisherComparison(

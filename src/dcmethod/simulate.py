@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import ConfigError
 from .model import BetaVector, ModelSpec, SignalSummary, summarize_signals
@@ -132,7 +133,7 @@ def simulate(sim: SimulationSpec) -> TimeSeries:
     no sigma column.
     """
     mdef = MODELS[sim.model_id]
-    rng = np.random.default_rng(sim.seed)
+    rng = default_rng(sim.seed)
     t = np.sort(rng.random(sim.n))
     t[0] = 0.0
     t[-1] = 1.0

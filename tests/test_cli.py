@@ -1,10 +1,14 @@
 """End-to-end driver tests: control files, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dcmethod
 from dcmethod.cli import main
 from dcmethod.simulate import SimulationSpec, simulate
 from dcmethod.timeseries import load_series, write_series
@@ -387,3 +391,39 @@ out = custom/name.dat
     truth = json.loads((tmp_path / "custom" / "name.truth.json").read_text())
     assert truth["seed"] == 11
     assert truth["model"] == 2
+
+
+STARTUP_PROBE = """\
+import json, sys
+import dcmethod.cli as cli
+preloaded = [m in sys.modules for m in ("numpy.random", "numpy.polynomial.polynomial")]
+rc = cli.main(["run", "--control", sys.argv[1]])
+scipy_after_run = "scipy" in sys.modules
+from dcmethod.selection import ModelScore, fisher_test
+cmp = fisher_test(ModelScore("a", 3, 10.0), ModelScore("b", 5, 8.0), 40)
+import scipy.special
+exact = cmp.q_f == float(scipy.special.fdtrc(cmp.nu1, cmp.nu2, cmp.f_value))
+print(json.dumps({"preloaded": preloaded, "rc": rc, "scipy": scipy_after_run,
+                  "q_f": cmp.q_f, "exact": exact}))
+"""
+
+
+def test_run_starts_without_scipy(tmp_path):
+    # a fresh interpreter: `dcm run` (bootstrap included) never loads
+    # SciPy, the NumPy submodules it uses load with the CLI, and the
+    # F test still gets its tail probability from SciPy's fdtrc
+    make_data(tmp_path / "series.dat")
+    ctl = write_control(tmp_path / "case.ctl", RUN_CTL)
+    # the child imports the same dcmethod as this process
+    src = os.path.dirname(os.path.dirname(dcmethod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, ctl], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["rc"] == 0
+    assert got["preloaded"] == [True, True]
+    assert got["scipy"] is False
+    assert 1e-3 < got["q_f"] < 1.0
+    assert got["exact"] is True

@@ -240,7 +240,8 @@ def fabricated_state(spec, freqs, linear, ts):
     resid = ts.y - eval_model(ts.t, spec, beta, stats)
     refined = RefinedModel(beta=beta, residuals=resid,
                            r_sum=float(resid @ resid), chi2=None,
-                           z=1.0, z_initial=1.0, iterations=0, converged=True)
+                           z=1.0, z_initial=1.0, iterations=0, converged=True,
+                           stop="grad")
     return stats, beta, refined
 
 
