@@ -107,9 +107,10 @@ and every tuple with z_lo <= Z for some right-hand side is re-scored by
 the exact kernel: its weighted design matrix is gathered from C into a
 C-contiguous (B, n, m) array, the layout ``design_matrix`` returns (the
 matmul bits depend on it), so it equals ``weighted_design(...)`` bit
-for bit; ``BatchSolver`` factors it once and ``misfit`` solves the
-right-hand sides in blocks of ``r_block`` columns.  The tuple that
-attains each Z is among them.  Any other tuple has exact z >= z_lo > Z
+for bit; ``BatchSolver`` factors it once and ``misfit`` fits every
+right-hand side as its own column, so each exact z is ``solve_linear``'s
+for that tuple and series, whatever chunk or round block it is in.  The
+tuple that attains each Z is among them.  Any other tuple has exact z >= z_lo > Z
 >= the exact minimum, strictly above it.  One rule, ``_lex_argmin``
 (lowest exact z, ties to the lexicographically smallest tuple), picks
 each round's winner inside every exact chunk and once more over the
@@ -121,9 +122,9 @@ needs the guarded ones.
 A slice point is a tuple over the stage's grids too (the varied
 frequency is on its axis's grid, the others are the best tuple's), so
 its columns are in C as well.  Slice points skip the screen: each is
-scored from gathered columns with the one-column ``misfit`` of
-``evaluate_z``, so every slice z equals ``periodogram_slice``'s bit for
-bit, duplicated frequencies included.
+scored from gathered columns by the same exact entry as the survivors,
+so every slice z equals ``periodogram_slice``'s and ``solve_linear``'s
+bit for bit, duplicated frequencies included.
 
 Work is split into tuple chunks whose size depends only on the problem
 dimensions, never on the worker count, and every stage (screen, exact
@@ -153,15 +154,12 @@ from .linfit import design_solver  # noqa: F401
 __all__ = ["SearchConfig", "Slice", "Periodogram", "long_search", "short_search",
            "periodogram_slice", "scan_rounds", "ordered_map"]
 
-# Elements of one (tuples, n, m) exact-kernel array per chunk.  The
-# scans send only guarded and near-minimum tuples and the slice points
-# there; small batches keep peak memory down and give a pool of two or
-# more workers several chunks per stage.
+# Elements of one (tuples, n, m) exact-kernel array per chunk, and of
+# one (tuples, rounds, n) residual block.  The scans send only guarded
+# and near-minimum tuples and the slice points there; small batches
+# keep peak memory down and give a pool of two or more workers several
+# chunks per stage.
 _EXACT_TARGET = 250_000
-# The exact pass solves the right-hand sides in blocks of
-# _CHUNK_TARGET // (rows n) columns, rows = _chunk_rows(n, m); the exact
-# misfit bits depend on that block width, so it keeps this sizing.
-_CHUNK_TARGET = 4_000_000
 _CHUNK_MAX = 4096
 _CHUNK_MIN = 16
 # Elements of one (tuples, m, m + rounds) screen array per chunk.
@@ -252,7 +250,7 @@ def ordered_map(fn, items, workers):
             yield pending.popleft().result()
 
 
-def _chunk_rows(n: int, m: int, target: int = _CHUNK_TARGET) -> int:
+def _chunk_rows(n: int, m: int, target: int) -> int:
     rows = target // max(1, n * m)
     return int(min(_CHUNK_MAX, max(_CHUNK_MIN, rows)))
 
@@ -324,8 +322,6 @@ class _Blocks:
         self.delta_m = _gamma(m + 1)
         self.rows = _chunk_rows(m + self.n_rhs, m, _SCREEN_TARGET)
         self.exact_rows = _chunk_rows(ts.n, m, _EXACT_TARGET)
-        self.r_block = int(max(1, min(self.n_rhs, _CHUNK_TARGET
-                                      // max(1, _chunk_rows(ts.n, m) * ts.n))))
 
     def drop_screen(self):
         """Free the Grams and right-hand sides; C stays for the exact pass."""
@@ -356,24 +352,28 @@ class _Blocks:
             out[:, :, j] = self.cols[:, idx[:, j]].T
         return out
 
-    def rescore(self, tuples: np.ndarray):
-        """Exact kernel on a chunk of survivors.
+    def exact(self, tuples: np.ndarray):
+        """Exact z of every tuple of a chunk against every round, (B, R),
+        and whether any tuple was rank deficient.
 
-        Each tuple is factored once and solved for every round,
-        ``r_block`` right-hand sides at a time.  Returns per round the
-        lowest z and its tuple (``_lex_argmin``), and whether any tuple
-        of the chunk was rank deficient.
+        Each tuple is factored once; ``BatchSolver.misfit`` fits the
+        rounds ``max(1, _EXACT_TARGET // (B n))`` at a time.  That block
+        bounds memory only: every z is ``solve_linear``'s for its tuple
+        and round.
         """
         solver = BatchSolver(self.design(tuples))
-        z = np.concatenate([solver.misfit(self.yw[None, :, r0:r0 + self.r_block], self.n)
-                            for r0 in range(0, self.n_rhs, self.r_block)], axis=1)
-        pick = _lex_argmin(z, tuples)
-        return z[pick, np.arange(self.n_rhs)], tuples[pick], bool(solver.degenerate.any())
+        step = max(1, _EXACT_TARGET // (tuples.shape[0] * self.n))
+        z = np.concatenate([solver.misfit(self.yw[None, :, r0:r0 + step], self.n)
+                            for r0 in range(0, self.n_rhs, step)], axis=1)
+        return z, bool(solver.degenerate.any())
 
-    def misfit(self, tuples: np.ndarray) -> np.ndarray:
-        """Exact z of each tuple against the first data column, solved as
-        ``evaluate_z`` solves it, (B,)."""
-        return BatchSolver(self.design(tuples)).misfit(self.yw[None, :, :1], self.n)[:, 0]
+    def rescore(self, tuples: np.ndarray):
+        """Exact kernel on a chunk of survivors: per round the lowest z
+        and its tuple (``_lex_argmin``), and whether any tuple of the
+        chunk was rank deficient."""
+        z, degenerate = self.exact(tuples)
+        pick = _lex_argmin(z, tuples)
+        return z[pick, np.arange(self.n_rhs)], tuples[pick], degenerate
 
     def score(self, tuples: np.ndarray):
         """Screen a tuple chunk.
@@ -527,16 +527,17 @@ def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
     """
     if stats is None:
         stats = span_stats(ts)
-    freqs = np.asarray(freqs, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    rows = _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET)
-    out = np.empty(grid.size)
-    for start in range(0, grid.size, rows):
-        block = grid[start:start + rows]
-        tuples = np.tile(freqs, (block.size, 1))
-        tuples[:, axis] = block
-        out[start:start + rows] = evaluate_z(ts, spec, tuples, stats, weighting)[0]
-    return out
+    tuples = _cut(np.asarray(freqs, dtype=float), axis, np.asarray(grid, dtype=float))
+    z = [evaluate_z(ts, spec, c, stats, weighting)[0]
+         for c in _batches(tuples, _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET))]
+    return np.concatenate(z) if z else np.empty(0)
+
+
+def _cut(freqs, axis, grid):
+    """Tuples equal to ``freqs`` except on ``axis``, which runs over ``grid``."""
+    tuples = np.tile(freqs, (grid.size, 1))
+    tuples[:, axis] = grid
+    return tuples
 
 
 def _slices(blocks, grids, best, workers) -> list[Slice]:
@@ -546,13 +547,9 @@ def _slices(blocks, grids, best, workers) -> list[Slice]:
     The k1 x grid-size points are scored from ``blocks``' columns in
     ``_EXACT_TARGET`` chunks through ``ordered_map``.
     """
-    points = []
-    for axis, g in enumerate(grids):
-        tuples = np.tile(best, (g.size, 1))
-        tuples[:, axis] = g
-        points.append(tuples)
-    z = np.concatenate(list(ordered_map(
-        blocks.misfit, _batches(np.concatenate(points), blocks.exact_rows), workers)))
+    points = np.concatenate([_cut(best, axis, g) for axis, g in enumerate(grids)])
+    z = np.concatenate([chunk_z for chunk_z, _ in ordered_map(
+        blocks.exact, _batches(points, blocks.exact_rows), workers)])[:, 0]
     cuts = np.cumsum([g.size for g in grids])[:-1]
     return [Slice(signal=i + 1, f=g, z=zi)
             for i, (g, zi) in enumerate(zip(grids, np.split(z, cuts)))]
@@ -627,8 +624,10 @@ def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1
     behind both search stages with one right-hand side per round: the
     screen scores all rounds from one set of Grams, and the exact kernel
     factors each surviving tuple once and reuses the factors for every
-    round.  With ``y_rounds = ts.y[None]`` it returns the z_min and best
-    tuple of a search stage over the same grids, bit for bit.
+    round.  Each round's z_min is ``solve_linear``'s on that round's
+    series at its best tuple, bit for bit, so with ``y_rounds =
+    ts.y[None]`` it returns the z_min and best tuple of a search stage
+    over the same grids.
 
     Parameters
     ----------

@@ -12,14 +12,18 @@ condition flag rather than failing.
 Weighted fits scale rows by 1/sigma_i, which turns the residual sum of
 squares into chi-square.  That is one step: ``row_sigma`` turns the
 weighting into the row divisor (None unweighted), ``weighted_design``
-divides the design rows by it.  Every solve runs through one kernel,
-``BatchSolver``, with two entries: ``fit`` for rows that each have their
-own matrix and data (a single fit, the polish, the spectral baseline),
-``BatchSolver.misfit`` for one matrix per tuple against many right-hand
-sides (the scans, the slices, the bootstrap rounds).  A scan evaluated
-tuple-by-tuple thus reproduces a batched scan bit for bit.  Residuals
-are always explicit, b - A x; norm-difference identities cancel
-catastrophically when the fit is near exact.
+divides the design rows by it.  Every fit runs through one kernel,
+``BatchSolver``, and one reduction: ``BatchSolver.residuals`` solves
+each data row as its own contiguous column and forms its explicit
+residual b - A x, and ``sumsq`` sums its squares.  Both entries go
+through it: ``fit`` for rows that each have their own matrix and data
+(a single fit, the polish, the spectral baseline), ``BatchSolver.misfit``
+for one matrix per tuple against many data rows (the scans, the slices,
+the bootstrap rounds).  So every z is the one-column fit: a tuple scored
+inside any batch, against any number of rounds, reproduces
+``solve_linear`` on that tuple and series bit for bit.  Residuals are
+always explicit; norm-difference identities cancel catastrophically
+when the fit is near exact.
 
 This kernel is the reference every reported misfit comes from.  The
 grid scans (``gridsearch``) score most tuples far more cheaply from
@@ -88,7 +92,9 @@ class BatchSolver:
         if a.ndim != 3:
             raise ValueError("expected a (batch, n, m) array")
         self.a = a
-        self.u, s, self.vt = np.linalg.svd(a, full_matrices=False)
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        # kept transposed, as every solve uses them: x = V S^+ U^T b
+        self.ut, self.v = np.swapaxes(u, -1, -2), np.swapaxes(vt, -1, -2)
         keep = s > RANK_RCOND * s[..., :1]
         self._sinv = np.where(keep, 1.0 / np.where(s > 0.0, s, 1.0), 0.0)
         self.rank = keep.sum(axis=-1)
@@ -99,19 +105,34 @@ class BatchSolver:
         return self.rank < self.m
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Minimum norm solutions ``x`` of shape (batch, m, rhs).
+        """Minimum norm solutions ``x`` of shape (batch, m, rhs) for
+        ``b`` broadcasting against (batch, n, rhs), all columns in one
+        product: for multi-column right-hand sides such as the polish's
+        Jacobian.  Fits and misfits go through ``residuals``."""
+        return np.matmul(self.v, self._sinv[..., None] * np.matmul(self.ut, b))
 
-        ``b`` must broadcast against (batch, n, rhs).  Callers that need
-        the residual form it explicitly as ``b - a x``.
+    def residuals(self, rows: np.ndarray):
+        """Fit data row ``rows[b, r]`` on matrix b alone, for ``rows``
+        broadcasting against (batch, R, n).
+
+        Returns the coefficients x, (batch, R, m), and the explicit
+        residuals rows - A x, (batch, R, n).  Each row is solved as its
+        own C-contiguous (n, 1) column, so every pair takes the
+        matrix-vector products one series fitted alone takes, whatever
+        R, the batch or the row's stride: its bits are ``solve_linear``'s.
         """
-        uy = np.matmul(np.swapaxes(self.u, -1, -2), b)
-        return np.matmul(np.swapaxes(self.vt, -1, -2), self._sinv[..., None] * uy)
+        col = np.ascontiguousarray(rows, dtype=float)[..., None]
+        uy = np.matmul(self.ut[:, None], col)
+        x = np.matmul(self.v[:, None], self._sinv[:, None, :, None] * uy)
+        resid = np.matmul(self.a[:, None], x)
+        np.subtract(col, resid, out=resid)
+        return x[..., 0], resid[..., 0]
 
     def misfit(self, b: np.ndarray, n_points: int) -> np.ndarray:
-        """z = sqrt(rss / n) per (batch, rhs) pair."""
-        resid = b - np.matmul(self.a, self.solve(b))
-        rss = np.einsum("bnr,bnr->br", resid, resid)
-        return np.sqrt(rss / n_points)
+        """z = sqrt(rss / n) per (batch, rhs) pair, for ``b``
+        broadcasting against (batch, n, rhs): each column fitted alone
+        by ``residuals``."""
+        return np.sqrt(sumsq(self.residuals(np.swapaxes(b, -1, -2))[1]) / n_points)
 
 
 def design_solver(ts, spec, freq_batch, stats, weighting=None) -> BatchSolver:
@@ -148,9 +169,8 @@ def fit(a: np.ndarray, yw: np.ndarray) -> RowFit:
     design matrix ``a[r]`` (R, n, m).  Each slice is the computation one
     row alone makes: factor, solve, explicit residual, sum of squares."""
     solver = BatchSolver(a)
-    x = solver.solve(yw[:, :, None])
-    rw = yw - np.matmul(solver.a, x)[:, :, 0]
-    return RowFit(solver, x[:, :, 0], rw, sumsq(rw))
+    x, rw = solver.residuals(yw[:, None])
+    return RowFit(solver, x[:, 0], rw[:, 0], sumsq(rw[:, 0]))
 
 
 def unweighted(resid_w: np.ndarray, wsum: float, sigma: np.ndarray | None):
@@ -244,8 +264,7 @@ def evaluate_z(
         True where the solve was rank deficient.
     """
     solver = design_solver(ts, spec, freq_batch, stats, weighting)
-    bw = weighted_y(ts, weighting)
-    z = solver.misfit(bw[None, :, None], ts.n)
+    z = solver.misfit(weighted_y(ts, weighting)[None, :, None], ts.n)
     return z[:, 0], solver.degenerate
 
 

@@ -11,7 +11,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dcmethod import (
     ConfigError,
@@ -34,7 +34,8 @@ from dcmethod.gridsearch import (
     periodogram_slice,
     scan_rounds,
 )
-from dcmethod.linfit import design_solver, solve_linear, weighted_y, weighting_mode
+from dcmethod.linfit import (design_solver, evaluate_z, solve_linear, sumsq, weighted_y,
+                             weighting_mode)
 from dcmethod.model import design_matrix
 
 
@@ -119,9 +120,10 @@ def test_product_chunks_single_axis_is_plain_grid():
 
 
 def test_chunk_rows_depends_only_on_dimensions():
-    assert _chunk_rows(100, 5) == _chunk_rows(100, 5)
-    assert _chunk_rows(10, 2) == 4096  # capped
-    assert _chunk_rows(10**6, 100) == 16  # floored
+    target = gridsearch._EXACT_TARGET
+    assert _chunk_rows(100, 5, target) == _chunk_rows(100, 5, target)
+    assert _chunk_rows(10, 2, target) == 4096  # capped
+    assert _chunk_rows(10**6, 100, target) == 16  # floored
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +286,10 @@ def test_scan_rounds_matches_per_tuple_brute_force():
     assert np.array_equal(z_min, want_z)
     assert np.array_equal(best, want_f)
 
-    # and the per-round winners agree with the plain single-series
-    # solver to rounding error (different BLAS shapes, same answer)
+    # and the per-round winners are the plain single-series solver's bits
     for r in range(4):
         ts_r = TimeSeries(ts.t, y_rounds[r], ts.sigma)
-        fit = solve_linear(ts_r, spec, best[r], stats)
-        assert z_min[r] == pytest.approx(fit.z, rel=1e-12)
+        assert z_min[r] == solve_linear(ts_r, spec, best[r], stats).z
 
 
 def test_scan_rounds_worker_invariance():
@@ -371,8 +371,7 @@ def test_screen_bound_holds_and_degenerate_tuples_are_guarded(case):
     # the screen's columns are the exact kernel's, bit for bit
     assert np.array_equal(blocks.cols[:, blocks.columns(tuples)].transpose(1, 0, 2),
                           solver.a)
-    resid = yw[None, :, :] - solver.a @ solver.solve(yw[None, :, :])
-    exact = np.einsum("bnr,bnr->br", resid, resid)
+    exact = sumsq(solver.residuals(yw.T)[1])
     assert np.all(np.abs(rss - exact[ok]) <= bound)
     assert not np.any(ok & solver.degenerate)
 
@@ -473,21 +472,15 @@ def test_model7_hazard_scans_match_brute_force():
     ok, rss, _ = blocks.score(short_tuples)
     assert not np.array_equal(short_tuples[ok][np.argmin(rss[:, 0])], f_want)
 
-    # rounds: the per-tuple reference solves all rounds as one block, as
-    # the scanner does (one-column solves differ in the last digits here)
+    # rounds: each round's winner is the brute force over its own series
     rng = np.random.default_rng(11)
     y_rounds = ts.y[None, :] + ts.sigma[None, :] * rng.normal(size=(3, ts.n))
     z_min, best = scan_rounds(ts, spec, sh.grids, y_rounds, stats)
-    yw = y_rounds.T / ts.sigma[:, None]
-    z_all = np.array([design_solver(ts, spec, f[None, :], stats).misfit(yw[None], ts.n)[0]
-                      for f in short_tuples])
     for r in range(3):
-        order = np.lexsort(short_tuples.T[::-1])
-        i = order[np.argmin(z_all[order, r])]
-        assert z_min[r] == z_all[i, r]
-        assert np.array_equal(best[r], short_tuples[i])
         ts_r = TimeSeries(ts.t, y_rounds[r], ts.sigma)
-        assert np.array_equal(best[r], brute_force_best(ts_r, spec, sh.grids)[1])
+        z_want, f_want = brute_force_best(ts_r, spec, sh.grids)
+        assert z_min[r] == z_want
+        assert np.array_equal(best[r], f_want)
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +629,71 @@ def test_each_round_keeps_its_own_survivors_and_best(monkeypatch):
     for r in range(2):
         pg = long_search(TimeSeries(ts.t, y_rounds[r], ts.sigma), spec, cfg)
         assert np.array_equal(best[r], pg.best)
-        # one-column solves differ in the last digits (README, Determinism)
-        assert z_min[r] == pytest.approx(pg.z_min, rel=1e-12)
+        assert z_min[r] == pg.z_min
     assert not np.array_equal(best[0], best[1])
+
+
+# ---------------------------------------------------------------------------
+# every reported z is solve_linear's
+# ---------------------------------------------------------------------------
+
+@st.composite
+def one_column_cases(draw):
+    return dict(n=draw(st.integers(20, 1000)), k1=draw(st.integers(1, 2)),
+                k2=draw(st.integers(1, 2)), k3=draw(st.integers(-1, 2)),
+                weighted=draw(st.booleans()), rounds=draw(st.integers(1, 8)),
+                seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(one_column_cases())
+# the bootstrap shape: many rounds, strided columns of the (n, R) data
+@example(dict(n=1000, k1=1, k2=1, k3=0, weighted=True, rounds=6, seed=42))
+def test_every_scan_z_is_the_one_column_fit(case):
+    rng = np.random.default_rng(case["seed"])
+    n = case["n"]
+    t = np.sort(rng.uniform(0.0, 20.0, n))
+    y = (np.cos(2 * np.pi * 1.3 * t) + 0.6 * np.sin(2 * np.pi * 0.9 * t + 0.4)
+         + 0.01 * t + rng.normal(0, 0.3, n))
+    sigma = rng.uniform(0.2, 0.5, n) if case["weighted"] else None
+    ts = TimeSeries(t, y, sigma)
+    spec = ModelSpec(case["k1"], case["k2"], case["k3"])
+    stats = span_stats(ts)
+    cfg = SearchConfig(0.5, 2.0, n_long=9, n_short=5, half_width_frac=0.1)
+
+    def z_alone(series, f):
+        return solve_linear(series, spec, f, stats).z
+
+    long_pg = long_search(ts, spec, cfg, stats)
+    short_pg = short_search(ts, spec, cfg, long_pg.best, stats)
+    for pg in (long_pg, short_pg):
+        assert pg.z_min == z_alone(ts, pg.best)
+        for s in pg.slices:
+            tuples = np.tile(pg.best, (s.f.size, 1))
+            tuples[:, s.signal - 1] = s.f
+            want = np.array([z_alone(ts, f) for f in tuples])
+            assert np.array_equal(s.z, want)
+            assert np.array_equal(evaluate_z(ts, spec, tuples, stats)[0], want)
+            assert np.array_equal(periodogram_slice(ts, spec, pg.best, s.signal - 1,
+                                                    s.f, stats), want)
+
+    y_rounds = ts.y[None, :] + rng.normal(0, 0.3, (case["rounds"], n))
+    z_min, best = scan_rounds(ts, spec, short_pg.grids, y_rounds, stats)
+    for r in range(case["rounds"]):
+        assert z_min[r] == z_alone(TimeSeries(ts.t, y_rounds[r], ts.sigma), best[r])
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 8, 64])
+def test_round_z_does_not_depend_on_the_round_count(rounds):
+    # model 7 g(2,2,2): solved as one matrix-matrix product, two or more
+    # rounds gave 9.08630467606394 here against the one-column 9.086304676050819
+    ts = simulate(SimulationSpec(7, 40, 1e6, seed=5))
+    spec = ModelSpec(2, 2, 2)
+    stats = span_stats(ts)
+    f = np.array([0.8, 0.7])
+    want = solve_linear(ts, spec, f, stats).z
+    z_min, best = scan_rounds(ts, spec, [f[:1], f[1:]], np.tile(ts.y, (rounds, 1)), stats)
+    assert np.array_equal(best, np.tile(f, (rounds, 1)))
+    assert (z_min == want).all()
+    assert (design_solver(ts, spec, f[None], stats).misfit(
+        np.tile(weighted_y(ts)[:, None], rounds)[None], ts.n) == want).all()
