@@ -21,33 +21,65 @@ trend columns are therefore built once, as one matrix C, by the exact
 kernel's own expression (``linfit.weighted_design``), so the design
 matrix A of a tuple is a column subset of C, bit for bit.  C is kept
 for the whole scan: the exact pass gathers each tuple's A from it
-instead of rebuilding it.  One matmul gives every cross-Gram C^T C, one
-more every right-hand side C^T y_w (all bootstrap rounds at once).
-Each tuple gathers its m x m Gram G = A^T A and b = A^T y_w and is
-scored in O(m^3), independent of n (the joint, multi-term form of the
-generalised Lomb-Scargle normal equations):
+instead of rebuilding it.  The entries of C^T C a tuple can gather (one
+frequency per signal axis: between two axes' grids, within a grid that
+several axes share, each frequency's own block, and the trend's), every
+right-hand side C^T y_w (all bootstrap rounds at once) and every
+y_w^T y_w are formed over row blocks of n_b = ceil(sqrt(n)) rows: the
+partials of each block come from its rows alone and are added in place
+into one running buffer.  Each tuple gathers its m x m
+Gram G = A^T A and b = A^T y_w and is scored in O(m^3), independent of
+n (the joint, multi-term form of the generalised Lomb-Scargle normal
+equations):
 
-    x = G^-1 b,    rss = s - 2 b^T x + x^T G x,    s = y_w^T y_w.
+    x = G^-1 b,    rss = s - 2 b^T x + x^T G x,    s = y_w^T y_w,
 
-For any x the formula equals ||y_w - A x||^2 = rss* + ||A (x - x*)||^2,
-with x* the exact least squares solution, so it is second order in the
-solve error.
+with x from a Cholesky factor G = R^T R.  For any x the formula equals
+||y_w - A x||^2 = rss* + ||A (x - x*)||^2, with x* the exact least
+squares solution, so it is second order in the solve error.
 
-Notation: u = 2^-53, gamma_k = k u / (1 - k u), delta = gamma_k with
-k = n + 2m + 4 (one dot product of length n or m, a few times over).
-a^2 = ||A||_F^2, taken as trace(G)(1 + 2 delta); c_j >= ||A_j|| the
-column norms, from diag(G); lam the eigenvalues of the computed Gram.
-The computed G, b and s differ from the exact ones by at most gamma_n
-times |A|^T|A|, |A|^T|y| and y^T y elementwise, for any summation
-order.  The LAPACK symmetric eigensolver and thin SVD are normwise
-backward stable; their backward-error constants are taken to lie
-within delta.
+Notation: u = 2^-53, gamma_k = k u / (1 - k u), K = ceil(n / n_b) the
+number of row blocks.  Two constants split the rounding:
+
+- delta_f = gamma_k with k = n_b + K - 1 + 2m + 4.  Each entry of the
+  computed G, b and s is a length-n_b dot product per block, in any
+  order, followed by K - 1 additions, so it differs from the exact one
+  by at most gamma_(n_b+K-1) times |A|^T|A|, |A|^T|y| and y^T y
+  elementwise (Higham 2002, Accuracy and Stability, ch. 3); the 2m + 4
+  covers the screen's own length-m dot products.
+- delta = gamma_k with k = n + 2m + 4, the exact kernel's: its thin SVD
+  is normwise backward stable with the backward-error constant taken to
+  lie within delta, and its sums of squares run over n rows.
+
+a^2 = ||A||_F^2, taken as trace(G)(1 + 2 delta_f); c_j >= ||A_j|| the
+column norms, from diag(G).  As everywhere here, nothing underflows or
+overflows.
 
 Guard
 -----
-By Weyl, every eigenvalue of the exact G lies within delta a^2 of the
-computed one, so lam_lo = lam_min - delta a^2 <= lam_min(G).  A tuple
-goes to the exact kernel unless lam_lo > 0 and
+The certificate (Rump 2006, "Verification of positive definiteness",
+BIT 46, 433): for t >= 0 let M = fl(G - t I), the computed Gram with t
+subtracted from its diagonal.  If the floating-point Cholesky of M
+completes with positive pivots, R^T R = M + E with |E| <= gamma_(m+1)
+|R|^T |R| (Higham 2002, Thm 10.3), and || |R|^T |R| || <= ||R||_F^2 <=
+tr(M) / (1 - gamma_(m+1)) <= tr(G) / (1 - gamma_(m+1)); the rounded
+diagonal of M is off by at most u max_j G_jj.  R^T R is positive
+definite, so
+
+    lam_min(G) > t - rho,    rho = gamma_(2m+3) tr(G).
+
+The screen factors G once, estimates lam_s = 0.95 / trace(G^-1) =
+0.95 / ||R^-T||_F^2 from that factor (in exact arithmetic 1 / trace(G^-1)
+lies between lam_min / m and lam_min, and is close to lam_min when one
+eigenvalue is far below the others, as in a near-singular tuple), and
+factors M at t = lam_s + 2 rho; the second rho covers the rounding of
+rho and t, since lam_s <= tr(G).  If that factorisation completes,
+lam_min(G) > lam_s is certified, however wrong the estimate was.  By
+Weyl and the formation bound, no eigenvalue of the exact Gram is more
+than delta_f a^2 below the computed one's (no eigensolver error
+enters), so lam_lo = lam_s - delta_f a^2 <= lam_min of the exact
+Gram.  A tuple goes to the exact kernel unless both factorisations
+complete, lam_lo > 0 and
 
     kappa = a^2 / lam_lo <= T = 1 / (8 delta).
 
@@ -60,8 +92,8 @@ SVD moves no singular value by more than delta a <= delta m^(1/2)
 sigma_max, so its computed sigma_min / sigma_max stays above 1e-8, far
 above ``RANK_RCOND`` = 1e-10: the exact kernel solves it at full rank.
 An exactly singular Gram (a duplicated frequency, or f_a = j f_b on a
-grid with k2 >= j) has lam_min = 0, hence lam_lo <= 0: it is routed,
-never raised.
+grid with k2 >= j) has lam_min = 0, so no lam_lo > 0 can be certified
+for it: it is routed, never raised.
 
 Bound
 -----
@@ -69,11 +101,11 @@ For any x, ||A (x - x*)||^2 <= ||A^T (y - A x)||^2 / lam_min(G), and
 || |A| |x| || <= nu(x) = sum_j c_j |x_j| <= a ||x||.
 
 1. The screen's rss, evaluated from the rounded s, b, G with length-m
-   dot products, is within e1 = delta (||y|| + nu)^2 of ||y - A x||^2.
+   dot products, is within e1 = delta_f (||y|| + nu)^2 of ||y - A x||^2.
 2. Its normal-equation residual g = A^T (y - A x) is within
-   delta a (||y|| + nu) of the computed g^ = b - G x, so
+   delta_f a (||y|| + nu) of the computed g^ = b - G x, so
    q1 = ||A (x - x*)||^2 <= g_b^2 / lam_lo, with
-   g_b = (1 + 2 delta) ||g^|| + delta a (||y|| + nu).
+   g_b = (1 + 2 delta_f) ||g^|| + delta_f a (||y|| + nu).
 3. The exact kernel's SVD solution x_s solves the problem for A + dA,
    y + dy with ||dA|| <= delta a, ||dy|| <= delta ||y||.  From the
    perturbed normal equations, ||A^T (y - A x_s)|| <= delta a S with
@@ -94,8 +126,11 @@ Both values equal rss* plus their own q and rounding, so
 
 and the reported bound is twice that, which also covers the rounding of
 the bound's own evaluation.  For a well-conditioned tuple it is close
-to 2 delta (||y|| + nu)^2: the rounding of s - 2 b^T x + x^T G x, which
-no solve can remove.
+to 2 delta_f (||y|| + nu)^2: the rounding of the blocked formation and
+of s - 2 b^T x + x^T G x, which no solve can remove.  The formation's
+delta_f enters e1, q1 and lam_lo, the bound on the exact Gram's
+spectrum; the guard's threshold T, q2 and e2 belong to the exact kernel
+and keep its delta.
 
 Verify
 ------
@@ -127,16 +162,24 @@ so every slice z equals ``periodogram_slice``'s and ``solve_linear``'s
 bit for bit, duplicated frequencies included.
 
 Work is split into tuple chunks whose size depends only on the problem
-dimensions, never on the worker count, and every stage (screen, exact
-re-score, slices) runs its chunks through one ``ordered_map``.  The set
-of re-scored tuples is fixed by the final Z alone, results are merged
-with exact comparisons, and a tuple's z does not depend on the chunk it
-is in, so output is identical whatever the number of threads.
+dimensions, never on the worker count.  The screen lays a chunk's
+tuples along the last axis and computes with elementwise steps and
+row-by-row sums only, so a tuple's screened values do not depend on its
+chunk.  It runs its chunks in order on the calling thread: its steps
+are short NumPy calls on chunk-sized vectors, each of which releases
+and retakes the interpreter lock, so threads running them mostly wait
+for one another (two threads took longer than one).  The exact re-score
+and the slices, whose SVDs run long without the lock, run their chunks
+through one ``ordered_map``.  The set of re-scored tuples is fixed by
+the final Z alone, results are merged with exact comparisons, and a
+tuple's z does not depend on the chunk it is in, so output is identical
+whatever the number of threads.
 """
 
 from __future__ import annotations
 
 import collections
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -162,10 +205,12 @@ __all__ = ["SearchConfig", "Slice", "Periodogram", "long_search", "short_search"
 _EXACT_TARGET = 250_000
 _CHUNK_MAX = 4096
 _CHUNK_MIN = 16
-# Elements of one (tuples, m, m + rounds) screen array per chunk.
+# Elements of one (m, m + rounds, tuples) screen array per chunk.
 _SCREEN_TARGET = 50_000
 
 _U = np.finfo(float).eps / 2.0
+# The screen certifies lam_min(G) > this fraction of 1 / trace(G^-1).
+_LAM_FRACTION = 0.95
 
 
 def _gamma(k: int) -> float:
@@ -284,6 +329,117 @@ def _product_chunks(grids: list[np.ndarray], rows: int):
         yield np.concatenate(pending, axis=0) if len(pending) > 1 else pending[0]
 
 
+def _row_block(n: int) -> int:
+    """Rows per block of the Gram formation, ceil(sqrt(n))."""
+    return math.isqrt(n - 1) + 1
+
+
+def _gram(cols: np.ndarray, yw: np.ndarray, groups, h: int):
+    """G = C^T C, b = C^T Y and s = diag(Y^T Y), summed over row blocks.
+
+    ``groups`` lists (start, stop, full) column ranges that cover C.  G
+    holds what a tuple can gather, one frequency per signal axis: the
+    cross-Gram of every two groups, and a group's own Gram where
+    ``full`` (a grid shared by several axes, or the trend), else only
+    the h x h block of each of its frequencies; the rest stays zero.
+    Each block's partials come from one product of its rows and are
+    added in place into the running G, b and s.  Returns them and k,
+    the length of the formation's rounding constant gamma_k.
+    """
+    n, f = cols.shape
+    rows = _row_block(n)
+    gram, rhs, ss = np.zeros((f, f)), np.zeros((f, yw.shape[1])), np.zeros(yw.shape[1])
+    rhs_part = np.empty_like(rhs)
+    part = np.empty(max((a1 - a0) * (b1 - b0) for i, (a0, a1, _) in enumerate(groups)
+                        for b0, b1, _ in groups[i:]))
+    upper = [(p, q) for p in range(h) for q in range(p, h)]
+    own = {i: np.zeros(((a1 - a0) // h, h, h))
+           for i, (a0, a1, full) in enumerate(groups) if not full}
+    for start in range(0, n, rows):
+        c, y = cols[start:start + rows], yw[start:start + rows]
+        rhs += np.matmul(c.T, y, out=rhs_part)
+        ss += np.einsum("nr,nr->r", y, y)
+        for i, (a0, a1, full) in enumerate(groups):
+            ca = c[:, a0:a1]
+            if not full:
+                cf = ca.reshape(ca.shape[0], -1, h)
+                for p, q in upper:
+                    own[i][:, p, q] += np.einsum("nf,nf->f", cf[:, :, p], cf[:, :, q])
+            for b0, b1, _ in groups[i if full else i + 1:]:
+                out = part[:(a1 - a0) * (b1 - b0)].reshape(a1 - a0, b1 - b0)
+                gram[a0:a1, b0:b1] += np.matmul(ca.T, c[:, b0:b1], out=out)
+    for i, (a0, a1, _) in enumerate(groups):
+        if i in own:
+            for p, q in upper:
+                own[i][:, q, p] = own[i][:, p, q]
+            idx = a0 + np.arange(a1 - a0).reshape(-1, h)
+            gram[idx[:, :, None], idx[:, None, :]] = own[i]
+        for b0, b1, _ in groups[i + 1:]:
+            gram[b0:b1, a0:a1] = gram[a0:a1, b0:b1].T
+    blocks = -(-n // rows)
+    return gram, rhs, ss, rows + blocks - 1
+
+
+def _sum0(terms) -> np.ndarray:
+    """Sum of an array's rows, or of an iterable's arrays, added one
+    after the other."""
+    terms = iter(terms)
+    out = next(terms).copy()
+    for term in terms:
+        out += term
+    return out
+
+
+def _cholesky(a: np.ndarray, tail: int = 0) -> np.ndarray:
+    """Floating-point Cholesky G = R^T R of each tuple of an (m, m + p, B)
+    stack in place, B tuples along the last axis with the Gram in the
+    first m columns, and whether all of a tuple's pivots were positive.
+
+    Row j ends as row j of R, and the p columns past m go through the
+    same row operations, so they end as R^-T times what they held.  When
+    the last ``tail`` columns hold an identity, the zeros right of row
+    j's own diagonal there are skipped.  A tuple whose pivot fails stops
+    eliminating and reports False, where LAPACK's stacked factorisations
+    would fail the whole stack.  A positive pivot p leaves p / sqrt(p) > 0
+    on the diagonal, a failed one 0 or NaN.
+    """
+    m, width = a.shape[:2]
+    for j in range(m):
+        stop = width - tail + j + 1 if tail else width
+        pivot = a[j, j]
+        # a failed pivot divides its row by inf: the row, and so every
+        # update it makes, becomes zero
+        a[j, j:stop] /= np.sqrt(np.where(pivot > 0.0, pivot, np.inf))
+        a[j + 1:, j + 1:stop] -= a[j, j + 1:m, None] * a[j, None, j + 1:stop]
+    return (a[np.arange(m), np.arange(m)] > 0.0).all(axis=0)
+
+
+def _certified_floor(gram: np.ndarray):
+    """Per tuple of an (m, m, B) stack of Grams: whether lam_min(G) >
+    lam_s is certified, lam_s = 0.95 / trace(G^-1) estimated from the
+    Cholesky factor G = R^T R, and R^-T, (m, m, B)."""
+    m, rows = gram.shape[1:]
+    aug = np.zeros((m, 2 * m, rows))
+    aug[:, :m] = gram
+    aug[np.arange(m), m + np.arange(m)] = 1.0
+    ok = _cholesky(aug, tail=m)
+    inv = aug[:, m:]
+    lam = _LAM_FRACTION / _sum0(_sum0(inv * inv))
+    return ok & _certify(gram, lam), lam, inv
+
+
+def _certify(gram: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Whether lam_min(G) > lam is certified, per tuple of an (m, m, B)
+    stack of Grams: the floating-point Cholesky of G - t I completes at
+    t = lam + 2 rho, rho = gamma_(2m+3) trace(G) (module docstring,
+    Guard)."""
+    m = gram.shape[0]
+    diag = (np.arange(m), np.arange(m))
+    shifted = gram.copy()
+    shifted[diag] -= lam + 2.0 * _gamma(2 * m + 3) * _sum0(gram[diag])
+    return _cholesky(shifted)
+
+
 class _Blocks:
     """Weighted columns C of every scan frequency, their cross-Grams and
     right-hand sides, and the screen and exact re-score of a tuple chunk
@@ -308,17 +464,21 @@ class _Blocks:
         freqs = np.concatenate(distinct)
         self.cols = weighted_design(ts.t, ModelSpec(freqs.size, spec.k2, spec.k3),
                                     freqs, stats, row_sigma(ts, weighting))
-        self.gram = self.cols.T @ self.cols
-        self.rhs = self.cols.T @ yw
-        self.ss = np.einsum("nr,nr->r", yw, yw)
-        self.yw = yw
         h = 2 * spec.k2
+        bounds = np.cumsum([0] + [g.size * h for g in distinct])
+        groups = [(a0, a1, sum(g is d for g in grids) > 1)
+                  for a0, a1, d in zip(bounds[:-1], bounds[1:], distinct)]
+        if spec.n_trend:
+            groups.append((bounds[-1], bounds[-1] + spec.n_trend, True))
+        self.gram, self.rhs, self.ss, k_form = _gram(self.cols, yw, groups, h)
+        self.yw = yw
         self._harm = np.arange(h)
         self._trend = np.arange(freqs.size * h, freqs.size * h + spec.n_trend)
         m = spec.n_linear
         self.n = ts.n
         self.n_rhs = yw.shape[1]
         self.delta = _gamma(ts.n + 2 * m + 4)
+        self.delta_form = _gamma(k_form + 2 * m + 4)
         self.delta_m = _gamma(m + 1)
         self.rows = _chunk_rows(m + self.n_rhs, m, _SCREEN_TARGET)
         self.exact_rows = _chunk_rows(ts.n, m, _EXACT_TARGET)
@@ -386,36 +546,44 @@ class _Blocks:
             Screened residual sum of squares of the passing tuples and
             the bound on its distance to the exact kernel's value.
         """
-        d = self.delta
-        idx = self.columns(tuples)
-        gram = self.gram[idx[:, :, None], idx[:, None, :]]
-        b = self.rhs[idx]
-        lam, vec = np.linalg.eigh(gram)
-        a2 = np.trace(gram, axis1=1, axis2=2) * (1.0 + 2.0 * d)
-        lam_lo = lam[:, 0] - d * a2
-        ok = (lam_lo > 0.0) & (8.0 * d * a2 <= lam_lo)
-        gram, b, lam, vec, a2, lam_lo = gram[ok], b[ok], lam[ok], vec[ok], a2[ok], lam_lo[ok]
-        x = vec @ ((np.swapaxes(vec, 1, 2) @ b) / lam[:, :, None])
-        gx = gram @ x
-        rss = self.ss - 2.0 * np.einsum("bmr,bmr->br", b, x) + np.einsum("bmr,bmr->br", x, gx)
+        # Tuples run along the last axis: every step is elementwise over
+        # contiguous rows or a row-by-row sum, so each tuple's bits are
+        # its own, whatever chunk it is in.
+        d, df = self.delta, self.delta_form
+        idx = self.columns(tuples).T
+        m = idx.shape[0]
+        diag = (np.arange(m), np.arange(m))
+        gram = self.gram.take(idx[:, None] * self.gram.shape[0] + idx[None, :])
+        ok, lam_s, inv = _certified_floor(gram)
+        a2 = _sum0(gram[diag]) * (1.0 + 2.0 * df)
+        lam_lo = lam_s - df * a2
+        ok &= (lam_lo > 0.0) & (8.0 * d * a2 <= lam_lo)
+
+        b = self.rhs[idx].transpose(0, 2, 1)
+        if not ok.all():
+            keep = np.flatnonzero(ok)
+            gram, b, inv, a2, lam_lo = (v[..., keep] for v in (gram, b, inv, a2, lam_lo))
+        # x = G^-1 b = R^-1 R^-T b, with inv = R^-T lower triangular
+        low_b = _sum0(inv[:, k, None] * b[k] for k in range(m))
+        x = _sum0(inv[i, :, None] * low_b[i] for i in range(m))
+        gx = _sum0(gram[:, j, None] * x[j] for j in range(m))
+        rss = self.ss[:, None] - 2.0 * _sum0(b * x) + _sum0(x * gx)
         ghat = b - gx
-        a = np.sqrt(a2)[:, None]
-        lam_lo = lam_lo[:, None]
+        a = np.sqrt(a2)
         kappa = a * a / lam_lo
-        y_norm = np.sqrt(self.ss)
-        col_norm = np.sqrt(np.diagonal(gram, axis1=1, axis2=2)) * (1.0 + d)
-        nu = np.einsum("bm,bmr->br", col_norm, np.abs(x))
-        e1 = d * (y_norm + nu) ** 2
-        g_b = (1.0 + 2.0 * d) * np.sqrt(np.einsum("bmr,bmr->br", ghat, ghat)) \
-            + d * a * (y_norm + nu)
+        y_norm = np.sqrt(self.ss)[:, None]
+        col_norm = np.sqrt(gram[diag]) * (1.0 + df)
+        nu = _sum0(col_norm[:, None] * np.abs(x))
+        e1 = df * (y_norm + nu) ** 2
+        g_b = (1.0 + 2.0 * df) * np.sqrt(_sum0(ghat * ghat)) + df * a * (y_norm + nu)
         s_b = (8.0 / 7.0) * ((2.0 + d) * y_norm
-                             + a * np.sqrt(np.einsum("bmr,bmr->br", x, x)) + a * g_b / lam_lo)
+                             + a * np.sqrt(_sum0(x * x)) + a * g_b / lam_lo)
         q2 = d * d * kappa * s_b ** 2
         dm = self.delta_m * (y_norm + nu + a * g_b / lam_lo + d * kappa * s_b)
         r_s = np.sqrt(np.maximum(rss + e1, 0.0) + q2)
         e2 = 2.0 * r_s * dm + dm * dm + d * (r_s + dm) ** 2
         bound = 2.0 * (e1 + g_b ** 2 / lam_lo + q2 + e2)
-        return ok, rss, bound
+        return ok, rss.T, bound.T
 
     def screen(self, tuples: np.ndarray):
         """Chunk tuples that may need the exact kernel, their z_lo, and
@@ -486,16 +654,15 @@ def _scan(ts, spec, stats, weighting, grids, y_rounds, workers):
         yw /= sigma[:, None]
     n_rounds = yw.shape[1]
 
-    # Screen.  The survivors are every guarded tuple and every tuple
-    # whose z_lo is at most the scan-wide smallest z_hi in some round:
-    # the set depends on that final minimum alone, not on the order
-    # chunks finish in.
+    # Screen, on this thread (see the module docstring).  The survivors
+    # are every guarded tuple and every tuple whose z_lo is at most the
+    # scan-wide smallest z_hi in some round: the set depends on that
+    # final minimum alone.
     blocks = _Blocks(ts, spec, stats, weighting, grids, yw)
     count = 0
     z_star = np.full(n_rounds, np.inf)
     kept, kept_lo = [], []
-    for c, tuples, z_lo, z_hi_min in ordered_map(
-            blocks.screen, _product_chunks(grids, blocks.rows), workers):
+    for c, tuples, z_lo, z_hi_min in map(blocks.screen, _product_chunks(grids, blocks.rows)):
         count += c
         z_star = np.minimum(z_star, z_hi_min)
         keep = (z_lo <= z_star).any(axis=1)

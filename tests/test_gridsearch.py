@@ -7,6 +7,8 @@ the smaller tuple.  Results must agree bit for bit.
 """
 
 import itertools
+import math
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dcmethod import (
+    MODELS,
     ConfigError,
     ModelSpec,
     SearchConfig,
@@ -333,8 +336,9 @@ def test_lex_argmin_is_the_sort_rule(case):
 
 @st.composite
 def screen_cases(draw):
+    # n up to 400 spans up to 20 row blocks of the Gram formation
     return dict(
-        n=draw(st.integers(6, 60)),
+        n=draw(st.integers(6, 400)),
         spec=ModelSpec(draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2])),
                        draw(st.integers(-1, 2))),
         weighted=draw(st.booleans()),
@@ -346,6 +350,10 @@ def screen_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(screen_cases())
+@example(dict(n=6, spec=ModelSpec(1, 1, 0), weighted=False, noise=1e-8, rounds=1, seed=0))
+@example(dict(n=9, spec=ModelSpec(2, 2, 1), weighted=True, noise=1.0, rounds=3, seed=1))
+@example(dict(n=17, spec=ModelSpec(2, 2, 2), weighted=False, noise=1e-6, rounds=1, seed=2))
+@example(dict(n=40, spec=ModelSpec(2, 1, -1), weighted=True, noise=1e-3, rounds=3, seed=3))
 def test_screen_bound_holds_and_degenerate_tuples_are_guarded(case):
     n, spec = case["n"], case["spec"]
     rng = np.random.default_rng(case["seed"])
@@ -387,6 +395,148 @@ def test_singular_tuples_are_routed_not_raised():
     # a duplicated frequency and f_a = 2 f_b with two harmonics
     assert ok.tolist() == [False, False, True]
     assert rss.shape == bound.shape == (1, 1)
+
+
+def _gamma(k):
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _exact_spectrum(lams, signs, perm):
+    """G = Q diag(lams) Q^T for Q = D P H / sqrt(m), orthogonal: H the
+    Sylvester Hadamard matrix, P a row permutation, D a diagonal of
+    signs.  Each entry is a sum of +-lams / m; the lams drawn below are
+    small multiples of one power of two, so every sum is exact and lams
+    is the spectrum of the float matrix G exactly."""
+    m = len(lams)
+    h = np.ones((1, 1))
+    while h.shape[0] < m:
+        h = np.block([[h, h], [h, -h]])
+    q = np.asarray(signs)[:, None] * h[list(perm)]
+    return np.array([[math.fsum(q[i] * lams * q[j]) / m for j in range(m)]
+                     for i in range(m)])
+
+
+@st.composite
+def known_spectra(draw):
+    """A stack of m x m Grams, tuples along the last axis as the screen
+    lays them, and their smallest eigenvalues.  Eigenvalues are
+    mantissa * 2^-e with mantissa 0-7 and e 0-40: cond(G) reaches
+    7 * 2^40 = 7.7e12, and a zero makes G exactly singular."""
+    m = draw(st.sampled_from([2, 4, 8, 16]))
+    grams, lam_min = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        lams = np.array([draw(st.integers(0, 7)) * 2.0 ** -draw(st.integers(0, 40))
+                         for _ in range(m)])
+        lams[0] = max(lams[0], 1.0)
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+        grams.append(_exact_spectrum(lams, signs, draw(st.permutations(range(m)))))
+        lam_min.append(lams.min())
+    return np.stack(grams, axis=-1), np.array(lam_min)
+
+
+@settings(max_examples=150, deadline=None)
+@given(known_spectra())
+def test_certified_floor_is_below_the_smallest_eigenvalue(case):
+    gram, lam_min = case
+    ok, lam, _ = gridsearch._certified_floor(gram)
+    assert np.all(lam[ok] < lam_min[ok])
+    # not vacuous: a well-conditioned Gram is certified
+    well = lam_min >= 1e-8 * np.trace(gram)
+    assert ok[well].all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(known_spectra(), st.sampled_from([1.0, 1.0 + 2.0 ** -50, 1.0 + 2.0 ** -40,
+                                         1.0 + 2.0 ** -20, 1.5]))
+def test_no_shift_at_or_above_the_smallest_eigenvalue_is_certified(case, factor):
+    gram, lam_min = case
+    assert not gridsearch._certify(gram, factor * lam_min).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 400), f=st.integers(1, 6), rounds=st.integers(1, 3),
+       h=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**16))
+@example(n=1, f=1, rounds=1, h=1, seed=0)
+@example(n=2, f=3, rounds=2, h=2, seed=1)
+def test_blocked_formation_is_within_its_constant(n, f, rounds, h, seed):
+    # entries of at most 23 significant bits make every product exact, so the
+    # fsum of the products is the exact dot product, correctly rounded
+    rng = np.random.default_rng(seed)
+
+    def exact_bits(shape):
+        return np.round(rng.normal(size=shape) * 2**20) * 2.0 ** rng.integers(-30, 10)
+
+    cols = exact_bits((n, f * h + 2))
+    yw = exact_bits((n, rounds))
+    # a group that keeps only each frequency's own block, a full one
+    groups = [(0, f * h, False), (f * h, f * h + 2, True)]
+    gram, rhs, ss, k = gridsearch._gram(cols, yw, groups, h)
+    g = _gamma(k)
+    own = [range(0, f * h)[i:i + h] for i in range(0, f * h, h)]
+    for i, j in itertools.product(range(f * h + 2), repeat=2):
+        formed = max(i, j) >= f * h or any(i in blk and j in blk for blk in own)
+        if not formed:
+            assert gram[i, j] == 0.0
+            continue
+        prod = cols[:, i] * cols[:, j]
+        assert abs(gram[i, j] - math.fsum(prod)) <= g * math.fsum(np.abs(prod))
+    for i, r in itertools.product(range(f * h + 2), range(rounds)):
+        prod = cols[:, i] * yw[:, r]
+        assert abs(rhs[i, r] - math.fsum(prod)) <= g * math.fsum(np.abs(prod))
+    for r in range(rounds):
+        assert abs(ss[r] - math.fsum(yw[:, r] ** 2)) <= g * math.fsum(yw[:, r] ** 2)
+    assert np.array_equal(gram, gram.T)
+
+
+def test_formation_constant_counts_the_block_additions(monkeypatch):
+    # two-row blocks: the first sums to 1, each later one to 0.75 u,
+    # which the running sum 1 rounds away; every sum inside a block is
+    # exact, so the whole error comes from the K - 1 additions
+    monkeypatch.setattr(gridsearch, "_row_block", lambda n: 2)
+    n = 40
+    a, b = np.zeros(n), np.zeros(n)
+    a[0] = b[0] = 1.0
+    a[2::2], b[2::2] = 2.0 ** -27, 1.5 * 2.0 ** -27
+    gram, _, _, k = gridsearch._gram(np.stack([a, b], axis=1), b[:, None],
+                                     [(0, 2, True)], 1)
+    exact = 1 + 19 * Fraction(3, 4) * Fraction(np.finfo(float).eps) / 2
+    error = exact - Fraction(gram[0, 1])
+    assert error > _gamma(2) * exact  # more than the block length explains
+    assert error <= Fraction(_gamma(k)) * exact
+
+
+def test_exact_pass_tuple_counts_do_not_grow(monkeypatch):
+    # the harmonics bench shape, reduced: model 7 g(2,2,2), n = 500,
+    # SN = 1e6, seed 42, 40 long and 30 short grid points, two rounds.
+    # Tuples sent to the exact kernel per stage (long / short / rounds):
+    # 101 / 395 / 397 with the eigensolver screen on a one-product Gram,
+    # 84 / 152 / 152 with the certified Cholesky screen on the blocked
+    # Gram.  A looser bound or guard sends more, with every output byte
+    # unchanged.
+    ts = simulate(SimulationSpec(7, 500, 1e6, seed=42))
+    spec = ModelSpec(2, 2, 2)
+    stats = span_stats(ts)
+    cfg = SearchConfig.from_periods(*MODELS[7].period_range, n_long=40, n_short=30)
+    exact = gridsearch._Blocks.rescore
+    seen = dict.fromkeys(("long", "short", "rounds"), 0)
+
+    def counting(blocks, tuples):
+        seen[stage] += len(tuples)
+        return exact(blocks, tuples)
+
+    monkeypatch.setattr(gridsearch._Blocks, "rescore", counting)
+    stage = "long"
+    pg = long_search(ts, spec, cfg, stats)
+    stage = "short"
+    sh = short_search(ts, spec, cfg, pg.best, stats)
+    stage = "rounds"
+    y_rounds = ts.y[None, :] + ts.sigma * np.random.default_rng(7).normal(size=(2, ts.n))
+    scan_rounds(ts, spec, sh.grids, y_rounds, stats)
+    assert (pg.combinations, sh.combinations) == (780, 900)
+    assert seen["long"] <= 84
+    assert seen["short"] <= 152
+    assert seen["rounds"] <= 152
 
 
 def test_degenerate_tuples_reach_the_exact_kernel():
@@ -440,8 +590,9 @@ def test_rescored_tuples_do_not_depend_on_workers(monkeypatch):
 
 def test_model7_hazard_scans_match_brute_force():
     # model 7 g(2,2,2) at SN = 1e6: scored from the Grams alone, the long
-    # stage picks a near-singular tuple and the short stage a near-tie
-    # neighbour; the exact re-score must restore the brute-force winner
+    # stage picks a near-singular tuple, and the short stage has near ties
+    # the screen cannot separate; the exact re-score must restore the
+    # brute-force winner
     ts = simulate(SimulationSpec(7, 40, 1e6, seed=5))
     spec = ModelSpec(2, 2, 2)
     stats = span_stats(ts)
@@ -469,8 +620,10 @@ def test_model7_hazard_scans_match_brute_force():
     assert np.array_equal(sh.best, f_want)
     short_tuples = np.concatenate(list(_product_chunks(sh.grids, 4096)))
     blocks = _Blocks(ts, spec, stats, "chi-square", sh.grids, weighted_y(ts)[:, None])
-    ok, rss, _ = blocks.score(short_tuples)
-    assert not np.array_equal(short_tuples[ok][np.argmin(rss[:, 0])], f_want)
+    # the screen cannot tell the winner from its near-tie neighbours:
+    # several tuples' brackets reach below the smallest z_hi
+    _, survivors, _, _ = blocks.screen(short_tuples)
+    assert len(survivors) > 1
 
     # rounds: each round's winner is the brute force over its own series
     rng = np.random.default_rng(11)
