@@ -350,8 +350,8 @@ def _gram(cols: np.ndarray, yw: np.ndarray, groups, h: int):
     rows = _row_block(n)
     gram, rhs, ss = np.zeros((f, f)), np.zeros((f, yw.shape[1])), np.zeros(yw.shape[1])
     rhs_part = np.empty_like(rhs)
-    part = np.empty(max((a1 - a0) * (b1 - b0) for i, (a0, a1, _) in enumerate(groups)
-                        for b0, b1, _ in groups[i:]))
+    part = np.empty(max([(a1 - a0) * (b1 - b0) for i, (a0, a1, full) in enumerate(groups)
+                         for b0, b1, _ in groups[i if full else i + 1:]], default=0))
     upper = [(p, q) for p in range(h) for q in range(p, h)]
     own = {i: np.zeros(((a1 - a0) // h, h, h))
            for i, (a0, a1, full) in enumerate(groups) if not full}

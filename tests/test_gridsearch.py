@@ -590,10 +590,10 @@ def test_rescored_tuples_do_not_depend_on_workers(monkeypatch):
 
 def test_model7_hazard_scans_match_brute_force():
     # model 7 g(2,2,2) at SN = 1e6: scored from the Grams alone, the long
-    # stage picks a near-singular tuple, and the short stage has near ties
-    # the screen cannot separate; the exact re-score must restore the
-    # brute-force winner
-    ts = simulate(SimulationSpec(7, 40, 1e6, seed=5))
+    # stage picks a near-singular tuple and the short stage a neighbour
+    # whose Gram-only rss undercuts the winner's; the exact re-score must
+    # restore the brute-force winner
+    ts = simulate(SimulationSpec(7, 40, 1e6, seed=22))
     spec = ModelSpec(2, 2, 2)
     stats = span_stats(ts)
     cfg = SearchConfig.from_periods(0.4, 3.6, n_long=20, n_short=12)
@@ -620,8 +620,8 @@ def test_model7_hazard_scans_match_brute_force():
     assert np.array_equal(sh.best, f_want)
     short_tuples = np.concatenate(list(_product_chunks(sh.grids, 4096)))
     blocks = _Blocks(ts, spec, stats, "chi-square", sh.grids, weighted_y(ts)[:, None])
-    # the screen cannot tell the winner from its near-tie neighbours:
-    # several tuples' brackets reach below the smallest z_hi
+    ok, rss, _ = blocks.score(short_tuples)
+    assert not np.array_equal(short_tuples[ok][np.argmin(rss[:, 0])], f_want)
     _, survivors, _, _ = blocks.screen(short_tuples)
     assert len(survivors) > 1
 

@@ -1,12 +1,13 @@
 """Alternating parent/change runs of bench/run.py, written as one BENCH_<n>.json.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --pairs 10 \\
-        --seconds 20 --seed 101 --out BENCH_14.json
+    python3 tools/bench_pairs.py --parent DIR --change DIR --seed 101 \\
+        --out BENCH_14.json
 
 Each DIR is the root of a source checkout holding bench/ and src/.  Pair
-i runs `bench/run.py --trace 0 --seed <seed + i>` of each checkout on
-every workload, the parent first on even i and the change first on odd
-i.  The output holds, per workload and end-to-end metric, each side's
+i of 10 runs `bench/run.py --trace 0 --seed <seed + i>` of each checkout
+on every workload the change's BENCHMARK.json lists, at the run length
+bench/run.py sets, the parent first on even i and the change first on
+odd i.  The output holds, per workload and end-to-end metric, each side's
 values, median and quartiles, the pairs the change won (by the
 direction BENCHMARK.json gives) and whether the gain rule holds: wins
 in at least nine tenths of the pairs and a median gap wider than the
@@ -66,11 +67,13 @@ def last_json(proc):
         raise RuntimeError(f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}")
     return json.loads(lines[-1])
 
+PAIRS = 10
 
-def bench_run(root: Path, workload: str, seed: int, seconds: float):
+
+def bench_run(root: Path, workload: str, seed: int):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     result = last_json(proc)
     return {"correct": result["correct"], "attempted": result["attempted"],
@@ -120,33 +123,30 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=101)
-    ap.add_argument("--workloads", nargs="+",
-                    default=["close-pair", "bootstrap", "harmonics"])
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = [w["name"] for w in spec["workloads"]]
 
-    runs = {w: {"parent": [], "change": []} for w in args.workloads}
-    for i in range(args.pairs):
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    for i in range(PAIRS):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        for w in args.workloads:
+        for w in workloads:
             for side in order:
-                run = bench_run(sides[side], w, args.seed + i, args.seconds)
+                run = bench_run(sides[side], w, args.seed + i)
                 runs[w][side].append({"seed": args.seed + i, "first": side == order[0],
                                       **run})
                 print(f"pair {i} {w} {side}: {run['metrics']}", file=sys.stderr)
 
     record = {
         "command": f"python3 tools/bench_pairs.py --parent PARENT --change CHANGE "
-                   f"--pairs {args.pairs} --seconds {args.seconds:g} --seed {args.seed} "
-                   f"--workloads {' '.join(args.workloads)} --out {args.out.name}",
-        "bench": f"bench/run.py --trace 0 --seconds {args.seconds:g}, seeds "
-                 f"{args.seed}-{args.seed + args.pairs - 1}, alternating which side runs first",
+                   f"--seed {args.seed} --out {args.out.name}",
+        "bench": f"bench/run.py --trace 0 at its own run length ({spec['run_seconds']:g} s "
+                 f"in BENCHMARK.json), seeds {args.seed}-{args.seed + PAIRS - 1}, "
+                 f"alternating which side runs first",
         "machine": machine(sides["change"]),
         "exact_pass_tuples": {side: exact_counts(root, args.seed)
                               for side, root in sides.items()},
