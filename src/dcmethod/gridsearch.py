@@ -136,23 +136,30 @@ Verify
 ------
 The bound brackets each unguarded tuple's exact z, as computed by the
 exact kernel, between z_lo = sqrt(max(rss - bound, 0) / n) and z_hi =
-sqrt((rss + bound) / n) (rounding is monotone), per right-hand side.
-Let Z be the smallest z_hi of a right-hand side.  Every guarded tuple
-and every tuple with z_lo <= Z for some right-hand side is re-scored by
-the exact kernel: its weighted design matrix is gathered from C into a
-C-contiguous (B, n, m) array, the layout ``design_matrix`` returns (the
-matmul bits depend on it), so it equals ``weighted_design(...)`` bit
-for bit; ``BatchSolver`` factors it once and ``misfit`` fits every
-right-hand side as its own column, so each exact z is ``solve_linear``'s
-for that tuple and series, whatever chunk or round block it is in.  The
-tuple that attains each Z is among them.  Any other tuple has exact z >= z_lo > Z
->= the exact minimum, strictly above it.  One rule, ``_lex_argmin``
-(lowest exact z, ties to the lexicographically smallest tuple), picks
-each round's winner inside every exact chunk and once more over the
-chunk winners, so the scan yields the same z_min, best tuple and
-degenerate flag as an exact scan of every tuple, bit for bit.
-Unguarded tuples are never rank deficient, so the degenerate flag only
-needs the guarded ones.
+sqrt((rss + bound) / n) (rounding is monotone), per right-hand side
+(round).  Let Z_r be the smallest z_hi of round r.  The survivors are
+every guarded tuple (z_lo = -inf) and every tuple with z_lo <= Z_r for
+some round, and the exact kernel re-scores the (tuple, round) pairs
+with z_lo <= Z_r: every round for a guarded tuple, for any tuple when
+R = 1.  Each survivor's weighted design matrix is gathered from C into
+a C-contiguous (B, n, m) array, the layout ``design_matrix`` returns
+(the matmul bits depend on it), so it equals ``weighted_design(...)``
+bit for bit, and ``BatchSolver`` factors it once.  A survivor every
+round needs is fitted against all rounds by ``misfit``; the pairs of
+the others are fitted through ``BatchSolver.take``, which gathers each
+pair's factors in the same layout, and ``misfit`` on one column per
+pair.  Either way ``residuals`` fits each right-hand side as its own
+column, so each exact z is ``solve_linear``'s for that tuple and
+series, whatever chunk, pair batch or round block it is in.  The tuple
+that attains each Z_r is among round r's pairs.  A pair left out has
+exact z >= z_lo > Z_r >= the round's exact minimum, strictly above it,
+so it enters the selection as +inf and can neither win nor tie.  One
+rule, ``_lex_argmin`` (lowest exact z, ties to the lexicographically
+smallest tuple), picks each round's winner inside every exact chunk and
+once more over the chunk winners, so the scan yields the same z_min,
+best tuple and degenerate flag as an exact scan of every tuple, bit for
+bit.  Unguarded tuples are never rank deficient, and every survivor is
+still factored, so the degenerate flag only needs the guarded ones.
 
 A slice point is a tuple over the stage's grids too (the varied
 frequency is on its axis's grid, the others are the best tuple's), so
@@ -170,9 +177,9 @@ are short NumPy calls on chunk-sized vectors, each of which releases
 and retakes the interpreter lock, so threads running them mostly wait
 for one another (two threads took longer than one).  The exact re-score
 and the slices, whose SVDs run long without the lock, run their chunks
-through one ``ordered_map``.  The set of re-scored tuples is fixed by
-the final Z alone, results are merged with exact comparisons, and a
-tuple's z does not depend on the chunk it is in, so output is identical
+through one ``ordered_map``.  The set of re-scored pairs is fixed by
+the final Z_r alone, results are merged with exact comparisons, and a
+pair's z does not depend on the chunk it is in, so output is identical
 whatever the number of threads.
 """
 
@@ -197,8 +204,9 @@ from .linfit import design_solver  # noqa: F401
 __all__ = ["SearchConfig", "Slice", "Periodogram", "long_search", "short_search",
            "periodogram_slice", "scan_rounds", "ordered_map"]
 
-# Elements of one (tuples, n, m) exact-kernel array per chunk, and of
-# one (tuples, rounds, n) residual block.  The scans send only guarded
+# Elements of one (tuples, n, m) exact-kernel array per chunk, of one
+# (tuples, rounds, n) residual block, and of one pair batch's gathered
+# factors and residuals, (pairs, n, 2 m + 1).  The scans send only guarded
 # and near-minimum tuples and the slice points there; small batches
 # keep peak memory down and give a pool of two or more workers several
 # chunks per stage.
@@ -512,26 +520,38 @@ class _Blocks:
             out[:, :, j] = self.cols[:, idx[:, j]].T
         return out
 
-    def exact(self, tuples: np.ndarray):
+    def exact(self, tuples: np.ndarray, need=None):
         """Exact z of every tuple of a chunk against every round, (B, R),
         and whether any tuple was rank deficient.
 
-        Each tuple is factored once; ``BatchSolver.misfit`` fits the
-        rounds ``max(1, _EXACT_TARGET // (B n))`` at a time.  That block
-        bounds memory only: every z is ``solve_linear``'s for its tuple
-        and round.
+        Each tuple is factored once.  Without ``need``, ``BatchSolver.misfit``
+        fits the rounds ``max(1, _EXACT_TARGET // (B n))`` at a time.  With
+        ``need`` (B, R), only the (tuple, round) pairs it marks are
+        fitted, ``_EXACT_TARGET // (n (2 m + 1))`` pairs per call on the
+        pairs' gathered factors, and the others read +inf.  Neither block
+        changes a bit: every z is ``solve_linear``'s for its tuple and
+        round.
         """
         solver = BatchSolver(self.design(tuples))
-        step = max(1, _EXACT_TARGET // (tuples.shape[0] * self.n))
-        z = np.concatenate([solver.misfit(self.yw[None, :, r0:r0 + step], self.n)
-                            for r0 in range(0, self.n_rhs, step)], axis=1)
+        if need is None:
+            step = max(1, _EXACT_TARGET // (tuples.shape[0] * self.n))
+            z = np.concatenate([solver.misfit(self.yw[None, :, r0:r0 + step], self.n)
+                                for r0 in range(0, self.n_rhs, step)], axis=1)
+        else:
+            z = np.full(need.shape, np.inf)
+            pair, rnd = np.nonzero(need)
+            step = max(1, _EXACT_TARGET // (self.n * (2 * solver.m + 1)))
+            for p0 in range(0, pair.size, step):
+                p, r = pair[p0:p0 + step], rnd[p0:p0 + step]
+                z[p, r] = solver.take(p).misfit(self.yw[:, r].T[:, :, None], self.n)[:, 0]
         return z, bool(solver.degenerate.any())
 
-    def rescore(self, tuples: np.ndarray):
-        """Exact kernel on a chunk of survivors: per round the lowest z
-        and its tuple (``_lex_argmin``), and whether any tuple of the
-        chunk was rank deficient."""
-        z, degenerate = self.exact(tuples)
+    def rescore(self, tuples: np.ndarray, need=None):
+        """Exact kernel on a chunk of survivors (against the rounds
+        ``need`` marks, if given): per round the lowest z and its tuple
+        (``_lex_argmin``), and whether any tuple of the chunk was rank
+        deficient."""
+        z, degenerate = self.exact(tuples, need)
         pick = _lex_argmin(z, tuples)
         return z[pick, np.arange(self.n_rhs)], tuples[pick], degenerate
 
@@ -627,9 +647,10 @@ def _scan(ts, spec, stats, weighting, grids, y_rounds, workers):
     """The scan engine: the best tuple over ``grids`` for every data round.
 
     Screens every strictly descending tuple across ``grids`` against all
-    R rounds of ``y_rounds`` (shape (R, n)), re-scores the survivors with
-    the exact kernel and picks per round with ``_lex_argmin``: within
-    each exact chunk, then once over the stacked chunk winners.
+    R rounds of ``y_rounds`` (shape (R, n)), re-scores each survivor with
+    the exact kernel against the rounds it can win and picks per round
+    with ``_lex_argmin``: within each exact chunk, then once over the
+    stacked chunk winners.
 
     Returns
     -------
@@ -671,12 +692,18 @@ def _scan(ts, spec, stats, weighting, grids, y_rounds, workers):
     if count == 0:
         raise UnstableSearchError("the grids admit no ordered frequency tuple")
     blocks.drop_screen()  # before the exact pass allocates its arrays
-    survivors = np.concatenate(kept)
-    survivors = survivors[(np.concatenate(kept_lo) <= z_star).any(axis=1)]
+    need = np.concatenate(kept_lo) <= z_star
+    keep = need.any(axis=1)
+    survivors, need = np.concatenate(kept)[keep], need[keep]
 
-    # Exact re-score, then the same rule over the chunk winners.
-    z_c, t_c, degen = zip(*ordered_map(
-        blocks.rescore, _batches(survivors, blocks.exact_rows), workers))
+    # Exact re-score, then the same rule over the chunk winners.  A
+    # survivor every round needs is fitted against all of them at once;
+    # any other only against the rounds whose z_star its z_lo reaches.
+    full = need.all(axis=1)
+    rows = blocks.exact_rows
+    jobs = [(t, None) for t in _batches(survivors[full], rows)]
+    jobs += zip(_batches(survivors[~full], rows), _batches(need[~full], rows))
+    z_c, t_c, degen = zip(*ordered_map(lambda job: blocks.rescore(*job), jobs, workers))
     z_c, t_c = np.stack(z_c), np.stack(t_c)
     pick = _lex_argmin(z_c, t_c)
     rounds = np.arange(n_rounds)

@@ -100,6 +100,18 @@ class BatchSolver:
         self.rank = keep.sum(axis=-1)
         self.m = a.shape[2]
 
+    def take(self, idx) -> "BatchSolver":
+        """The solver of matrices ``idx`` of this batch, repeats allowed:
+        the factors are gathered, not recomputed, into the layout
+        ``__init__`` leaves them in, so every fit through it has this
+        batch's bits."""
+        out = object.__new__(BatchSolver)
+        out.a, out._sinv, out.rank = self.a[idx], self._sinv[idx], self.rank[idx]
+        out.m = self.m
+        out.ut, out.v = (np.swapaxes(np.swapaxes(f, -1, -2)[idx], -1, -2)
+                         for f in (self.ut, self.v))
+        return out
+
     @property
     def degenerate(self) -> np.ndarray:
         return self.rank < self.m

@@ -29,9 +29,11 @@ rows share its stack.  ``refine`` is the kernel on a stack of one.
 
 The bootstrap resamples residuals with replacement, rebuilds synthetic
 series y* = g + eps*, re-runs the short search stage on each draw over
-the same candidate frequencies (``scan_rounds``), then fits and polishes
-the rounds in contiguous blocks of about ``_BLOCK_ELEMENTS`` (n x eta)
-elements, mapped in order over the worker threads.  Block composition
+the same candidate frequencies (``scan_rounds``), then fits, polishes
+and summarises the rounds in contiguous blocks of about
+``_BLOCK_ELEMENTS`` (n x eta) elements, mapped in order over the worker
+threads; a block's summaries are one stacked ``summarize_signals``
+call.  Block composition
 depends on the problem size alone, and the large stacked calls release
 the interpreter lock, so blocks run on separate cores.  Spreads of the
 per-draw estimates give the parameter uncertainties, and the draws feed
@@ -414,9 +416,7 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
         out = _polish(ts.t, y_rounds[rows], sigma, spec, best_tuples[rows], stats,
                       _MAX_ITER if refine_rounds else 0)
         z = np.sqrt(out.wsum / ts.n)
-        return [(out.params[i], z[i], summarize_signals(
-                    spec, BetaVector.from_interleaved(spec, out.params[i]), stats))
-                for i in range(len(rows))]
+        return list(zip(out.params, z, summarize_signals(spec, out.params, stats)))
 
     def fit_block(rows):
         try:

@@ -37,8 +37,8 @@ from dcmethod.gridsearch import (
     periodogram_slice,
     scan_rounds,
 )
-from dcmethod.linfit import (design_solver, evaluate_z, solve_linear, sumsq, weighted_y,
-                             weighting_mode)
+from dcmethod.linfit import (BatchSolver, design_solver, evaluate_z, solve_linear, sumsq,
+                             weighted_y, weighting_mode)
 from dcmethod.model import design_matrix
 
 
@@ -521,9 +521,9 @@ def test_exact_pass_tuple_counts_do_not_grow(monkeypatch):
     exact = gridsearch._Blocks.rescore
     seen = dict.fromkeys(("long", "short", "rounds"), 0)
 
-    def counting(blocks, tuples):
+    def counting(blocks, tuples, *need):
         seen[stage] += len(tuples)
-        return exact(blocks, tuples)
+        return exact(blocks, tuples, *need)
 
     monkeypatch.setattr(gridsearch._Blocks, "rescore", counting)
     stage = "long"
@@ -570,9 +570,9 @@ def test_rescored_tuples_do_not_depend_on_workers(monkeypatch):
     exact = gridsearch._Blocks.rescore
     seen = {}
 
-    def recording(blocks, tuples):
+    def recording(blocks, tuples, *need):
         seen.setdefault((workers, stage), []).extend(map(tuple, tuples))
-        return exact(blocks, tuples)
+        return exact(blocks, tuples, *need)
 
     monkeypatch.setattr(gridsearch._Blocks, "rescore", recording)
     for workers in (1, 3):
@@ -736,9 +736,9 @@ def test_chunk_sizes_never_change_results(monkeypatch):
     exact = gridsearch._Blocks.rescore
     batches = []
 
-    def counting(blocks, tuples):
+    def counting(blocks, tuples, *need):
         batches.append(len(tuples))
-        return exact(blocks, tuples)
+        return exact(blocks, tuples, *need)
 
     monkeypatch.setattr(gridsearch._Blocks, "rescore", counting)
 
@@ -784,6 +784,59 @@ def test_each_round_keeps_its_own_survivors_and_best(monkeypatch):
         assert np.array_equal(best[r], pg.best)
         assert z_min[r] == pg.z_min
     assert not np.array_equal(best[0], best[1])
+
+
+def test_rounds_fit_only_the_pairs_that_can_win_them(monkeypatch):
+    # four rounds with two different signals, so two different winners:
+    # a survivor is fitted only against the rounds whose smallest z_hi
+    # its z_lo reaches, and every round keeps the brute-force winner
+    ts = two_sine_series(n=40)
+    rng = np.random.default_rng(3)
+    other = (np.cos(2 * np.pi * 7.4 * ts.t) + 0.7 * np.sin(2 * np.pi * 7.1 * ts.t)
+             + 1.0 + rng.normal(0, 0.1, ts.n))
+    y_rounds = np.stack([ts.y, other, ts.y + rng.normal(0, 0.1, ts.n),
+                         other + rng.normal(0, 0.1, ts.n)])
+    spec = ModelSpec(2, 1, 0)
+    grid = np.linspace(2.0, 8.0, 25)
+    rescore, residuals = gridsearch._Blocks.rescore, BatchSolver.residuals
+    seen = dict(survivors=0, needed=0, fitted=0)
+
+    def counting_rescore(blocks, tuples, need=None):
+        seen["survivors"] += len(tuples)
+        seen["needed"] += len(tuples) * blocks.n_rhs if need is None else int(need.sum())
+        return rescore(blocks, tuples, need)
+
+    def counting_residuals(solver, rows):
+        # (matrix, data row) columns this call fits
+        seen["fitted"] += math.prod(np.broadcast_shapes(solver.a.shape[:1] + (1,),
+                                                        np.shape(rows)[:-1]))
+        return residuals(solver, rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gridsearch._Blocks, "rescore", counting_rescore)
+        patch.setattr(BatchSolver, "residuals", counting_residuals)
+        z_min, best = scan_rounds(ts, spec, [grid, grid], y_rounds)
+    assert seen["fitted"] == seen["needed"]
+    assert seen["fitted"] < seen["survivors"] * len(y_rounds)
+    assert not np.array_equal(best[0], best[1])
+    for r, y in enumerate(y_rounds):
+        z_want, f_want = brute_force_best(TimeSeries(ts.t, y, ts.sigma), spec, [grid, grid])
+        assert z_min[r] == z_want
+        assert np.array_equal(best[r], f_want)
+
+
+def test_gathered_factors_fit_to_the_batch_bits():
+    # BatchSolver.take gathers factors, repeats included, into the layout
+    # the batch has: each pair's fit equals the batch's fit of that column
+    rng = np.random.default_rng(4)
+    solver = BatchSolver(rng.normal(size=(5, 30, 4)))
+    rows = rng.normal(size=(6, 30))
+    x, resid = solver.residuals(rows[None])
+    which, col = np.array([3, 0, 3, 4]), np.array([1, 5, 2, 1])
+    x_p, resid_p = solver.take(which).residuals(rows[col][:, None])
+    assert np.array_equal(x_p[:, 0], x[which, col])
+    assert np.array_equal(resid_p[:, 0], resid[which, col])
+    assert np.array_equal(solver.take(which).degenerate, solver.degenerate[which])
 
 
 # ---------------------------------------------------------------------------

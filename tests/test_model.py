@@ -5,8 +5,11 @@ very dense grid over one period and locate extrema directly, instead of
 trusting the scan-plus-parabola machinery under test.
 """
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcmethod import (
     BetaVector,
@@ -20,7 +23,8 @@ from dcmethod import (
     trend_ranges,
     trend_values,
 )
-from dcmethod.model import _local_extrema, param_names, scaled_time
+from dcmethod.model import (SignalReport, SignalSummary, _local_extrema,
+                            _parabolic_peak, param_names, scaled_time)
 from dcmethod.refine import _interleaved
 
 UNIT = SpanStats(t_mid=0.5, delta_t=1.0, f0=1.0, y_mean=0.0, y_std=0.0)
@@ -296,3 +300,160 @@ def test_summary_covers_all_signals_and_trend():
     assert len(out.signals) == 2
     assert np.array_equal(out.trend, [2.0, -0.7])
     assert np.allclose(out.trend_ranges, [2.0, 1.4])
+
+
+# ---------------------------------------------------------------------------
+# certified sparse summaries against the dense scan
+# ---------------------------------------------------------------------------
+
+_N_SCAN = 10001
+_TIE_FRAC = 1e-9
+
+
+def dense_summary(spec, beta, stats):
+    """The summary as a scan of all 10,001 samples computed it: the
+    reference the sparse scan must match bit for bit."""
+    reports = []
+    for i in range(spec.k1):
+        f = float(beta.freqs[i])
+        period = 1.0 / f if f != 0.0 else np.inf
+        coeffs = beta.signal_coeffs(spec, i)
+        if f == 0.0 or not np.any(coeffs):
+            reports.append(SignalReport(period=period, amplitude=0.0))
+            continue
+        t0 = stats.t_start
+        step = period / _N_SCAN
+        tgrid = t0 + step * np.arange(_N_SCAN)
+        h = signal_values(tgrid, spec, beta, stats, i)
+
+        def refine(idx):
+            out = []
+            for k in idx:
+                d, val = _parabolic_peak(h[k - 1], h[k], h[(k + 1) % _N_SCAN])
+                epoch = t0 + ((k + d) * step) % period
+                out.append((epoch, val))
+            return out
+
+        maxima = refine(_local_extrema(h, +1))
+        minima = refine(_local_extrema(h, -1))
+        amp = max(v for _, v in maxima) - min(v for _, v in minima)
+        rep = SignalReport(period=period, amplitude=amp)
+
+        def pick(cands, sign):
+            # primary: best value; equal values resolved by earlier epoch
+            best = sign * max(sign * v for _, v in cands)
+            tol = _TIE_FRAC * amp
+            primary_pool = [(e, v) for e, v in cands if abs(v - best) <= tol]
+            tie = len(primary_pool) > 1
+            primary = min(primary_pool, key=lambda ev: ev[0])
+            rest = [ev for ev in cands if ev is not primary and abs(ev[1] - best) > tol]
+            secondary = None
+            if spec.k2 >= 2 and rest:
+                secondary = max(rest, key=lambda ev: sign * ev[1])
+            return primary, secondary, tie
+
+        (e, _), sec_max, tie_max = pick(maxima, +1)
+        rep.t_max1 = e
+        if sec_max is not None:
+            rep.t_max2 = sec_max[0]
+        (e, _), sec_min, tie_min = pick(minima, -1)
+        rep.t_min1 = e
+        if sec_min is not None:
+            rep.t_min2 = sec_min[0]
+        rep.tie = tie_max or tie_min
+        reports.append(rep)
+
+    if spec.k3 >= 0:
+        trend = beta.trend_coeffs(spec).copy()
+        ranges = trend_ranges(spec, beta)
+    else:
+        trend = np.empty(0)
+        ranges = np.empty(0)
+    return SignalSummary(signals=reports, trend=trend, trend_ranges=ranges)
+
+
+def summary_bits(summary):
+    """Every field of a summary: floats as their bytes, Nones and ties."""
+    def bits(x):
+        return None if x is None else struct.pack("<d", x)
+
+    return ([(bits(r.period), bits(r.amplitude), bits(r.t_max1), bits(r.t_min1),
+              bits(r.t_max2), bits(r.t_min2), r.tie) for r in summary.signals],
+            summary.trend.tobytes(), summary.trend_ranges.tobytes())
+
+
+ORIGINS = (0.0, 10.0, -10.0, 1e3, 2.45e6, 1e9)
+
+
+@st.composite
+def summary_cases(draw):
+    """Stacks of parameter rows: generic signals, ties (only the top
+    harmonic non-zero), flat shoulders (1e-7 higher harmonics) and
+    all-zero signals, over time origins far from zero."""
+    spec = ModelSpec(draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+                     draw(st.integers(-1, 2)))
+    t0 = draw(st.sampled_from(ORIGINS))
+    span = draw(st.sampled_from((1.0, 37.5)))
+    stats = SpanStats(t_mid=t0 + span / 2, delta_t=span, f0=1.0 / span,
+                      y_mean=0.0, y_std=1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        cycles = 10.0 ** rng.uniform(-2.0, 2.0, spec.k1)
+        linear = rng.normal(size=spec.n_linear) * 10.0 ** rng.uniform(-6.0, 6.0)
+        coeffs = linear[:2 * spec.k1 * spec.k2].reshape(spec.k1, spec.k2, 2)
+        shape = draw(st.sampled_from(("generic", "tie", "shoulder", "zero")))
+        if shape == "tie":
+            coeffs[:, :-1] = 0.0
+        elif shape == "shoulder":
+            coeffs[:, 1:] *= 1e-7
+        elif shape == "zero":
+            coeffs[:] = 0.0
+        rows.append(BetaVector(cycles / span, linear))
+    return spec, stats, rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(summary_cases())
+def test_summaries_equal_the_dense_scan_bit_for_bit(case):
+    spec, stats, rows = case
+    params = np.array([b.interleaved(spec) for b in rows])
+    stacked = summarize_signals(spec, params, stats)
+    assert len(stacked) == len(rows)
+    for beta, got in zip(rows, stacked):
+        want = summary_bits(dense_summary(spec, beta, stats))
+        assert summary_bits(got) == want
+        assert summary_bits(summarize_signals(spec, beta, stats)) == want
+
+
+def test_summary_ties_and_shoulders_match_the_dense_scan():
+    # exact ties: two equal maxima per period (cos 2 theta alone), at the
+    # bench's and a far time origin; and a 1e-7 second harmonic, whose
+    # shoulders nearly flatten the slope
+    cases = [(ModelSpec(1, 2, 0), [1.0], [0.0, 0.0, 1.0, 0.0, 0.0], True),
+             (ModelSpec(1, 3, -1), [1.3], [0.0, 0.0, 0.0, 0.0, 0.4, -0.2], True),
+             (ModelSpec(1, 2, 0), [0.7], [0.8, -0.3, 1e-7, 3e-8, 0.0], False),
+             (ModelSpec(2, 1, 0), [2.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0], False)]
+    for t0 in ORIGINS:
+        stats = SpanStats(t_mid=t0 + 0.5, delta_t=1.0, f0=1.0, y_mean=0.0, y_std=1.0)
+        for spec, f, linear, tie in cases:
+            beta = BetaVector(np.array(f), np.array(linear))
+            got = summarize_signals(spec, beta, stats)
+            assert summary_bits(got) == summary_bits(dense_summary(spec, beta, stats))
+            assert got.signals[0].tie == tie
+
+
+def test_cos_and_sin_of_an_index_subset_equal_the_full_evaluation():
+    # the sparse scan evaluates only some samples of a phase array; it
+    # relies on each element's cos and sin not depending on the array
+    # it is computed in (length, offset, neighbours)
+    rng = np.random.default_rng(0)
+    for scale in (1.0, 1e3, 1e10):
+        x = scale * (2.0 * rng.random(10_001) - 1.0)
+        for fn in (np.cos, np.sin):
+            full = fn(x)
+            for size in (1, 2, 3, 7, 8, 9, 15, 16, 17, 66, 300, 5000):
+                idx = np.sort(rng.choice(x.size, size, replace=False))
+                assert np.array_equal(fn(x[idx]), full[idx])
+                start = int(rng.integers(0, x.size - size))
+                assert np.array_equal(fn(x[start:start + size]), full[start:start + size])

@@ -12,8 +12,9 @@ values, median and quartiles, the pairs the change won (by the
 direction BENCHMARK.json gives) and whether the gain rule holds: wins
 in at least nine tenths of the pairs and a median gap wider than the
 parent's interquartile range.  It also holds the tuples each scan stage
-sent to the exact kernel on each side, counted in-process at the first
-seed with `--workers 1`, and the machine: nproc, Python, NumPy, the
+sent to the exact kernel on each side, and the (tuple, round) pairs the
+kernel fitted for them, counted in-process at the first seed with
+`--workers 1`, and the machine: nproc, Python, NumPy, the
 BLAS and the thread pins bench/run.py sets.
 """
 
@@ -28,8 +29,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Run inside a checkout: the scans' exact-pass tuples per stage of one
-# `dcm run --workers 1` per workload, stages in call order.
+# Run inside a checkout: per stage of one `dcm run --workers 1` per
+# workload, stages in call order, the tuples the scans sent to the exact
+# kernel and the (tuple, round) pairs it fitted.  The wrapper forwards
+# whatever `rescore` takes; a call without a pair mask fits every round.
 COUNT = r"""
 import json, pathlib, sys, tempfile
 root = pathlib.Path.cwd()
@@ -42,12 +45,15 @@ scan, rescore = gridsearch._scan, gridsearch._Blocks.rescore
 counts = []
 
 def counting_scan(*args, **kw):
-    counts.append(0)
+    counts.append({"tuples": 0, "pairs": 0})
     return scan(*args, **kw)
 
-def counting_rescore(blocks, tuples):
-    counts[-1] += len(tuples)
-    return rescore(blocks, tuples)
+def counting_rescore(blocks, tuples, *args, **kw):
+    need = args[0] if args else kw.get("need")
+    counts[-1]["tuples"] += len(tuples)
+    counts[-1]["pairs"] += (len(tuples) * blocks.n_rhs if need is None
+                            else int(need.sum()))
+    return rescore(blocks, tuples, *args, **kw)
 
 gridsearch._scan, gridsearch._Blocks.rescore = counting_scan, counting_rescore
 out = {}
@@ -148,7 +154,7 @@ def main(argv=None):
                  f"in BENCHMARK.json), seeds {args.seed}-{args.seed + PAIRS - 1}, "
                  f"alternating which side runs first",
         "machine": machine(sides["change"]),
-        "exact_pass_tuples": {side: exact_counts(root, args.seed)
+        "exact_pass": {side: exact_counts(root, args.seed)
                               for side, root in sides.items()},
         "workloads": {},
     }
