@@ -123,6 +123,23 @@ def _model_list(raw: str) -> list[ModelSpec]:
     return specs
 
 
+def _window(raw: str) -> tuple[float, float]:
+    parts = raw.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected 't_a, t_b', got {raw!r}")
+    t_a, t_b = float(parts[0]), float(parts[1])
+    if not t_b > t_a:
+        raise ValueError(f"need t_b > t_a, got {raw!r}")
+    return t_a, t_b
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"expected an integer >= 1, got {raw!r}")
+    return value
+
+
 def _search_config(ctl: Control, required: bool = True) -> SearchConfig | None:
     """The search range and grid sizes; None when the control file gives
     no range and ``required`` is False."""
@@ -419,13 +436,8 @@ def _predict(ctl: Control, args):
     split_time = ctl.get("split_time", float)
     if (split is None) == (split_time is None):
         raise ConfigError(f"{ctl.path}: give exactly one of split or split_time")
-    window = ctl.get("window", str)
-    window_points = ctl.get("window_points", int, 1000)
-    if window is not None:
-        parts = [p.strip() for p in window.split(",")]
-        if len(parts) != 2:
-            raise ConfigError(f"{ctl.path}: window must be 't_a, t_b'")
-        window = (float(parts[0]), float(parts[1]))
+    window = ctl.get("window", _window)
+    window_points = ctl.get("window_points", _positive_int, 1000)
     opts = _options(ctl, args, default_boot=0)
 
     def job(ts, out):

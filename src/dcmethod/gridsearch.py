@@ -185,7 +185,6 @@ whatever the number of threads.
 
 from __future__ import annotations
 
-import collections
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -283,24 +282,18 @@ class Periodogram:
 
 
 def ordered_map(fn, items, workers):
-    """Yield ``fn(item)`` for every item, in input order.
+    """``fn(item)`` for every item, in input order, as a list or iterator.
 
-    With ``workers`` > 1 the calls run on a thread pool with at most
-    2 x workers of them in flight, so a long item stream never piles up
-    results in memory.
+    With ``workers`` > 1 the calls run on a thread pool.  If one raises,
+    the calls not yet started are cancelled and the exception propagates.
     """
     if workers <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = collections.deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        return map(fn, items)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _chunk_rows(n: int, m: int, target: int) -> int:
@@ -606,23 +599,22 @@ class _Blocks:
         return ok, rss.T, bound.T
 
     def screen(self, tuples: np.ndarray):
-        """Chunk tuples that may need the exact kernel, their z_lo, and
-        the smallest z_hi per round ((R,), inf if every tuple is guarded).
+        """Bracket each tuple's exact z per round: z_lo and z_hi, (B, R)
+        each.
 
-        Guarded tuples get z_lo = -inf, and so does any tuple whose
-        screen overflowed.  Tuples whose z_lo exceeds the chunk's own
-        smallest z_hi in every round are dropped here already: the
-        scan-wide smallest z_hi can only be lower.
+        A guarded tuple, or one whose screen overflowed, gets z_lo = -inf
+        and z_hi = +inf in every round: it cannot be excluded, nor can it
+        lower any round's smallest z_hi.
         """
         ok, rss, bound = self.score(tuples)
         z_lo = np.full((tuples.shape[0], self.n_rhs), -np.inf)
-        z_hi = np.sqrt((rss + bound) / self.n)
+        z_hi = np.full_like(z_lo, np.inf)
+        hi = np.sqrt((rss + bound) / self.n)
         lo = np.sqrt(np.maximum(rss - bound, 0.0) / self.n)
-        finite = np.isfinite(lo).all(axis=1) & np.isfinite(z_hi).all(axis=1)
-        z_lo[np.flatnonzero(ok)[finite]] = lo[finite]
-        z_hi_min = z_hi[finite].min(axis=0, initial=np.inf)
-        keep = (z_lo <= z_hi_min).any(axis=1)
-        return tuples.shape[0], tuples[keep], z_lo[keep], z_hi_min
+        finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+        rows = np.flatnonzero(ok)[finite]
+        z_lo[rows], z_hi[rows] = lo[finite], hi[finite]
+        return z_lo, z_hi
 
 
 def _batches(tuples: np.ndarray, rows: int):
@@ -675,17 +667,18 @@ def _scan(ts, spec, stats, weighting, grids, y_rounds, workers):
         yw /= sigma[:, None]
     n_rounds = yw.shape[1]
 
-    # Screen, on this thread (see the module docstring).  The survivors
-    # are every guarded tuple and every tuple whose z_lo is at most the
-    # scan-wide smallest z_hi in some round: the set depends on that
-    # final minimum alone.
+    # Screen, on this thread (see the module docstring).  A tuple is
+    # kept when its z_lo reaches the running smallest z_hi in some round;
+    # the final cut below uses the scan-wide minimum, which can only be
+    # lower, so the survivors depend on that final minimum alone.
     blocks = _Blocks(ts, spec, stats, weighting, grids, yw)
     count = 0
     z_star = np.full(n_rounds, np.inf)
     kept, kept_lo = [], []
-    for c, tuples, z_lo, z_hi_min in map(blocks.screen, _product_chunks(grids, blocks.rows)):
-        count += c
-        z_star = np.minimum(z_star, z_hi_min)
+    for tuples in _product_chunks(grids, blocks.rows):
+        z_lo, z_hi = blocks.screen(tuples)
+        count += tuples.shape[0]
+        z_star = np.minimum(z_star, z_hi.min(axis=0))
         keep = (z_lo <= z_star).any(axis=1)
         kept.append(tuples[keep])
         kept_lo.append(z_lo[keep])

@@ -74,9 +74,12 @@ def row_sigma(ts: TimeSeries, weighting: str | None) -> np.ndarray | None:
 
 def weighted_design(t, spec: ModelSpec, freqs, stats: SpanStats, sigma) -> np.ndarray:
     """``design_matrix`` with every row divided by ``sigma`` (kept as is
-    when ``sigma`` is None)."""
+    when ``sigma`` is None).  The division is in place, on the fresh
+    array ``design_matrix`` returns: the same bits without a copy."""
     a = design_matrix(t, spec, freqs, stats)
-    return a if sigma is None else a / sigma[:, None]
+    if sigma is not None:
+        a /= sigma[:, None]
+    return a
 
 
 class BatchSolver:

@@ -83,7 +83,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import ConfigError
 from .timeseries import SpanStats
@@ -289,7 +288,7 @@ def trend_values(t, spec: ModelSpec, beta: BetaVector, stats: SpanStats):
         return np.zeros_like(t)
     tt = scaled_time(t, stats)
     m = beta.trend_coeffs(spec)
-    return polyval(tt, m)
+    return np.polyval(m[::-1], tt)
 
 
 def trend_ranges(spec: ModelSpec, beta: BetaVector) -> np.ndarray:

@@ -400,11 +400,6 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
 
     names = param_names(spec)
     eta = spec.eta
-    draws = np.full((n_rounds, eta), np.nan)
-    z_draws = np.full(n_rounds, np.nan)
-    ok = np.zeros(n_rounds, dtype=bool)
-    summaries = [None] * n_rounds
-
     if spec.k1 > 0:
         grid_step = float(min(g[1] - g[0] for g in grids if g.size > 1))
         _, best_tuples = scan_rounds(ts, spec, grids, y_rounds, stats, weighting, workers)
@@ -412,38 +407,31 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
         grid_step = 0.0
         best_tuples = np.zeros((n_rounds, 0))
 
-    def fit_rounds(rows):
-        out = _polish(ts.t, y_rounds[rows], sigma, spec, best_tuples[rows], stats,
-                      _MAX_ITER if refine_rounds else 0)
-        z = np.sqrt(out.wsum / ts.n)
-        return list(zip(out.params, z, summarize_signals(spec, out.params, stats)))
-
     def fit_block(rows):
+        """(params, z, summary) of each round of ``rows`` that succeeds."""
         try:
-            return fit_rounds(rows)
+            out = _polish(ts.t, y_rounds[rows], sigma, spec, best_tuples[rows], stats,
+                          _MAX_ITER if refine_rounds else 0)
+            z = np.sqrt(out.wsum / ts.n)
+            return list(zip(out.params, z, summarize_signals(spec, out.params, stats)))
         except np.linalg.LinAlgError:
             if len(rows) == 1:
-                return [None]
+                return []
         return [res for r in rows for res in fit_block(range(r, r + 1))]
 
     per_block = max(1, _BLOCK_ELEMENTS // (ts.n * eta))
     blocks = [range(r0, min(r0 + per_block, n_rounds))
               for r0 in range(0, n_rounds, per_block)]
-    for rows, results in zip(blocks, ordered_map(fit_block, blocks, workers)):
-        for r, res in zip(rows, results):
-            if res is not None:
-                draws[r], z_draws[r], summaries[r] = res
-                ok[r] = True
-
-    good = draws[ok]
-    n_ok = int(ok.sum())
+    rounds = [res for block in ordered_map(fit_block, blocks, workers) for res in block]
+    n_ok = len(rounds)
     if n_ok < 2:
         raise ConfigError(f"only {n_ok} bootstrap rounds succeeded")
+    params, z_draws, good_summaries = zip(*rounds)
+    good = np.array(params)
     param_sigma = np.std(good, axis=0, ddof=1)
 
     ref_summary = summarize_signals(spec, refined.beta, stats)
     summary_sigma = {}
-    good_summaries = [s for s in summaries if s is not None]
     for i in range(spec.k1):
         ref = ref_summary.signals[i]
         periods = np.array([s.signals[i].period for s in good_summaries])
@@ -471,7 +459,7 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     ) if spec.k1 else []
     return BootstrapReport(
         n_rounds=n_rounds, n_ok=n_ok, seed=seed, param_names=names,
-        draws=good, z_draws=z_draws[ok], param_sigma=param_sigma,
+        draws=good, z_draws=np.array(z_draws), param_sigma=param_sigma,
         summary_sigma=summary_sigma, flags=flags,
         failed_rounds=int(n_rounds - n_ok), grid_step=grid_step,
     )

@@ -357,6 +357,33 @@ pmax = 5.70
     assert "split" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("window", "a, b", "could not convert string to float: 'a'"),
+    ("window", "2, 1", "need t_b > t_a"),
+    ("window", "1, 2, 3", "expected 't_a, t_b'"),
+    ("window_points", "0", "expected an integer >= 1"),
+])
+def test_predict_window_is_checked_before_any_analysis(tmp_path, capsys, monkeypatch,
+                                                       key, value, message):
+    import dcmethod.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "prediction_test", lambda *a, **kw: calls.append(a))
+    make_data(tmp_path / "series.dat")
+    ctl = write_control(tmp_path / "pred.ctl", """\
+data = series.dat
+models = 1,1,0
+split = 30
+pmin = 0.63
+pmax = 5.70
+""" + f"{key} = {value}\n")
+    assert main(["predict", "--control", ctl]) == 3
+    err = capsys.readouterr().err
+    assert f"pred.ctl:6: bad value for {key!r}" in err
+    assert message in err
+    assert not calls
+    assert not (tmp_path / "pred.out").exists()
+
+
 def test_simulate_writes_series_and_truth(tmp_path, capsys):
     ctl = write_control(tmp_path / "sim.ctl", """\
 model = 1
@@ -396,22 +423,25 @@ out = custom/name.dat
 STARTUP_PROBE = """\
 import json, sys
 import dcmethod.cli as cli
-preloaded = [m in sys.modules for m in ("numpy.random", "numpy.polynomial.polynomial")]
+preloaded = "numpy.random" in sys.modules
 rc = cli.main(["run", "--control", sys.argv[1]])
 scipy_after_run = "scipy" in sys.modules
+polynomial_after_run = "numpy.polynomial" in sys.modules
 from dcmethod.selection import ModelScore, fisher_test
 cmp = fisher_test(ModelScore("a", 3, 10.0), ModelScore("b", 5, 8.0), 40)
 import scipy.special
 exact = cmp.q_f == float(scipy.special.fdtrc(cmp.nu1, cmp.nu2, cmp.f_value))
 print(json.dumps({"preloaded": preloaded, "rc": rc, "scipy": scipy_after_run,
+                  "polynomial": polynomial_after_run,
                   "q_f": cmp.q_f, "exact": exact}))
 """
 
 
 def test_run_starts_without_scipy(tmp_path):
     # a fresh interpreter: `dcm run` (bootstrap included) never loads
-    # SciPy, the NumPy submodules it uses load with the CLI, and the
-    # F test still gets its tail probability from SciPy's fdtrc
+    # SciPy or numpy.polynomial, the NumPy submodules it uses load with
+    # the CLI, and the F test still gets its tail probability from
+    # SciPy's fdtrc
     make_data(tmp_path / "series.dat")
     ctl = write_control(tmp_path / "case.ctl", RUN_CTL)
     # the child imports the same dcmethod as this process
@@ -423,7 +453,8 @@ def test_run_starts_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["rc"] == 0
-    assert got["preloaded"] == [True, True]
+    assert got["preloaded"] is True
     assert got["scipy"] is False
+    assert got["polynomial"] is False
     assert 1e-3 < got["q_f"] < 1.0
     assert got["exact"] is True

@@ -8,6 +8,7 @@ the smaller tuple.  Results must agree bit for bit.
 
 import itertools
 import math
+import time
 from fractions import Fraction
 from math import comb
 
@@ -559,8 +560,25 @@ def test_degenerate_tuples_reach_the_exact_kernel():
 
 def test_ordered_map_keeps_input_order():
     items = range(23)
-    for workers in (1, 3):
+    for workers in (1, 2, 3, 40):
         assert list(ordered_map(lambda i: i * i, items, workers)) == [i * i for i in items]
+
+
+def test_ordered_map_stops_at_the_first_error():
+    started = []
+
+    def call(i):
+        started.append(i)
+        if i == 0:
+            raise ValueError("item 0")
+        time.sleep(0.01)
+        return i
+
+    for workers in (1, 2):
+        started.clear()
+        with pytest.raises(ValueError, match="item 0"):
+            list(ordered_map(call, range(200), workers))
+        assert len(started) < 50
 
 
 def test_rescored_tuples_do_not_depend_on_workers(monkeypatch):
@@ -622,7 +640,8 @@ def test_model7_hazard_scans_match_brute_force():
     blocks = _Blocks(ts, spec, stats, "chi-square", sh.grids, weighted_y(ts)[:, None])
     ok, rss, _ = blocks.score(short_tuples)
     assert not np.array_equal(short_tuples[ok][np.argmin(rss[:, 0])], f_want)
-    _, survivors, _, _ = blocks.screen(short_tuples)
+    z_lo, z_hi = blocks.screen(short_tuples)
+    survivors = short_tuples[(z_lo <= z_hi.min(axis=0)).any(axis=1)]
     assert len(survivors) > 1
 
     # rounds: each round's winner is the brute force over its own series
