@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError
 from .gridsearch import SearchConfig
 from .linfit import fit_columns
 from .model import ModelSpec, design_matrix
-from .timeseries import SpanStats, TimeSeries, span_stats
+from .timeseries import TimeSeries, span_stats
 
 __all__ = ["SinePass", "PrewhitenResult", "lomb_scargle", "default_grid",
            "detrend", "prewhiten"]
@@ -73,17 +73,15 @@ def default_grid(cfg: SearchConfig, f0: float, oversample: float = 10.0) -> np.n
     return cfg.f_min + step * np.arange(count)
 
 
-def detrend(ts: TimeSeries, k3: int, stats: SpanStats | None = None):
+def detrend(ts: TimeSeries, k3: int):
     """Least squares polynomial over the scaled span variable.
 
     Returns (detrended values, trend coefficients M_0..M_k3).
     """
     if k3 < 0:
         raise ConfigError("detrending needs k3 >= 0")
-    if stats is None:
-        stats = span_stats(ts)
     spec = ModelSpec(0, 1, k3)
-    cols = design_matrix(ts.t, spec, np.empty(0), stats)
+    cols = design_matrix(ts.t, spec, np.empty(0), span_stats(ts))
     coeffs, fitted, resid = fit_columns(cols, ts.y)
     return resid, coeffs
 
@@ -151,7 +149,7 @@ def prewhiten(ts: TimeSeries, n_signals: int, cfg: SearchConfig,
     work = ts.y
     for k in range(n_signals):
         if k == 0:
-            probe, _ = detrend(ts, k3, stats)
+            probe, _ = detrend(ts, k3)
             fit_spec = ModelSpec(1, 1, k3)
         else:
             probe = work

@@ -448,10 +448,11 @@ class _Blocks:
 
     ``grids`` holds one grid per signal axis; axes that share
     one grid object (the long stage) share its columns.  ``yw`` is the
-    (n, R) weighted data, one column per round.
+    (n, R) weighted data, one column per round, and ``sigma`` the row
+    divisor it was weighted by (None unweighted).
     """
 
-    def __init__(self, ts: TimeSeries, spec: ModelSpec, stats, weighting, grids, yw):
+    def __init__(self, ts: TimeSeries, spec: ModelSpec, stats, sigma, grids, yw):
         distinct = []
         self._axis = []
         for g in grids:
@@ -464,7 +465,7 @@ class _Blocks:
             self._axis.append((g[order], start + order))
         freqs = np.concatenate(distinct)
         self.cols = weighted_design(ts.t, ModelSpec(freqs.size, spec.k2, spec.k3),
-                                    freqs, stats, row_sigma(ts, weighting))
+                                    freqs, stats, sigma)
         h = 2 * spec.k2
         bounds = np.cumsum([0] + [g.size * h for g in distinct])
         groups = [(a0, a1, sum(g is d for g in grids) > 1)
@@ -635,11 +636,12 @@ def _lex_argmin(z: np.ndarray, tuples: np.ndarray) -> np.ndarray:
     return np.lexsort(keys, axis=0)[0]
 
 
-def _scan(ts, spec, stats, weighting, grids, y_rounds, workers):
+def _scan(ts, spec, stats, sigma, grids, y_rounds, workers):
     """The scan engine: the best tuple over ``grids`` for every data round.
 
     Screens every strictly descending tuple across ``grids`` against all
-    R rounds of ``y_rounds`` (shape (R, n)), re-scores each survivor with
+    R rounds of ``y_rounds`` (shape (R, n)), rows divided by ``sigma``
+    (None unweighted), re-scores each survivor with
     the exact kernel against the rounds it can win and picks per round
     with ``_lex_argmin``: within each exact chunk, then once over the
     stacked chunk winners.
@@ -662,7 +664,6 @@ def _scan(ts, spec, stats, weighting, grids, y_rounds, workers):
         If the grids admit no strictly descending tuple.
     """
     yw = np.asarray(y_rounds, dtype=float).T.copy()
-    sigma = row_sigma(ts, weighting)
     if sigma is not None:
         yw /= sigma[:, None]
     n_rounds = yw.shape[1]
@@ -671,7 +672,7 @@ def _scan(ts, spec, stats, weighting, grids, y_rounds, workers):
     # kept when its z_lo reaches the running smallest z_hi in some round;
     # the final cut below uses the scan-wide minimum, which can only be
     # lower, so the survivors depend on that final minimum alone.
-    blocks = _Blocks(ts, spec, stats, weighting, grids, yw)
+    blocks = _Blocks(ts, spec, stats, sigma, grids, yw)
     count = 0
     z_star = np.full(n_rounds, np.inf)
     kept, kept_lo = [], []
@@ -703,8 +704,8 @@ def _scan(ts, spec, stats, weighting, grids, y_rounds, workers):
     return z_c[pick, rounds], t_c[pick, rounds], count, any(degen), blocks
 
 
-def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
-    """Misfit z along one frequency axis, the others held fixed.
+def periodogram_slice(ts, spec, freqs, axis, grid, weighting=None):
+    """Misfit z along frequency axis ``axis`` < k1, the others held fixed.
 
     Returns the z values over ``grid``, every one from the exact kernel.
     Points where the varied frequency duplicates a fixed one are
@@ -712,10 +713,10 @@ def periodogram_slice(ts, spec, freqs, axis, grid, stats=None, weighting=None):
     The search stages compute their slices inside the scan engine, from
     its columns, to the same bits.
     """
-    if stats is None:
-        stats = span_stats(ts)
+    if not 0 <= axis < spec.k1:
+        raise ConfigError(f"axis {axis} is not a signal axis 0..{spec.k1 - 1}")
     tuples = _cut(np.asarray(freqs, dtype=float), axis, np.asarray(grid, dtype=float))
-    z = [evaluate_z(ts, spec, c, stats, weighting)[0]
+    z = [evaluate_z(ts, spec, c, weighting)[0]
          for c in _batches(tuples, _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET))]
     return np.concatenate(z) if z else np.empty(0)
 
@@ -742,7 +743,7 @@ def _slices(blocks, grids, best, workers) -> list[Slice]:
             for i, (g, zi) in enumerate(zip(grids, np.split(z, cuts)))]
 
 
-def _stage(stage, ts, spec, grids, stats, weighting, workers) -> Periodogram:
+def _stage(stage, ts, spec, grids, weighting, workers) -> Periodogram:
     """One search stage: the engine on the series itself (R = 1), then,
     from the engine's columns and through its ``ordered_map``, a slice
     through the winner along every signal axis."""
@@ -751,10 +752,8 @@ def _stage(stage, ts, spec, grids, stats, weighting, workers) -> Periodogram:
     if ts.n <= spec.eta + 1:
         raise ConfigError(
             f"need more than eta+1 = {spec.eta + 1} points, have {ts.n}")
-    if stats is None:
-        stats = span_stats(ts)
-    z_min, best, count, degenerate, blocks = _scan(ts, spec, stats, weighting, grids,
-                                                   ts.y[None], workers)
+    z_min, best, count, degenerate, blocks = _scan(
+        ts, spec, span_stats(ts), row_sigma(ts, weighting), grids, ts.y[None], workers)
     best = best[0]
     return Periodogram(
         stage=stage, grids=grids, best=best, z_min=float(z_min[0]),
@@ -763,7 +762,7 @@ def _stage(stage, ts, spec, grids, stats, weighting, workers) -> Periodogram:
     )
 
 
-def long_search(ts, spec, cfg: SearchConfig, stats=None, weighting=None, workers=1):
+def long_search(ts, spec, cfg: SearchConfig, weighting=None, workers=1):
     """Coarse scan over all descending tuples from one even grid.
 
     Returns
@@ -778,11 +777,10 @@ def long_search(ts, spec, cfg: SearchConfig, stats=None, weighting=None, workers
         If the grid has fewer points than signals.
     """
     grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
-    return _stage("long", ts, spec, [grid] * spec.k1, stats, weighting, workers)
+    return _stage("long", ts, spec, [grid] * spec.k1, weighting, workers)
 
 
-def short_search(ts, spec, cfg: SearchConfig, centers, stats=None, weighting=None,
-                 workers=1):
+def short_search(ts, spec, cfg: SearchConfig, centers, weighting=None, workers=1):
     """Dense scan in a window around each long-stage frequency.
 
     ``centers`` is the long-stage best tuple.  Windows are clipped to
@@ -800,10 +798,10 @@ def short_search(ts, spec, cfg: SearchConfig, centers, stats=None, weighting=Non
     a = cfg.window_half_width
     grids = [np.linspace(max(cfg.f_min, mid - a), min(cfg.f_max, mid + a), cfg.n_short)
              for mid in centers]
-    return _stage("short", ts, spec, grids, stats, weighting, workers)
+    return _stage("short", ts, spec, grids, weighting, workers)
 
 
-def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1):
+def scan_rounds(ts, spec, grids, y_rounds, weighting=None, workers=1):
     """Best tuple over the given grids for many data rounds at once.
 
     This is the bootstrap work horse: each resampled series re-runs the
@@ -821,7 +819,7 @@ def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1
     grids : list of ndarray
         Per-signal candidate frequencies (as produced by the short stage).
     y_rounds : ndarray, shape (R, n)
-        One resampled data vector per round.
+        One resampled data vector per round, R >= 1.
 
     Returns
     -------
@@ -830,10 +828,18 @@ def scan_rounds(ts, spec, grids, y_rounds, stats=None, weighting=None, workers=1
 
     Raises
     ------
+    ConfigError
+        If ``grids`` does not hold k1 >= 1 grids, or ``y_rounds`` is not
+        (R, n) with R >= 1.
     UnstableSearchError
         If no strictly descending tuple exists across the grids.
     """
-    if stats is None:
-        stats = span_stats(ts)
-    z_min, best, _, _, _ = _scan(ts, spec, stats, weighting, grids, y_rounds, workers)
+    if spec.k1 < 1 or len(grids) != spec.k1:
+        raise ConfigError(f"need k1 >= 1 and one grid per signal, got k1 = {spec.k1} "
+                          f"and {len(grids)} grids")
+    shape = np.shape(y_rounds)
+    if len(shape) != 2 or shape[0] < 1 or shape[1] != ts.n:
+        raise ConfigError(f"y_rounds must be (R, {ts.n}) with R >= 1, got {shape}")
+    z_min, best, _, _, _ = _scan(ts, spec, span_stats(ts), row_sigma(ts, weighting),
+                                 grids, y_rounds, workers)
     return z_min, best

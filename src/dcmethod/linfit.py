@@ -150,11 +150,12 @@ class BatchSolver:
         return np.sqrt(sumsq(self.residuals(np.swapaxes(b, -1, -2))[1]) / n_points)
 
 
-def design_solver(ts, spec, freq_batch, stats, weighting=None) -> BatchSolver:
+def design_solver(ts, spec, freq_batch, weighting=None) -> BatchSolver:
     """Build the weighted design matrices for a tuple batch and factor
     them.  Pair with :meth:`BatchSolver.misfit` using ``weighted_y``."""
     fb = np.atleast_2d(np.asarray(freq_batch, dtype=float))
-    return BatchSolver(weighted_design(ts.t, spec, fb, stats, row_sigma(ts, weighting)))
+    return BatchSolver(weighted_design(ts.t, spec, fb, span_stats(ts),
+                                       row_sigma(ts, weighting)))
 
 
 def weighted_y(ts: TimeSeries, weighting: str | None = None) -> np.ndarray:
@@ -226,7 +227,6 @@ def solve_linear(
     ts: TimeSeries,
     spec: ModelSpec,
     freqs,
-    stats: SpanStats | None = None,
     weighting: str | None = None,
 ) -> FitResult:
     """Fit all linear coefficients at one frequency tuple.
@@ -240,11 +240,9 @@ def solve_linear(
     -------
     FitResult
     """
-    if stats is None:
-        stats = span_stats(ts)
     sigma = row_sigma(ts, weighting)
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    f = fit(weighted_design(ts.t, spec, freqs[None, :], stats, sigma),
+    f = fit(weighted_design(ts.t, spec, freqs[None, :], span_stats(ts), sigma),
             weighted_y(ts, weighting)[None, :])
     wsum = float(f.wsum[0])
     residuals, r_sum, chi2 = unweighted(f.rw[0], wsum, sigma)
@@ -263,7 +261,6 @@ def evaluate_z(
     ts: TimeSeries,
     spec: ModelSpec,
     freq_batch,
-    stats: SpanStats,
     weighting: str | None = None,
 ):
     """Normalised misfit z for a batch of frequency tuples.
@@ -278,7 +275,7 @@ def evaluate_z(
     degenerate : ndarray of bool, shape (B,)
         True where the solve was rank deficient.
     """
-    solver = design_solver(ts, spec, freq_batch, stats, weighting)
+    solver = design_solver(ts, spec, freq_batch, weighting)
     z = solver.misfit(weighted_y(ts, weighting)[None, :, None], ts.n)
     return z[:, 0], solver.degenerate
 

@@ -84,16 +84,16 @@ def analyze(ts: TimeSeries, spec: ModelSpec, cfg: SearchConfig | None,
     if spec.k1:
         if cfg is None:
             raise ConfigError("a search range is required when k1 >= 1")
-        long = long_search(ts, spec, cfg, stats, mode, workers)
-        short = short_search(ts, spec, cfg, long.best, stats, mode, workers)
+        long = long_search(ts, spec, cfg, mode, workers)
+        short = short_search(ts, spec, cfg, long.best, mode, workers)
         start, grids = short.best, short.grids
-    refined = refine(ts, spec, start, stats, mode)
+    refined = refine(ts, spec, start, mode)
 
     summary = summarize_signals(spec, refined.beta, stats)
     boot = None
     if opts.n_boot >= 2:
         boot = bootstrap(ts, spec, cfg, refined, grids, opts.n_boot,
-                         opts.seed, stats, mode, opts.refine_rounds, workers)
+                         opts.seed, mode, opts.refine_rounds, workers)
     return DcmAnalysis(
         spec=spec, stats=stats, weighting=mode, n=ts.n,
         long=long, short=short, refined=refined, summary=summary, boot=boot,

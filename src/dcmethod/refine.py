@@ -287,24 +287,24 @@ def _polish(t, y, sigma, spec, freqs, stats, max_iter) -> _Polished:
     return out
 
 
-def refine(ts, spec, freqs, stats=None, weighting=None,
-           max_iter=_MAX_ITER) -> RefinedModel:
+def refine(ts, spec, freqs, weighting=None, max_iter=_MAX_ITER) -> RefinedModel:
     """Polish the frequency tuple ``freqs`` by variable projection.
 
-    ``freqs`` (shape (k1,), empty for a pure trend) is the start.  Only
-    the k1 frequencies are iterated; the linear coefficients are the
-    least squares fit at each trial point, so ``z_initial`` is the
-    linear fit's misfit at ``freqs``.  ``stop`` records why the polish
-    ended: a flat gradient relative to ||J|| ||r|| (``grad``, at once
-    for a pure trend), a negligible step that no longer lowers z
-    (``z-tol``), no damping factor that lowers z (``no-descent``) or
-    ``max_iter`` accepted steps (``max-iter``).
+    ``freqs`` (shape (k1,), empty for a pure trend; another length is a
+    ConfigError) is the start.  Only the k1 frequencies are iterated;
+    the linear coefficients are the least squares fit at each trial
+    point, so ``z_initial`` is the linear fit's misfit at ``freqs``.
+    ``stop`` records why the polish ended: a flat gradient relative to
+    ||J|| ||r|| (``grad``, at once for a pure trend), a negligible step
+    that no longer lowers z (``z-tol``), no damping factor that lowers z
+    (``no-descent``) or ``max_iter`` accepted steps (``max-iter``).
     """
-    if stats is None:
-        stats = span_stats(ts)
     sigma = row_sigma(ts, weighting)
-    freqs = np.reshape(np.asarray(freqs, dtype=float), (1, spec.k1))
-    out = _polish(ts.t, ts.y[None, :], sigma, spec, freqs, stats, max_iter)
+    freqs = np.asarray(freqs, dtype=float)
+    if freqs.size != spec.k1:
+        raise ConfigError(f"expected {spec.k1} frequencies, got {freqs.size}")
+    out = _polish(ts.t, ts.y[None, :], sigma, spec, freqs.reshape(1, spec.k1),
+                  span_stats(ts), max_iter)
     wsum = float(out.wsum[0])
     residuals, r_sum, chi2 = unweighted(out.rw[0], wsum, sigma)
     stop = _STOPS[out.stop[0]]
@@ -366,7 +366,7 @@ def _wrap_epoch(value, period, reference):
 
 
 def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
-              n_rounds, seed, stats=None, weighting=None, refine_rounds=True,
+              n_rounds, seed, weighting=None, refine_rounds=True,
               workers=1) -> BootstrapReport:
     """Residual bootstrap around a refined model.
 
@@ -392,8 +392,7 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     """
     if n_rounds < 2:
         raise ConfigError("bootstrap needs at least 2 rounds")
-    if stats is None:
-        stats = span_stats(ts)
+    stats = span_stats(ts)
     sigma = row_sigma(ts, weighting)
     g_fit = ts.y - refined.residuals
     y_rounds = _resample_rounds(g_fit, refined.residuals, n_rounds, seed)
@@ -402,7 +401,7 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     eta = spec.eta
     if spec.k1 > 0:
         grid_step = float(min(g[1] - g[0] for g in grids if g.size > 1))
-        _, best_tuples = scan_rounds(ts, spec, grids, y_rounds, stats, weighting, workers)
+        _, best_tuples = scan_rounds(ts, spec, grids, y_rounds, weighting, workers)
     else:
         grid_step = 0.0
         best_tuples = np.zeros((n_rounds, 0))
@@ -455,7 +454,7 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
 
     flags = diagnose_stability(
         ts, spec, refined, ref_summary, good, good_summaries,
-        grid_step=grid_step, f_min=cfg.f_min, f_max=cfg.f_max, stats=stats,
+        grid_step=grid_step, f_min=cfg.f_min, f_max=cfg.f_max,
     ) if spec.k1 else []
     return BootstrapReport(
         n_rounds=n_rounds, n_ok=n_ok, seed=seed, param_names=names,
@@ -479,7 +478,7 @@ def _pair_cancellation(ts, spec, beta, stats, amps, threshold):
 
 
 def diagnose_stability(ts, spec, refined: RefinedModel, ref_summary, draws,
-                       summaries, *, grid_step, f_min, f_max, stats) -> list[str]:
+                       summaries, *, grid_step, f_min, f_max) -> list[str]:
     """Instability flags from the refined model and its bootstrap draws.
 
     IntersectingFrequencies: two signal frequencies cross or come
@@ -511,6 +510,7 @@ def diagnose_stability(ts, spec, refined: RefinedModel, ref_summary, draws,
         amp_sigma = np.std(amp_draws, axis=0, ddof=1)
         dispersing = bool((amp_sigma > ref_amps).any())
     if not dispersing and spec.k1 >= 2:
+        stats = span_stats(ts)
         blow = 3.0 * data_range
         if (ref_amps > blow).sum() >= 2 and _pair_cancellation(
                 ts, spec, refined.beta, stats, ref_amps, blow):

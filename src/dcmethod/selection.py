@@ -206,8 +206,7 @@ class NoSignalReport:
 
 
 def no_signal_test(ts: TimeSeries, signal: ModelScore | DcmAnalysis,
-                   max_trend_order: int, stats: SpanStats | None = None,
-                   weighting: str | None = None,
+                   max_trend_order: int, weighting: str | None = None,
                    gamma: float = GAMMA_F) -> NoSignalReport:
     """Test a fitted signal model against trend-only alternatives.
 
@@ -219,15 +218,13 @@ def no_signal_test(ts: TimeSeries, signal: ModelScore | DcmAnalysis,
         signal = score_of(signal)
     if max_trend_order < 0:
         raise ConfigError("max_trend_order must be >= 0")
-    if stats is None:
-        stats = span_stats(ts)
     polynomials = []
     comparisons = []
     worst_qf = None
     preferred = True
     for k in range(max_trend_order + 1):
         spec = ModelSpec(0, 1, k)
-        fit = solve_linear(ts, spec, np.empty(0), stats, weighting)
+        fit = solve_linear(ts, spec, np.empty(0), weighting)
         poly = ModelScore(spec.label, spec.eta, fit.stat)
         polynomials.append(poly)
         if poly.eta <= signal.eta:

@@ -213,14 +213,14 @@ def normal_equations_z(ts, spec, f, stats):
     return math.sqrt((r @ r) / ts.n)
 
 
-def scan_all_ordered_tuples(ts, spec, grids, stats):
+def scan_all_ordered_tuples(ts, spec, grids):
     best_z, best_f, best_beta = np.inf, None, None
     zs = []
     for combo in itertools.product(*grids):
         f = np.asarray(combo)
         if not np.all(f[:-1] > f[1:]):
             continue
-        fit = solve_linear(ts, spec, f, stats)
+        fit = solve_linear(ts, spec, f)
         zs.append((f, fit.z))
         if fit.z < best_z or (fit.z == best_z and tuple(f) < tuple(best_f)):
             best_z, best_f = fit.z, f
@@ -237,16 +237,14 @@ def test_criterion_08_scan_equals_sequential_scanner(k1, n_long):
     cfg = SearchConfig(4.0, 8.0, n_long=n_long, n_short=20)
     pg = long_search(ts, spec, cfg)
     grid = np.linspace(cfg.f_min, cfg.f_max, n_long)
-    z_ref, f_ref, beta_ref, zs = scan_all_ordered_tuples(
-        ts, spec, [grid] * k1, stats)
+    z_ref, f_ref, beta_ref, zs = scan_all_ordered_tuples(ts, spec, [grid] * k1)
     assert pg.z_min == z_ref
     assert np.array_equal(pg.best, f_ref)
-    fit = solve_linear(ts, spec, pg.best, stats)
+    fit = solve_linear(ts, spec, pg.best)
     assert np.array_equal(fit.beta.interleaved(spec), beta_ref)
     # the short stage too, over its own window grids
     sh = short_search(ts, spec, cfg, pg.best)
-    z_ref, f_ref, beta_ref, _ = scan_all_ordered_tuples(
-        ts, spec, sh.grids, stats)
+    z_ref, f_ref, beta_ref, _ = scan_all_ordered_tuples(ts, spec, sh.grids)
     assert sh.z_min == z_ref
     assert np.array_equal(sh.best, f_ref)
     # every z from an independent normal-equations route

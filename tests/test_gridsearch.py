@@ -38,8 +38,8 @@ from dcmethod.gridsearch import (
     periodogram_slice,
     scan_rounds,
 )
-from dcmethod.linfit import (BatchSolver, design_solver, evaluate_z, solve_linear, sumsq,
-                             weighted_y, weighting_mode)
+from dcmethod.linfit import (BatchSolver, design_solver, evaluate_z, row_sigma,
+                             solve_linear, sumsq, weighted_y, weighting_mode)
 from dcmethod.model import design_matrix
 
 
@@ -53,13 +53,12 @@ def two_sine_series(n=18, seed=3):
 
 def brute_force_best(ts, spec, grids):
     """Per-tuple sequential scan over ordered tuples from the grids."""
-    stats = span_stats(ts)
     best = (np.inf, None)
     for combo in itertools.product(*grids):
         f = np.asarray(combo)
         if not np.all(f[:-1] > f[1:]):
             continue
-        z = solve_linear(ts, spec, f, stats).z
+        z = solve_linear(ts, spec, f).z
         if z < best[0] or (z == best[0] and tuple(f) < tuple(best[1])):
             best = (z, f)
     return best
@@ -214,6 +213,37 @@ def test_no_ordered_tuple_raises_in_every_scan():
                     ts.y[None])
 
 
+@pytest.mark.parametrize("y_rounds", [
+    pytest.param(lambda y: y, id="one-dimensional"),
+    pytest.param(lambda y: y[None, :0], id="short-rows"),
+    pytest.param(lambda y: np.empty((0, y.size)), id="no-rounds"),
+])
+def test_scan_rounds_rejects_a_malformed_round_stack(y_rounds):
+    ts = two_sine_series()
+    grids = [np.linspace(5.5, 7.0, 4), np.linspace(5.0, 6.5, 4)]
+    with pytest.raises(ConfigError, match="y_rounds"):
+        scan_rounds(ts, ModelSpec(2, 1, 0), grids, y_rounds(ts.y))
+
+
+@pytest.mark.parametrize("spec,grids", [
+    (ModelSpec(1, 1, 0), [np.linspace(5.5, 7.0, 4), np.linspace(5.0, 6.5, 4)]),
+    (ModelSpec(0, 1, 1), []),
+])
+def test_scan_rounds_needs_one_grid_per_signal(spec, grids):
+    # a grid count other than k1 used to scan the wrong model silently
+    ts = two_sine_series()
+    with pytest.raises(ConfigError, match="one grid per signal"):
+        scan_rounds(ts, spec, grids, ts.y[None])
+
+
+@pytest.mark.parametrize("axis", [2, -1])
+def test_periodogram_slice_rejects_an_axis_outside_the_signals(axis):
+    ts = two_sine_series()
+    with pytest.raises(ConfigError, match="axis"):
+        periodogram_slice(ts, ModelSpec(2, 1, 0), np.array([7.0, 5.0]), axis,
+                          np.linspace(4.0, 8.0, 5))
+
+
 def test_search_rejects_too_short_series():
     ts = TimeSeries(np.linspace(0, 1, 5), np.zeros(5))
     with pytest.raises(ConfigError):
@@ -248,11 +278,10 @@ def test_slices_pass_through_minimum():
 def test_slice_matches_direct_evaluation():
     ts = two_sine_series()
     spec = ModelSpec(2, 1, 0)
-    stats = span_stats(ts)
     grid = np.linspace(4.0, 8.0, 13)
-    z = periodogram_slice(ts, spec, np.array([7.0, 5.0]), 1, grid, stats)
+    z = periodogram_slice(ts, spec, np.array([7.0, 5.0]), 1, grid)
     for j in (0, 6, 12):
-        fit = solve_linear(ts, spec, np.array([7.0, grid[j]]), stats)
+        fit = solve_linear(ts, spec, np.array([7.0, grid[j]]))
         assert z[j] == fit.z
 
 
@@ -265,11 +294,10 @@ def test_scan_rounds_matches_per_tuple_brute_force():
     # multi-round right-hand side block the scanner uses
     ts = two_sine_series(n=16, seed=5)
     spec = ModelSpec(2, 1, 0)
-    stats = span_stats(ts)
     grids = [np.linspace(5.5, 7.0, 6), np.linspace(5.0, 6.5, 5)]
     rng = np.random.default_rng(17)
     y_rounds = ts.y[None, :] + rng.normal(0, 0.1, (4, ts.n))
-    z_min, best = scan_rounds(ts, spec, grids, y_rounds, stats)
+    z_min, best = scan_rounds(ts, spec, grids, y_rounds)
     assert z_min.shape == (4,)
     assert best.shape == (4, 2)
 
@@ -280,7 +308,7 @@ def test_scan_rounds_matches_per_tuple_brute_force():
         f = np.asarray(combo)
         if not f[0] > f[1]:
             continue
-        solver = design_solver(ts, spec, f[None, :], stats, "chi-square")
+        solver = design_solver(ts, spec, f[None, :], "chi-square")
         z = solver.misfit(yw[None, :, :], ts.n)[0]
         for r in range(4):
             if z[r] < want_z[r] or (z[r] == want_z[r]
@@ -293,7 +321,7 @@ def test_scan_rounds_matches_per_tuple_brute_force():
     # and the per-round winners are the plain single-series solver's bits
     for r in range(4):
         ts_r = TimeSeries(ts.t, y_rounds[r], ts.sigma)
-        assert z_min[r] == solve_linear(ts_r, spec, best[r], stats).z
+        assert z_min[r] == solve_linear(ts_r, spec, best[r]).z
 
 
 def test_scan_rounds_worker_invariance():
@@ -373,10 +401,10 @@ def test_screen_bound_holds_and_degenerate_tuples_are_guarded(case):
     yw = weighted_y(ts, mode)[:, None] + (case["noise"] * rng.normal(
         size=(n, case["rounds"] - 1)) / (sigma[:, None] if sigma is not None else 1.0))
     tuples = np.array(list(itertools.product(grid, repeat=spec.k1)))
-    blocks = _Blocks(ts, spec, stats, mode, [grid] * spec.k1, yw)
+    blocks = _Blocks(ts, spec, stats, row_sigma(ts, mode), [grid] * spec.k1, yw)
     ok, rss, bound = blocks.score(tuples)
 
-    solver = design_solver(ts, spec, tuples, stats, mode)
+    solver = design_solver(ts, spec, tuples, mode)
     # the screen's columns are the exact kernel's, bit for bit
     assert np.array_equal(blocks.cols[:, blocks.columns(tuples)].transpose(1, 0, 2),
                           solver.a)
@@ -390,7 +418,7 @@ def test_singular_tuples_are_routed_not_raised():
     spec = ModelSpec(2, 2, 0)
     grid = np.array([3.0, 6.0, 6.5])
     tuples = np.array([[6.0, 6.0], [6.0, 3.0], [6.5, 3.0]])
-    blocks = _Blocks(ts, spec, span_stats(ts), "chi-square", [grid, grid],
+    blocks = _Blocks(ts, spec, span_stats(ts), row_sigma(ts, "chi-square"), [grid, grid],
                      weighted_y(ts)[:, None])
     ok, rss, bound = blocks.score(tuples)
     # a duplicated frequency and f_a = 2 f_b with two harmonics
@@ -517,7 +545,6 @@ def test_exact_pass_tuple_counts_do_not_grow(monkeypatch):
     # unchanged.
     ts = simulate(SimulationSpec(7, 500, 1e6, seed=42))
     spec = ModelSpec(2, 2, 2)
-    stats = span_stats(ts)
     cfg = SearchConfig.from_periods(*MODELS[7].period_range, n_long=40, n_short=30)
     exact = gridsearch._Blocks.rescore
     seen = dict.fromkeys(("long", "short", "rounds"), 0)
@@ -528,12 +555,12 @@ def test_exact_pass_tuple_counts_do_not_grow(monkeypatch):
 
     monkeypatch.setattr(gridsearch._Blocks, "rescore", counting)
     stage = "long"
-    pg = long_search(ts, spec, cfg, stats)
+    pg = long_search(ts, spec, cfg)
     stage = "short"
-    sh = short_search(ts, spec, cfg, pg.best, stats)
+    sh = short_search(ts, spec, cfg, pg.best)
     stage = "rounds"
     y_rounds = ts.y[None, :] + ts.sigma * np.random.default_rng(7).normal(size=(2, ts.n))
-    scan_rounds(ts, spec, sh.grids, y_rounds, stats)
+    scan_rounds(ts, spec, sh.grids, y_rounds)
     assert (pg.combinations, sh.combinations) == (780, 900)
     assert seen["long"] <= 84
     assert seen["short"] <= 152
@@ -545,13 +572,12 @@ def test_degenerate_tuples_reach_the_exact_kernel():
     # those tuples are rank deficient, so only the exact kernel flags them
     ts = two_sine_series()
     spec = ModelSpec(2, 2, 0)
-    stats = span_stats(ts)
     cfg = SearchConfig(2.0, 8.0, n_long=13)
     grid = np.linspace(2.0, 8.0, 13)
     tuples = np.concatenate(list(_product_chunks([grid] * 2, 4096)))
-    _, degenerate = gridsearch.evaluate_z(ts, spec, tuples, stats)
+    _, degenerate = gridsearch.evaluate_z(ts, spec, tuples)
     assert degenerate.any()
-    pg = long_search(ts, spec, cfg, stats)
+    pg = long_search(ts, spec, cfg)
     assert pg.degenerate_hit
     z_want, f_want = brute_force_best(ts, spec, [grid, grid])
     assert pg.z_min == z_want
@@ -618,7 +644,8 @@ def test_model7_hazard_scans_match_brute_force():
     grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
 
     long_tuples = np.concatenate(list(_product_chunks([grid] * 2, 4096)))
-    blocks = _Blocks(ts, spec, stats, "chi-square", [grid, grid], weighted_y(ts)[:, None])
+    blocks = _Blocks(ts, spec, stats, row_sigma(ts, "chi-square"), [grid, grid],
+                     weighted_y(ts)[:, None])
     idx = blocks.columns(long_tuples)
     gram = blocks.gram[idx[:, :, None], idx[:, None, :]]
     b = blocks.rhs[idx]
@@ -626,18 +653,19 @@ def test_model7_hazard_scans_match_brute_force():
     gram_only = blocks.ss - 2 * np.einsum("bmr,bmr->b", b, x) + np.einsum(
         "bmr,bmr->b", x, gram @ x)
 
-    pg = long_search(ts, spec, cfg, stats)
+    pg = long_search(ts, spec, cfg)
     z_want, f_want = brute_force_best(ts, spec, [grid, grid])
     assert pg.z_min == z_want
     assert np.array_equal(pg.best, f_want)
     assert not np.array_equal(long_tuples[np.argmin(gram_only)], f_want)
 
-    sh = short_search(ts, spec, cfg, pg.best, stats)
+    sh = short_search(ts, spec, cfg, pg.best)
     z_want, f_want = brute_force_best(ts, spec, sh.grids)
     assert sh.z_min == z_want
     assert np.array_equal(sh.best, f_want)
     short_tuples = np.concatenate(list(_product_chunks(sh.grids, 4096)))
-    blocks = _Blocks(ts, spec, stats, "chi-square", sh.grids, weighted_y(ts)[:, None])
+    blocks = _Blocks(ts, spec, stats, row_sigma(ts, "chi-square"), sh.grids,
+                     weighted_y(ts)[:, None])
     ok, rss, _ = blocks.score(short_tuples)
     assert not np.array_equal(short_tuples[ok][np.argmin(rss[:, 0])], f_want)
     z_lo, z_hi = blocks.screen(short_tuples)
@@ -647,7 +675,7 @@ def test_model7_hazard_scans_match_brute_force():
     # rounds: each round's winner is the brute force over its own series
     rng = np.random.default_rng(11)
     y_rounds = ts.y[None, :] + ts.sigma[None, :] * rng.normal(size=(3, ts.n))
-    z_min, best = scan_rounds(ts, spec, sh.grids, y_rounds, stats)
+    z_min, best = scan_rounds(ts, spec, sh.grids, y_rounds)
     for r in range(3):
         ts_r = TimeSeries(ts.t, y_rounds[r], ts.sigma)
         z_want, f_want = brute_force_best(ts_r, spec, sh.grids)
@@ -677,12 +705,11 @@ def _stage_case(name):
 @pytest.mark.parametrize("case", ["weighted", "unweighted", "hazard"])
 def test_scan_rounds_of_the_series_equals_each_stage(case):
     ts, spec, cfg = _stage_case(case)
-    stats = span_stats(ts)
-    pg = long_search(ts, spec, cfg, stats)
-    sh = short_search(ts, spec, cfg, pg.best, stats)
+    pg = long_search(ts, spec, cfg)
+    sh = short_search(ts, spec, cfg, pg.best)
     grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
     for stage, grids in ((pg, [grid] * spec.k1), (sh, sh.grids)):
-        z_min, best = scan_rounds(ts, spec, grids, ts.y[None], stats)
+        z_min, best = scan_rounds(ts, spec, grids, ts.y[None])
         assert z_min[0] == stage.z_min
         assert np.array_equal(best[0], stage.best)
 
@@ -697,21 +724,20 @@ def test_stage_slices_equal_periodogram_slice(case, exact_target, monkeypatch):
     if exact_target is not None:
         monkeypatch.setattr(gridsearch, "_EXACT_TARGET", exact_target)
     ts, spec, cfg = _stage_case(case)
-    stats = span_stats(ts)
     mode = weighting_mode(ts, None)
     degenerate = False
     for workers in (1, 3):
-        pg = long_search(ts, spec, cfg, stats, workers=workers)
-        sh = short_search(ts, spec, cfg, pg.best, stats, workers=workers)
+        pg = long_search(ts, spec, cfg, workers=workers)
+        sh = short_search(ts, spec, cfg, pg.best, workers=workers)
         for stage in (pg, sh):
             assert [sl.signal for sl in stage.slices] == list(range(1, spec.k1 + 1))
             for i, (sl, grid) in enumerate(zip(stage.slices, stage.grids)):
                 assert sl.f is grid
-                want = periodogram_slice(ts, spec, stage.best, i, grid, stats, mode)
+                want = periodogram_slice(ts, spec, stage.best, i, grid, mode)
                 assert np.array_equal(sl.z, want)
                 tuples = np.tile(stage.best, (grid.size, 1))
                 tuples[:, i] = grid
-                degenerate |= gridsearch.evaluate_z(ts, spec, tuples, stats)[1].any()
+                degenerate |= gridsearch.evaluate_z(ts, spec, tuples)[1].any()
     assert degenerate
 
 
@@ -732,7 +758,8 @@ def test_gathered_design_matrices_equal_design_matrix(weighted, shape):
     long_grid = np.linspace(2.0, 8.0, 9)
     short_grids = [np.linspace(c - 0.7, c + 0.7, 6) for c in (7.1, 6.6, 3.0)[:spec.k1]]
     for grids in ([long_grid] * spec.k1, short_grids):
-        blocks = _Blocks(ts, spec, stats, mode, grids, weighted_y(ts)[:, None])
+        blocks = _Blocks(ts, spec, stats, row_sigma(ts, mode), grids,
+                         weighted_y(ts)[:, None])
         # every combination, descending or not, as slice points are
         tuples = np.array(list(itertools.product(*grids)))
         got = blocks.design(tuples)
@@ -883,14 +910,13 @@ def test_every_scan_z_is_the_one_column_fit(case):
     sigma = rng.uniform(0.2, 0.5, n) if case["weighted"] else None
     ts = TimeSeries(t, y, sigma)
     spec = ModelSpec(case["k1"], case["k2"], case["k3"])
-    stats = span_stats(ts)
     cfg = SearchConfig(0.5, 2.0, n_long=9, n_short=5, half_width_frac=0.1)
 
     def z_alone(series, f):
-        return solve_linear(series, spec, f, stats).z
+        return solve_linear(series, spec, f).z
 
-    long_pg = long_search(ts, spec, cfg, stats)
-    short_pg = short_search(ts, spec, cfg, long_pg.best, stats)
+    long_pg = long_search(ts, spec, cfg)
+    short_pg = short_search(ts, spec, cfg, long_pg.best)
     for pg in (long_pg, short_pg):
         assert pg.z_min == z_alone(ts, pg.best)
         for s in pg.slices:
@@ -898,12 +924,12 @@ def test_every_scan_z_is_the_one_column_fit(case):
             tuples[:, s.signal - 1] = s.f
             want = np.array([z_alone(ts, f) for f in tuples])
             assert np.array_equal(s.z, want)
-            assert np.array_equal(evaluate_z(ts, spec, tuples, stats)[0], want)
+            assert np.array_equal(evaluate_z(ts, spec, tuples)[0], want)
             assert np.array_equal(periodogram_slice(ts, spec, pg.best, s.signal - 1,
-                                                    s.f, stats), want)
+                                                    s.f), want)
 
     y_rounds = ts.y[None, :] + rng.normal(0, 0.3, (case["rounds"], n))
-    z_min, best = scan_rounds(ts, spec, short_pg.grids, y_rounds, stats)
+    z_min, best = scan_rounds(ts, spec, short_pg.grids, y_rounds)
     for r in range(case["rounds"]):
         assert z_min[r] == z_alone(TimeSeries(ts.t, y_rounds[r], ts.sigma), best[r])
 
@@ -914,11 +940,10 @@ def test_round_z_does_not_depend_on_the_round_count(rounds):
     # rounds gave 9.08630467606394 here against the one-column 9.086304676050819
     ts = simulate(SimulationSpec(7, 40, 1e6, seed=5))
     spec = ModelSpec(2, 2, 2)
-    stats = span_stats(ts)
     f = np.array([0.8, 0.7])
-    want = solve_linear(ts, spec, f, stats).z
-    z_min, best = scan_rounds(ts, spec, [f[:1], f[1:]], np.tile(ts.y, (rounds, 1)), stats)
+    want = solve_linear(ts, spec, f).z
+    z_min, best = scan_rounds(ts, spec, [f[:1], f[1:]], np.tile(ts.y, (rounds, 1)))
     assert np.array_equal(best, np.tile(f, (rounds, 1)))
     assert (z_min == want).all()
-    assert (design_solver(ts, spec, f[None], stats).misfit(
+    assert (design_solver(ts, spec, f[None]).misfit(
         np.tile(weighted_y(ts)[:, None], rounds)[None], ts.n) == want).all()

@@ -6,11 +6,13 @@ no code path with the SVD machinery under test.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from dcmethod import (ConfigError, ModelSpec, SearchConfig, TimeSeries, long_search,
+from dcmethod import (ConfigError, ModelSpec, SearchConfig, TimeSeries, bootstrap,
+                      detrend, diagnose_stability, long_search, no_signal_test,
                       periodogram_slice, refine, short_search, span_stats)
 from dcmethod.gridsearch import scan_rounds
 from dcmethod.linfit import (
@@ -103,21 +105,19 @@ def test_unweighted_mode_ignores_the_sigma_column():
     plain = TimeSeries(t, y)
     spec = ModelSpec(2, 1, 0)
     cfg = SearchConfig(0.8, 2.6, n_long=24, n_short=12)
-    stats = span_stats(plain)
     y_rounds = y[None, :] + rng.normal(0, 0.1, (3, n))
     start = np.array([2.05, 1.32])
 
     def entries(ts, weighting):
-        long = long_search(ts, spec, cfg, stats, weighting)
-        short = short_search(ts, spec, cfg, long.best, stats, weighting)
+        long = long_search(ts, spec, cfg, weighting)
+        short = short_search(ts, spec, cfg, long.best, weighting)
         return [
             long, short,
-            scan_rounds(ts, spec, short.grids, y_rounds, stats, weighting),
-            periodogram_slice(ts, spec, start, 1, short.grids[1], stats, weighting),
-            refine(ts, spec, start, stats, weighting),
-            solve_linear(ts, spec, start, stats, weighting),
-            evaluate_z(ts, spec, np.stack([start, start[::-1], [2.0, 2.0]]), stats,
-                       weighting),
+            scan_rounds(ts, spec, short.grids, y_rounds, weighting),
+            periodogram_slice(ts, spec, start, 1, short.grids[1], weighting),
+            refine(ts, spec, start, weighting),
+            solve_linear(ts, spec, start, weighting),
+            evaluate_z(ts, spec, np.stack([start, start[::-1], [2.0, 2.0]]), weighting),
         ]
 
     want = entries(plain, None)
@@ -129,16 +129,31 @@ def test_unweighted_mode_ignores_the_sigma_column():
     assert _bits(entries(weighted, "chi-square")) != _bits(want)
 
     grids = want[1].grids
-    for call in (lambda: long_search(plain, spec, cfg, stats, "chi-square"),
-                 lambda: short_search(plain, spec, cfg, start, stats, "chi-square"),
-                 lambda: scan_rounds(plain, spec, grids, y_rounds, stats, "chi-square"),
-                 lambda: periodogram_slice(plain, spec, start, 0, grids[0], stats,
-                                           "chi-square"),
-                 lambda: refine(plain, spec, start, stats, "chi-square"),
-                 lambda: solve_linear(plain, spec, start, stats, "chi-square"),
-                 lambda: evaluate_z(plain, spec, start[None], stats, "chi-square")):
+    for call in (lambda: long_search(plain, spec, cfg, "chi-square"),
+                 lambda: short_search(plain, spec, cfg, start, "chi-square"),
+                 lambda: scan_rounds(plain, spec, grids, y_rounds, "chi-square"),
+                 lambda: periodogram_slice(plain, spec, start, 0, grids[0], "chi-square"),
+                 lambda: refine(plain, spec, start, "chi-square"),
+                 lambda: solve_linear(plain, spec, start, "chi-square"),
+                 lambda: evaluate_z(plain, spec, start[None], "chi-square")):
         with pytest.raises(ConfigError, match="sigma column"):
             call()
+
+
+def test_entries_that_take_the_series_derive_its_span():
+    # the span comes from the series; an old call that still passes one
+    # fails loudly instead of being used or ignored
+    entries = (solve_linear, evaluate_z, design_solver, long_search, short_search,
+               scan_rounds, periodogram_slice, refine, bootstrap, diagnose_stability,
+               no_signal_test, detrend)
+    for entry in entries:
+        assert "stats" not in inspect.signature(entry).parameters, entry.__name__
+    ts = sine_series(seed=1)
+    spec = ModelSpec(1, 1, 0)
+    with pytest.raises(ConfigError, match="unknown weighting"):
+        solve_linear(ts, spec, [1.3], span_stats(ts))
+    with pytest.raises(TypeError):
+        refine(ts, spec, [1.3], stats=span_stats(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +166,7 @@ def test_solution_matches_cramer_oracle():
     stats = span_stats(ts)
     a = design_matrix(ts.t, spec, np.array([1.3]), stats)
     want = cramer_normal_equations(a, ts.y)
-    fit = solve_linear(ts, spec, np.array([1.3]), stats)
+    fit = solve_linear(ts, spec, np.array([1.3]))
     assert np.allclose(fit.beta.linear, want, rtol=1e-10, atol=1e-12)
 
 
@@ -163,7 +178,7 @@ def test_weighted_solution_matches_cramer_oracle():
     stats = span_stats(ts)
     a = design_matrix(ts.t, spec, np.array([1.3]), stats) / ts.sigma[:, None]
     want = cramer_normal_equations(a, ts.y / ts.sigma)
-    fit = solve_linear(ts, spec, np.array([1.3]), stats)
+    fit = solve_linear(ts, spec, np.array([1.3]))
     assert np.allclose(fit.beta.linear, want, rtol=1e-10, atol=1e-12)
 
 
@@ -175,7 +190,7 @@ def test_z_matches_cramer_oracle():
     x = cramer_normal_equations(a, ts.y)
     r = ts.y - a @ x
     z_want = np.sqrt(r @ r / ts.n)
-    fit = solve_linear(ts, spec, np.array([1.3]), stats)
+    fit = solve_linear(ts, spec, np.array([1.3]))
     assert fit.z == pytest.approx(z_want, rel=1e-10)
 
 
@@ -183,7 +198,7 @@ def test_residuals_are_explicit_differences():
     ts = sine_series(seed=4)
     spec = ModelSpec(1, 1, 1)
     stats = span_stats(ts)
-    fit = solve_linear(ts, spec, np.array([1.3]), stats)
+    fit = solve_linear(ts, spec, np.array([1.3]))
     a = design_matrix(ts.t, spec, np.array([1.3]), stats)
     assert np.array_equal(fit.residuals, ts.y - a @ fit.beta.linear)
     assert fit.r_sum == pytest.approx(fit.residuals @ fit.residuals, rel=1e-14)
@@ -251,9 +266,8 @@ def test_rank_deficient_column_flagged_and_min_norm():
 def test_evaluate_z_flags_duplicate_frequencies():
     ts = sine_series(seed=12)
     spec = ModelSpec(2, 1, 0)
-    stats = span_stats(ts)
     batch = np.array([[2.0, 1.0], [1.5, 1.5]])  # second tuple duplicates columns
-    z, degen = evaluate_z(ts, spec, batch, stats)
+    z, degen = evaluate_z(ts, spec, batch)
     assert z.shape == (2,)
     assert not degen[0]
     assert degen[1]
@@ -264,13 +278,12 @@ def test_single_tuple_goes_through_batch_path():
     # bit-identical z whether a tuple is solved alone or inside a batch
     ts = sine_series(seed=13)
     spec = ModelSpec(1, 1, 0)
-    stats = span_stats(ts)
     batch = np.array([[1.1], [1.3], [2.9]])
-    z_all, _ = evaluate_z(ts, spec, batch, stats)
+    z_all, _ = evaluate_z(ts, spec, batch)
     for i, f in enumerate(batch):
-        z_one, _ = evaluate_z(ts, spec, f[None, :], stats)
+        z_one, _ = evaluate_z(ts, spec, f[None, :])
         assert z_one[0] == z_all[i]
-        fit = solve_linear(ts, spec, f, stats)
+        fit = solve_linear(ts, spec, f)
         assert fit.z == z_all[i]
 
 
@@ -284,7 +297,7 @@ def test_design_solver_weighted_rows():
     ts = sine_series(seed=15, sigma=0.25)
     spec = ModelSpec(1, 1, 0)
     stats = span_stats(ts)
-    solver = design_solver(ts, spec, np.array([[1.3]]), stats, "chi-square")
+    solver = design_solver(ts, spec, np.array([[1.3]]), "chi-square")
     b = weighted_y(ts, "chi-square")[None, :, None]
     x = solver.solve(b)
     aw = design_matrix(ts.t, spec, np.array([1.3]), stats) / ts.sigma[:, None]

@@ -12,7 +12,6 @@ from dcmethod import (
 )
 from dcmethod.pipeline import analyze
 from dcmethod.linfit import solve_linear
-from dcmethod.timeseries import span_stats
 
 
 def series(seed=0, n=60, noise=0.05):
@@ -64,7 +63,7 @@ def test_pure_trend_skips_the_scans():
     assert a.refined.converged
     assert a.refined.stop == "grad"
     assert a.refined.z_initial == a.refined.z
-    direct = solve_linear(ts, ModelSpec(0, 1, 1), np.empty(0), span_stats(ts))
+    direct = solve_linear(ts, ModelSpec(0, 1, 1), np.empty(0))
     assert a.refined.z == direct.z
     assert np.array_equal(a.refined.beta.linear, direct.beta.linear)
     assert np.array_equal(a.refined.residuals, direct.residuals)

@@ -168,11 +168,10 @@ def test_wrap_epoch_maps_to_nearest_representative():
 # ---------------------------------------------------------------------------
 
 def run_bootstrap(ts, spec, cfg, n_rounds, seed, workers=1, refine_rounds=True):
-    stats = span_stats(ts)
-    fit = solve_linear(ts, spec, np.array([1.4]), stats)
-    refined = refine(ts, spec, fit.beta.freqs, stats)
+    fit = solve_linear(ts, spec, np.array([1.4]))
+    refined = refine(ts, spec, fit.beta.freqs)
     grids = [np.linspace(1.3, 1.5, 21)]
-    return bootstrap(ts, spec, cfg, refined, grids, n_rounds, seed, stats,
+    return bootstrap(ts, spec, cfg, refined, grids, n_rounds, seed,
                      refine_rounds=refine_rounds, workers=workers)
 
 
@@ -261,7 +260,7 @@ def test_clean_draws_raise_no_flags():
     draws, summaries = draws_from(spec, stats, rows)
     flags = diagnose_stability(ts, spec, refined, summarize_signals(spec, beta, stats),
                                draws, summaries, grid_step=0.001,
-                               f_min=0.5, f_max=3.0, stats=stats)
+                               f_min=0.5, f_max=3.0)
     assert flags == []
 
 
@@ -275,7 +274,7 @@ def test_intersecting_frequencies_on_crossed_round():
     draws, summaries = draws_from(spec, stats, rows)
     flags = diagnose_stability(ts, spec, refined, summarize_signals(spec, beta, stats),
                                draws, summaries, grid_step=0.001,
-                               f_min=0.5, f_max=3.0, stats=stats)
+                               f_min=0.5, f_max=3.0)
     assert FLAG_INTERSECTING in flags
 
 
@@ -288,7 +287,7 @@ def test_intersecting_frequencies_on_grid_step_proximity():
     draws, summaries = draws_from(spec, stats, rows)
     flags = diagnose_stability(ts, spec, refined, summarize_signals(spec, beta, stats),
                                draws, summaries, grid_step=0.01,
-                               f_min=0.5, f_max=3.0, stats=stats)
+                               f_min=0.5, f_max=3.0)
     assert FLAG_INTERSECTING in flags
 
 
@@ -300,7 +299,7 @@ def test_dispersing_amplitudes_on_wide_spread():
     draws, summaries = draws_from(spec, stats, rows)
     flags = diagnose_stability(ts, spec, refined, summarize_signals(spec, beta, stats),
                                draws, summaries, grid_step=0.001,
-                               f_min=0.5, f_max=3.0, stats=stats)
+                               f_min=0.5, f_max=3.0)
     assert FLAG_DISPERSING in flags
 
 
@@ -316,7 +315,7 @@ def test_dispersing_amplitudes_on_cancelling_pair():
     draws, summaries = draws_from(spec, stats, rows)
     flags = diagnose_stability(ts, spec, refined, summarize_signals(spec, beta, stats),
                                draws, summaries, grid_step=1e-9,
-                               f_min=0.5, f_max=3.0, stats=stats)
+                               f_min=0.5, f_max=3.0)
     assert FLAG_DISPERSING in flags
 
 
@@ -329,7 +328,7 @@ def test_leaking_periods_on_escaped_round():
     draws, summaries = draws_from(spec, stats, rows)
     flags = diagnose_stability(ts, spec, refined, summarize_signals(spec, beta, stats),
                                draws, summaries, grid_step=0.001,
-                               f_min=0.5, f_max=3.0, stats=stats)
+                               f_min=0.5, f_max=3.0)
     assert flags == [FLAG_LEAKING]
 
 
@@ -340,7 +339,7 @@ def test_leaking_periods_on_point_estimate():
     draws, summaries = draws_from(spec, stats, [BetaVector([1.4], [1.0, 0.0, 1.0])] * 2)
     flags = diagnose_stability(ts, spec, refined, summarize_signals(spec, beta, stats),
                                draws, summaries, grid_step=0.001,
-                               f_min=0.5, f_max=3.0, stats=stats)
+                               f_min=0.5, f_max=3.0)
     assert FLAG_LEAKING in flags
 
 
@@ -436,7 +435,7 @@ def polish_cases(draw):
     series = [TimeSeries(t, g + rng.normal(0, 1, n) * sigma, sigma)
               for _ in range(rows)]
     mode = draw(st.sampled_from(["unweighted", "chi-square"]))
-    starts = [solve_linear(ts, spec, freqs + rng.normal(0, 0.01, k1), stats, mode).beta
+    starts = [solve_linear(ts, spec, freqs + rng.normal(0, 0.01, k1), mode).beta
               for ts in series]
     max_iter = draw(st.sampled_from([0, 1, 2, 5, 200]))
     return spec, series, starts, stats, mode, max_iter
@@ -466,7 +465,7 @@ def test_stacked_polish_equals_the_reference_loop_per_row(case):
         assert out.z0[r] == z0
         assert out.steps[r] == steps
         assert refine_mod._STOPS[out.stop[r]] == stop
-        single = refine(ts, spec, beta0.freqs, stats, mode, max_iter=max_iter)
+        single = refine(ts, spec, beta0.freqs, mode, max_iter=max_iter)
         assert single.stop == stop
         assert single.iterations == steps
         assert single.converged == (stop in CONVERGED_STOPS)
@@ -503,7 +502,7 @@ def test_block_linear_fit_equals_solve_linear_per_round(case):
     out = refine_mod._polish(ts.t, y, sigma, spec, tuples, stats, 0)
     params, wsum = out.params, out.wsum
     for r, s in enumerate(series):
-        fit = solve_linear(s, spec, tuples[r], stats, mode)
+        fit = solve_linear(s, spec, tuples[r], mode)
         assert np.array_equal(params[r], fit.beta.interleaved(spec))
         assert np.sqrt(wsum[r] / ts.n) == fit.z
 
@@ -520,11 +519,11 @@ def test_harmonic_polish_converges_below_the_old_capped_z():
     ts = simulate(sim)
     spec = MODELS[7].spec
     stats = span_stats(ts)
-    fit = solve_linear(ts, spec, model_truth(sim).beta.freqs * (1 + 1e-4), stats)
+    fit = solve_linear(ts, spec, model_truth(sim).beta.freqs * (1 + 1e-4))
     mode = "chi-square" if ts.weighted else "unweighted"
     p, rw, s_sum, z0, steps, stop = reference_refine(
         ts, spec, fit.beta, stats, mode, 200)
-    out = refine(ts, spec, fit.beta.freqs, stats, mode)
+    out = refine(ts, spec, fit.beta.freqs, mode)
     assert out.stop in CONVERGED_STOPS
     assert out.converged
     assert out.z <= GN_CAPPED_Z
@@ -574,9 +573,8 @@ def test_polish_ignores_the_time_origin_and_unit(frame):
     scale, offset = frame
     ts, spec, best, ref = model1_start()
     moved = TimeSeries(scale * (ts.t + offset), ts.y, ts.sigma)
-    stats = span_stats(moved)
-    start = solve_linear(moved, spec, best / scale, stats).beta
-    out = refine(moved, spec, start.freqs, stats)
+    start = solve_linear(moved, spec, best / scale).beta
+    out = refine(moved, spec, start.freqs)
     assert out.stop in CONVERGED_STOPS
     assert out.beta.freqs[0] * scale == pytest.approx(ref.beta.freqs[0], rel=1e-6)
 
@@ -610,6 +608,12 @@ def test_one_step_cap_stops_on_max_iter():
     assert not out.converged
 
 
+@pytest.mark.parametrize("start", [[1.0, 2.0], []])
+def test_start_of_the_wrong_length_is_a_config_error(start):
+    with pytest.raises(ConfigError, match="expected 1 frequencies"):
+        refine(clean_sine(), ModelSpec(1, 1, 0), start)
+
+
 def test_zero_step_cap_returns_the_start():
     ts = sine_series(seed=3)
     spec = ModelSpec(1, 1, 0)
@@ -638,7 +642,7 @@ def test_z_tol_on_the_last_allowed_step_counts_as_converged():
 @given(polish_cases())
 def test_converged_exactly_when_stopped_on_grad_or_z_tol(case):
     spec, series, starts, stats, mode, max_iter = case
-    out = refine(series[0], spec, starts[0].freqs, stats, mode, max_iter=max_iter)
+    out = refine(series[0], spec, starts[0].freqs, mode, max_iter=max_iter)
     assert out.stop in refine_mod._STOPS
     assert out.converged == (out.stop in CONVERGED_STOPS)
     assert out.z <= out.z_initial
@@ -652,12 +656,11 @@ def wide_bootstrap(n_rounds, workers=1, spec=ModelSpec(1, 1, 0), seed=17):
     """A series long enough that the default block size splits the
     rounds: n = 1000, eta = 4 gives 25 rounds per block."""
     ts = sine_series(n=1000, seed=20)
-    stats = span_stats(ts)
-    beta0 = solve_linear(ts, spec, np.array([1.4])[:spec.k1], stats).beta
-    refined = refine(ts, spec, beta0.freqs, stats)
+    beta0 = solve_linear(ts, spec, np.array([1.4])[:spec.k1]).beta
+    refined = refine(ts, spec, beta0.freqs)
     grids = [np.linspace(1.3, 1.5, 21)][:spec.k1]
     return bootstrap(ts, spec, SearchConfig(0.8, 2.5), refined, grids,
-                     n_rounds, seed, stats, workers=workers)
+                     n_rounds, seed, workers=workers)
 
 
 def test_bootstrap_blocks_are_prefix_stable_and_worker_invariant():
