@@ -117,7 +117,10 @@ def _model_list(raw: str) -> list[ModelSpec]:
         nums = [p.strip() for p in part.split(",")]
         if len(nums) != 3:
             raise ValueError(f"model shape needs three integers, got {part!r}")
-        specs.append(ModelSpec(int(nums[0]), int(nums[1]), int(nums[2])))
+        spec = ModelSpec(int(nums[0]), int(nums[1]), int(nums[2]))
+        if spec in specs:
+            raise ValueError(f"duplicate model shape {spec.label}")
+        specs.append(spec)
     if not specs:
         raise ValueError("empty model list")
     return specs
@@ -406,9 +409,9 @@ def _ladder(ctl: Control, args):
             "ambiguous": report.ambiguous,
             "entries": [
                 {
-                    "label": e.label, "eta": e.eta, "stat": e.stat, "z": e.z,
-                    "flags": e.flags,
-                    "parameters": _parameters(e.spec, e.analysis.refined.beta),
+                    "label": e.spec.label, "eta": e.spec.eta, "stat": e.stat,
+                    "z": e.z, "flags": e.flags,
+                    "parameters": _parameters(e.spec, e.refined.beta),
                 }
                 for e in report.entries
             ],
@@ -423,7 +426,7 @@ def _ladder(ctl: Control, args):
                 for c in report.comparisons
             ],
         })
-        flagged = [e.label for e in report.entries if e.flags]
+        flagged = [e.spec.label for e in report.entries if e.flags]
         return f"best {', '.join(report.best) or '(none)'}", "flagged", flagged
     return job
 
@@ -444,25 +447,26 @@ def _predict(ctl: Control, args):
         reports = prediction_test(
             ts, split if split is not None else split_time, specs, cfg, opts,
             window=window, window_points=window_points, workers=args.workers)
+        fits = [r.analysis for r in reports]
         out.json("predict.json", {"reports": [
             {
-                "label": r.label, "n_fit": r.n_fit, "n_pred": r.n_pred,
-                "z_fit": r.z_fit, "z_pred": r.z_pred, "m_pred": r.m_pred,
-                "parameters": _parameters(r.analysis.spec, r.analysis.refined.beta),
+                "label": a.spec.label, "n_fit": a.n, "n_pred": r.n_pred,
+                "z_fit": a.z, "z_pred": r.z_pred, "m_pred": r.m_pred,
+                "parameters": _parameters(a.spec, a.refined.beta),
             }
-            for r in reports
+            for r, a in zip(reports, fits)
         ]})
-        n_fit = reports[0].n_fit
         if reports[0].n_pred:
+            n_fit = fits[0].n
             names = ["t", "y"]
             cols = [ts.t[n_fit:], ts.y[n_fit:]]
-            for r in reports:
-                names += [f"model_{r.label}", f"residual_{r.label}"]
+            for r, a in zip(reports, fits):
+                names += [f"model_{a.spec.label}", f"residual_{a.spec.label}"]
                 cols += [r.predicted, r.residuals_pred]
             out.csv("predict_residuals.csv", names, cols)
         summary = ", ".join(
-            f"{r.label} z_pred={r.z_pred!r}" if r.z_pred is not None else
-            f"{r.label} m_pred={r.m_pred!r}" for r in reports)
+            f"{a.spec.label} z_pred={r.z_pred!r}" if r.z_pred is not None else
+            f"{a.spec.label} m_pred={r.m_pred!r}" for r, a in zip(reports, fits))
         return summary, None, []
     return job
 

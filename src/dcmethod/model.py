@@ -235,7 +235,7 @@ def design_matrix(t, spec: ModelSpec, freqs, stats: SpanStats) -> np.ndarray:
     fa = np.asarray(freqs, dtype=float)
     single = fa.ndim <= 1
     fa = np.atleast_2d(fa)
-    if spec.k1 and fa.shape[1] != spec.k1:
+    if fa.shape[1] != spec.k1:
         raise ConfigError(f"expected {spec.k1} frequencies, got {fa.shape[1]}")
     nb = fa.shape[0]
     n = t.size

@@ -355,10 +355,6 @@ def _resample_rounds(g_fit, residuals, n_rounds, seed):
     return out
 
 
-def _signal_amplitudes(summary) -> np.ndarray:
-    return np.array([s.amplitude for s in summary.signals], dtype=float)
-
-
 def _wrap_epoch(value, period, reference):
     if value is None or reference is None or not np.isfinite(period) or period <= 0:
         return value
@@ -464,8 +460,12 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     )
 
 
-def _pair_cancellation(ts, spec, beta, stats, amps, threshold):
-    """True when two inflated components nearly cancel at the data times."""
+def _pair_cancellation(ts, spec, params, amps, threshold):
+    """True when two components of the interleaved parameter row
+    ``params`` with amplitudes above ``threshold`` nearly cancel at the
+    data times."""
+    beta = BetaVector.from_interleaved(spec, params)
+    stats = span_stats(ts)
     big = np.flatnonzero(amps > threshold)
     for ai in range(big.size):
         for bi in range(ai + 1, big.size):
@@ -483,49 +483,33 @@ def diagnose_stability(ts, spec, refined: RefinedModel, ref_summary, draws,
 
     IntersectingFrequencies: two signal frequencies cross or come
     closer than one grid step, in the refined model or in any round.
-    DispersingAmplitudes: an amplitude spread exceeds the amplitude
-    itself, or inflated components cancel pairwise.  LeakingPeriods: a
-    refined frequency leaves the searched range in the point estimate
-    or in any round.
+    DispersingAmplitudes: an amplitude spread over the rounds exceeds
+    the refined amplitude, or inflated components cancel pairwise in
+    the refined model or in any round.  LeakingPeriods: a refined
+    frequency leaves the searched range in the point estimate or in any
+    round.
     """
-    flags = []
     if spec.k1 == 0:
-        return flags
-    freq_draws = draws[:, layout(spec)[0]] if draws.size else np.zeros((0, spec.k1))
-    all_freqs = np.vstack([refined.beta.freqs[None, :], freq_draws])
+        return []
+    # Row 0 is the refined model, rows 1.. the rounds.
+    params = np.vstack([refined.beta.interleaved(spec),
+                        np.reshape(draws, (-1, spec.eta))])
+    amps = np.array([[s.amplitude for s in summary.signals]
+                     for summary in (ref_summary, *summaries)], dtype=float)
+    freqs = params[:, layout(spec)[0]]
+    flags = []
 
-    intersecting = False
-    if spec.k1 >= 2:
-        diffs = all_freqs[:, :-1] - all_freqs[:, 1:]
-        intersecting = bool((diffs <= 0).any() or (np.abs(diffs) < grid_step).any())
-    if intersecting:
+    diffs = freqs[:, :-1] - freqs[:, 1:]
+    if ((diffs <= 0) | (np.abs(diffs) < grid_step)).any():
         flags.append(FLAG_INTERSECTING)
 
-    data_range = float(np.ptp(ts.y))
-    ref_amps = _signal_amplitudes(ref_summary)
-    amp_draws = np.array([_signal_amplitudes(s) for s in summaries]) \
-        if summaries else np.zeros((0, spec.k1))
-    dispersing = False
-    if amp_draws.shape[0] >= 2:
-        amp_sigma = np.std(amp_draws, axis=0, ddof=1)
-        dispersing = bool((amp_sigma > ref_amps).any())
-    if not dispersing and spec.k1 >= 2:
-        stats = span_stats(ts)
-        blow = 3.0 * data_range
-        if (ref_amps > blow).sum() >= 2 and _pair_cancellation(
-                ts, spec, refined.beta, stats, ref_amps, blow):
-            dispersing = True
-        else:
-            for r in range(amp_draws.shape[0]):
-                if (amp_draws[r] > blow).sum() >= 2:
-                    beta = BetaVector.from_interleaved(spec, draws[r])
-                    if _pair_cancellation(ts, spec, beta, stats, amp_draws[r], blow):
-                        dispersing = True
-                        break
-    if dispersing:
+    spread = len(amps) >= 3 and (np.std(amps[1:], axis=0, ddof=1) > amps[0]).any()
+    blow = 3.0 * float(np.ptp(ts.y))
+    inflated = np.flatnonzero((amps > blow).sum(axis=1) >= 2)
+    if spread or any(_pair_cancellation(ts, spec, params[r], amps[r], blow)
+                     for r in inflated):
         flags.append(FLAG_DISPERSING)
 
-    leaking = bool(((all_freqs < f_min) | (all_freqs > f_max)).any())
-    if leaking:
+    if ((freqs < f_min) | (freqs > f_max)).any():
         flags.append(FLAG_LEAKING)
     return flags

@@ -19,6 +19,7 @@ alone, which is marked in the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .timeseries import SpanStats, TimeSeries, span_stats
 
 __all__ = [
     "GAMMA_F", "QF_FLOOR", "ModelScore", "FisherComparison", "fisher_test",
-    "LadderEntry", "LadderReport", "model_ladder",
+    "LadderReport", "model_ladder",
     "NoSignalReport", "no_signal_test",
     "PredictionReport", "prediction_test", "predicted_mean",
 ]
@@ -124,26 +125,33 @@ def fisher_test(simple: ModelScore, complex: ModelScore, n: int,
     )
 
 
-@dataclass
-class LadderEntry:
-    label: str
-    spec: ModelSpec
-    eta: int
-    stat: float
-    z: float
-    flags: list[str]
-    analysis: DcmAnalysis
+def _fisher_pair(a: ModelScore, b: ModelScore, n: int, gamma: float) -> FisherComparison:
+    """``fisher_test`` with the score of fewer parameters as the simple
+    model; on a tie ``a`` is."""
+    if b.eta < a.eta:
+        a, b = b, a
+    return fisher_test(a, b, n, gamma)
+
+
+def _distinct(specs) -> list[ModelSpec]:
+    """``specs`` as a list; ConfigError when a shape repeats."""
+    specs = list(specs)
+    for i, spec in enumerate(specs):
+        if spec in specs[:i]:
+            raise ConfigError(f"duplicate model shape {spec.label}")
+    return specs
 
 
 @dataclass
 class LadderReport:
     """All pairwise comparisons across a set of model shapes.
 
+    ``entries`` holds the analysis of each shape, in the order given.
     ``best`` lists the simplest models never rejected against any more
     complex alternative; more than one entry sets ``ambiguous``.
     """
 
-    entries: list[LadderEntry]
+    entries: list[DcmAnalysis]
     comparisons: list[FisherComparison]
     best: list[str]
     ambiguous: bool
@@ -156,33 +164,20 @@ def model_ladder(ts: TimeSeries, specs, cfg: SearchConfig,
 
     Every spec runs the full pipeline (scans, polish, bootstrap for the
     instability flags).  Pairs with equal eta fall back to comparing
-    the statistic.  A single spec is vacuously best.
+    the statistic.  A single spec is vacuously best; a repeated one is
+    a ConfigError.
     """
+    specs = _distinct(specs)
     if not specs:
         raise ConfigError("a ladder needs at least one model shape")
-    entries = []
-    for spec in specs:
-        analysis = analyze(ts, spec, cfg, opts, workers)
-        entries.append(LadderEntry(
-            label=spec.label, spec=spec, eta=spec.eta, stat=analysis.stat,
-            z=analysis.z, flags=analysis.flags, analysis=analysis,
-        ))
-    comparisons = []
-    rejected = set()
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            a, b = entries[i], entries[j]
-            if b.eta < a.eta:
-                a, b = b, a
-            cmp = fisher_test(ModelScore(a.label, a.eta, a.stat),
-                              ModelScore(b.label, b.eta, b.stat), ts.n, gamma)
-            comparisons.append(cmp)
-            if cmp.verdict == "reject-H0":
-                rejected.add(cmp.simple)
-    survivors = [e for e in entries if e.label not in rejected]
+    entries = [analyze(ts, spec, cfg, opts, workers) for spec in specs]
+    comparisons = [_fisher_pair(a, b, ts.n, gamma)
+                   for a, b in combinations(map(score_of, entries), 2)]
+    rejected = {c.simple for c in comparisons if c.verdict == "reject-H0"}
+    survivors = [s for s in specs if s.label not in rejected]
     if survivors:
-        best_eta = min(e.eta for e in survivors)
-        best = [e.label for e in survivors if e.eta == best_eta]
+        best_eta = min(s.eta for s in survivors)
+        best = [s.label for s in survivors if s.eta == best_eta]
     else:
         best = []
     return LadderReport(entries=entries, comparisons=comparisons, best=best,
@@ -227,10 +222,7 @@ def no_signal_test(ts: TimeSeries, signal: ModelScore | DcmAnalysis,
         fit = solve_linear(ts, spec, np.empty(0), weighting)
         poly = ModelScore(spec.label, spec.eta, fit.stat)
         polynomials.append(poly)
-        if poly.eta <= signal.eta:
-            cmp = fisher_test(poly, signal, ts.n, gamma)
-        else:
-            cmp = fisher_test(signal, poly, ts.n, gamma)
+        cmp = _fisher_pair(poly, signal, ts.n, gamma)
         comparisons.append(cmp)
         if cmp.simple == poly.label and cmp.q_f is not None:
             worst_qf = cmp.q_f if worst_qf is None else max(worst_qf, cmp.q_f)
@@ -251,13 +243,12 @@ class PredictionReport:
     extrapolated, so the polynomial genuinely extrapolates rather than
     being rescaled.  ``z_pred`` is the misfit on the withheld points
     and ``m_pred`` the mean of the predicted curve (None without a
-    window or withheld data).
+    window or withheld data).  ``analysis`` is the fit on the
+    predictive subset: its ``spec.label``, ``n`` and ``z`` name the
+    shape, count the fitted points and give the fit's misfit.
     """
 
-    label: str
-    n_fit: int
     n_pred: int
-    z_fit: float
     z_pred: float | None
     m_pred: float | None
     predicted: np.ndarray
@@ -294,7 +285,10 @@ def prediction_test(ts: TimeSeries, split, specs, cfg: SearchConfig,
         When given, ``m_pred`` is the model mean over this window at
         ``window_points`` even samples instead of over the withheld
         times.
+
+    A repeated shape in ``specs`` is a ConfigError.
     """
+    specs = _distinct(specs)
     if isinstance(split, (bool, np.bool_)):
         raise ConfigError("split must be an int count or a float time cut")
     if isinstance(split, (int, np.integer)):
@@ -336,8 +330,7 @@ def prediction_test(ts: TimeSeries, split, specs, cfg: SearchConfig,
         else:
             m_pred = None
         reports.append(PredictionReport(
-            label=spec.label, n_fit=k, n_pred=int(t_pred.size),
-            z_fit=analysis.refined.z, z_pred=z_pred, m_pred=m_pred,
+            n_pred=int(t_pred.size), z_pred=z_pred, m_pred=m_pred,
             predicted=g_pred, residuals_pred=resid, analysis=analysis,
         ))
     return reports

@@ -2,7 +2,9 @@
 
 Data files are whitespace separated columns ``t y`` or ``t y sigma``,
 with ``#`` comment lines and blank lines ignored.  Rows are kept sorted
-in time; per-point uncertainties, when present, must be positive.
+by time, rows with equal times by y and then sigma, so the order of the
+rows never changes a result; per-point uncertainties, when present, must
+be positive.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ class TimeSeries:
     Parameters
     ----------
     t : ndarray
-        Observation times.  Stored sorted ascending; ties are allowed.
+        Observation times.  Rows are stored sorted ascending by
+        (t, y, sigma), so any order of the same rows gives the same
+        arrays; ties in t are allowed.
     y : ndarray
         Measured values.
     sigma : ndarray, optional
@@ -50,12 +54,12 @@ class TimeSeries:
                 raise DataError("sigma must match t in length")
             if not np.isfinite(self.sigma).all() or (self.sigma <= 0).any():
                 raise DataError("sigma values must be finite and > 0")
-        if np.any(np.diff(self.t) < 0):
-            order = np.argsort(self.t, kind="stable")
-            self.t = self.t[order]
-            self.y = self.y[order]
-            if self.sigma is not None:
-                self.sigma = self.sigma[order]
+        keys = (self.y, self.t) if self.sigma is None else (self.sigma, self.y, self.t)
+        order = np.lexsort(keys)
+        self.t = self.t[order]
+        self.y = self.y[order]
+        if self.sigma is not None:
+            self.sigma = self.sigma[order]
 
     @property
     def n(self) -> int:
@@ -117,7 +121,8 @@ def load_series(path) -> TimeSeries:
     """Read a series from a plain-text file.
 
     Accepts two or three numeric columns per row; the column count must
-    be consistent within one file.  Rows are sorted by time on load.
+    be consistent within one file.  Rows are sorted as ``TimeSeries``
+    sorts them.
 
     Raises
     ------

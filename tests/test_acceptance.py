@@ -147,7 +147,7 @@ def test_criterion_05_ladder_selection_and_flags(seed):
     assert not rep.ambiguous
     for entry in rep.entries:
         if entry.spec.k1 == 2:
-            assert entry.flags, f"{entry.label} raised no flag"
+            assert entry.flags, f"{entry.spec.label} raised no flag"
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_criterion_07_prediction_error_ordering():
     for seed in range(1, 11):
         ts = simulate(SimulationSpec(3, 50, 10, seed=seed))
         for rep in prediction_test(ts, 40, shapes, cfg, NO_BOOT, workers=4):
-            z_pred[rep.label].append(rep.z_pred)
+            z_pred[rep.analysis.spec.label].append(rep.z_pred)
     med = {label: float(np.median(v)) for label, v in z_pred.items()}
     assert med["g(2,1,0)"] < med["g(3,1,0)"] < med["g(1,1,0)"]
     assert med["g(1,1,0)"] > 3.0 * med["g(2,1,0)"]

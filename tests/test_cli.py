@@ -94,6 +94,30 @@ def test_run_output_bytes_ignore_worker_count(tmp_path):
             assert a == b, (k1, name)
 
 
+def test_row_order_never_changes_a_run(tmp_path):
+    # times rounded to 0.01, so that rows tie; rows 0 and 1 also tie in y
+    # and differ only in sigma
+    ts = simulate(SimulationSpec(1, 40, 20, seed=9))
+    rows = np.stack([np.round(ts.t, 2), ts.y, ts.sigma], axis=1)
+    rows[1] = rows[0] * [1.0, 1.0, 2.0]
+    assert np.unique(rows[:, 0]).size <= 32
+    rng = np.random.default_rng(4)
+    series, outputs = [], []
+    for sub in ("a", "b", "c"):
+        d = tmp_path / sub
+        d.mkdir()
+        shuffled = rows[rng.permutation(len(rows))].tolist()
+        (d / "series.dat").write_text(
+            "".join(" ".join(map(repr, row)) + "\n" for row in shuffled))
+        series.append(load_series(d / "series.dat"))
+        assert main(["run", "--control", write_control(d / "case.ctl", RUN_CTL)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (d / "run.out").iterdir()})
+    for loaded, out in zip(series[1:], outputs[1:]):
+        for name in ("t", "y", "sigma"):
+            assert np.array_equal(getattr(loaded, name), getattr(series[0], name)), name
+        assert out == outputs[0]
+
+
 TREND_CTL = """\
 data = series.dat
 k1 = 0
@@ -382,6 +406,28 @@ pmax = 5.70
     assert message in err
     assert not calls
     assert not (tmp_path / "pred.out").exists()
+
+
+@pytest.mark.parametrize("verb, entry", [("ladder", "model_ladder"),
+                                         ("predict", "prediction_test")])
+def test_repeated_model_shape_is_rejected_before_any_analysis(tmp_path, capsys,
+                                                              monkeypatch, verb, entry):
+    import dcmethod.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, entry, lambda *a, **kw: calls.append(a))
+    make_data(tmp_path / "series.dat")
+    ctl = write_control(tmp_path / "case.ctl", """\
+data = series.dat
+models = 1,1,0; 2,1,0; 1,1,0
+pmin = 0.63
+pmax = 5.70
+""" + ("split = 30\n" if verb == "predict" else ""))
+    assert main([verb, "--control", ctl]) == 3
+    err = capsys.readouterr().err
+    assert "case.ctl:2: bad value for 'models'" in err
+    assert "duplicate model shape g(1,1,0)" in err
+    assert not calls
+    assert not (tmp_path / "case.out").exists()
 
 
 def test_simulate_writes_series_and_truth(tmp_path, capsys):

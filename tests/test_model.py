@@ -16,9 +16,11 @@ from dcmethod import (
     ConfigError,
     ModelSpec,
     SpanStats,
+    TimeSeries,
     design_matrix,
     eval_model,
     signal_values,
+    solve_linear,
     summarize_signals,
     trend_ranges,
     trend_values,
@@ -155,6 +157,15 @@ def test_design_matrix_frequency_count_checked():
     with pytest.raises(ConfigError):
         design_matrix(np.linspace(0, 1, 5), ModelSpec(2, 1, 0),
                       np.array([1.0]), UNIT)
+
+
+def test_a_pure_trend_takes_no_frequency():
+    ts = TimeSeries(np.linspace(0, 1, 6), np.arange(6.0))
+    spec = ModelSpec(0, 1, 1)
+    with pytest.raises(ConfigError, match="expected 0 frequencies, got 1"):
+        solve_linear(ts, spec, [1.0])
+    with pytest.raises(ConfigError, match="expected 0 frequencies, got 1"):
+        eval_model(ts.t, spec, BetaVector([1.0], [0.0, 1.0]), UNIT)
 
 
 def test_eval_model_closed_form():

@@ -1,9 +1,11 @@
-"""The README's Python examples run as documented."""
+"""The README's examples run as documented."""
 
 import re
+import textwrap
 from pathlib import Path
 
 from dcmethod import SimulationSpec, default_filename, simulate, write_series
+from dcmethod.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +18,21 @@ def test_readme_python_examples_run(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     for code in blocks:
         exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_quick_start_runs_as_written(monkeypatch, tmp_path):
+    text = README.read_text()
+    section = text[text.index("## Quick start"):text.index("## Control files")]
+    files = re.findall(r"^    cat > (\S+) <<'EOF'\n(.*?)^    EOF$", section, re.M | re.S)
+    commands = re.findall(r"^    dcm (\w+ --control \S+(?: --workers \d+)?)$",
+                          section, re.M)
+    out = re.search(r"writes `(\S+)/`", section).group(1)
+    listed = re.findall(r"^    (\w+\.(?:json|csv))\b", section, re.M)
+    assert len(files) == 2 and len(commands) == 2 and listed
+    monkeypatch.chdir(tmp_path)
+    for name, body in files:
+        Path(name).write_text(textwrap.dedent(body))
+    for command in commands:
+        assert main(command.split()) == 0, command
+    for name in listed:
+        assert (tmp_path / out / name).is_file(), name

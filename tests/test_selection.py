@@ -212,8 +212,9 @@ def test_ladder_single_spec_is_vacuously_best():
 
 
 def test_ladder_twin_specs_are_ambiguous():
+    # two shapes with eta = 6 each: no F test between them, neither rejected
     ts = signal_series()
-    rep = model_ladder(ts, [ModelSpec(1, 1, 0), ModelSpec(1, 1, 0)],
+    rep = model_ladder(ts, [ModelSpec(2, 1, -1), ModelSpec(1, 1, 2)],
                        LADDER_CFG, FAST)
     assert len(rep.best) == 2
     assert rep.ambiguous
@@ -223,6 +224,12 @@ def test_ladder_twin_specs_are_ambiguous():
 def test_ladder_requires_a_spec():
     with pytest.raises(ConfigError):
         model_ladder(signal_series(), [], LADDER_CFG, FAST)
+
+
+def test_ladder_rejects_a_repeated_shape():
+    specs = [ModelSpec(1, 1, 0), ModelSpec(1, 1, 1), ModelSpec(1, 1, 0)]
+    with pytest.raises(ConfigError, match=r"duplicate model shape g\(1,1,0\)"):
+        model_ladder(signal_series(), specs, LADDER_CFG, FAST)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +297,11 @@ def test_prediction_splits_and_scores():
     reps = prediction_test(ts, 35, [ModelSpec(1, 1, 0)], PRED_CFG, FAST)
     assert len(reps) == 1
     r = reps[0]
-    assert (r.n_fit, r.n_pred) == (35, 15)
+    assert (r.analysis.n, r.n_pred) == (35, 15)
     assert r.predicted.shape == (15,)
     assert r.residuals_pred.shape == (15,)
     # noise-free data: the withheld points are hit almost exactly
     assert r.z_pred < 1e-9
-    assert r.z_fit == r.analysis.z
     assert np.allclose(r.residuals_pred, ts.y[35:] - r.predicted, atol=0)
 
 
@@ -303,7 +309,7 @@ def test_prediction_float_split_is_a_time_cut():
     ts = clean_cosine_series()
     k = int(np.searchsorted(ts.t, 0.9, side="right"))
     reps = prediction_test(ts, 0.9, [ModelSpec(1, 1, 0)], PRED_CFG, FAST)
-    assert reps[0].n_fit == k
+    assert reps[0].analysis.n == k
 
 
 def test_prediction_mean_over_one_period_recovers_the_level():
@@ -334,6 +340,12 @@ def test_prediction_full_series_needs_a_window():
     assert r.z_pred is None and r.residuals_pred is None
     assert r.n_pred == 0
     assert r.m_pred == pytest.approx(np.mean(ts.y), rel=1e-12)
+
+
+def test_prediction_rejects_a_repeated_shape():
+    specs = [ModelSpec(1, 1, 0), ModelSpec(1, 1, 0)]
+    with pytest.raises(ConfigError, match=r"duplicate model shape g\(1,1,0\)"):
+        prediction_test(clean_cosine_series(), 35, specs, PRED_CFG, FAST)
 
 
 def test_prediction_split_validation():
