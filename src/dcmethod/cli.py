@@ -81,7 +81,7 @@ class Control:
         raw, lineno = self.entries[key]
         try:
             return conv(raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ConfigError) as exc:
             raise ConfigError(
                 f"{self.path}:{lineno}: bad value for {key!r}: {exc}") from None
 

@@ -147,7 +147,7 @@ a C-contiguous (B, n, m) array, the layout ``design_matrix`` returns
 bit for bit, and ``BatchSolver`` factors it once.  A survivor every
 round needs is fitted against all rounds by ``misfit``; the pairs of
 the others are fitted through ``BatchSolver.take``, which gathers each
-pair's factors in the same layout, and ``misfit`` on one column per
+pair's factors in the same layout, and ``misfit`` on one data row per
 pair.  Either way ``residuals`` fits each right-hand side as its own
 column, so each exact z is ``solve_linear``'s for that tuple and
 series, whatever chunk, pair batch or round block it is in.  The tuple
@@ -309,25 +309,18 @@ def _product_chunks(grids: list[np.ndarray], rows: int):
     # Lead-axis blocks keep the unfiltered mesh bounded.
     lead_block = max(1, rows // max(1, tail_size))
     g0 = grids[0]
-    pending = []
-    pending_rows = 0
+    buf = np.empty((0, len(grids)))
     for start in range(0, g0.size, lead_block):
         lead = g0[start:start + lead_block]
         mesh = np.meshgrid(lead, *tail, indexing="ij")
         tuples = np.stack([m.ravel() for m in mesh], axis=1)
         keep = np.all(tuples[:, :-1] > tuples[:, 1:], axis=1)
-        tuples = tuples[keep]
-        if tuples.size:
-            pending.append(tuples)
-            pending_rows += tuples.shape[0]
-        while pending_rows >= rows:
-            buf = np.concatenate(pending, axis=0) if len(pending) > 1 else pending[0]
+        buf = np.concatenate([buf, tuples[keep]])
+        while buf.shape[0] >= rows:
             yield buf[:rows]
-            rest = buf[rows:]
-            pending = [rest] if rest.size else []
-            pending_rows = rest.shape[0] if rest.size else 0
-    if pending_rows:
-        yield np.concatenate(pending, axis=0) if len(pending) > 1 else pending[0]
+            buf = buf[rows:]
+    if buf.size:
+        yield buf
 
 
 def _row_block(n: int) -> int:
@@ -336,7 +329,8 @@ def _row_block(n: int) -> int:
 
 
 def _gram(cols: np.ndarray, yw: np.ndarray, groups, h: int):
-    """G = C^T C, b = C^T Y and s = diag(Y^T Y), summed over row blocks.
+    """G = C^T C, b = C^T Y^T and s = diag(Y Y^T) for the data rows Y,
+    summed over row blocks.
 
     ``groups`` lists (start, stop, full) column ranges that cover C.  G
     holds what a tuple can gather, one frequency per signal axis: the
@@ -349,7 +343,7 @@ def _gram(cols: np.ndarray, yw: np.ndarray, groups, h: int):
     """
     n, f = cols.shape
     rows = _row_block(n)
-    gram, rhs, ss = np.zeros((f, f)), np.zeros((f, yw.shape[1])), np.zeros(yw.shape[1])
+    gram, rhs, ss = np.zeros((f, f)), np.zeros((f, yw.shape[0])), np.zeros(yw.shape[0])
     rhs_part = np.empty_like(rhs)
     part = np.empty(max([(a1 - a0) * (b1 - b0) for i, (a0, a1, full) in enumerate(groups)
                          for b0, b1, _ in groups[i if full else i + 1:]], default=0))
@@ -357,9 +351,9 @@ def _gram(cols: np.ndarray, yw: np.ndarray, groups, h: int):
     own = {i: np.zeros(((a1 - a0) // h, h, h))
            for i, (a0, a1, full) in enumerate(groups) if not full}
     for start in range(0, n, rows):
-        c, y = cols[start:start + rows], yw[start:start + rows]
-        rhs += np.matmul(c.T, y, out=rhs_part)
-        ss += np.einsum("nr,nr->r", y, y)
+        c, y = cols[start:start + rows], yw[:, start:start + rows]
+        rhs += np.matmul(c.T, y.T, out=rhs_part)
+        ss += np.einsum("rn,rn->r", y, y)
         for i, (a0, a1, full) in enumerate(groups):
             ca = c[:, a0:a1]
             if not full:
@@ -448,7 +442,7 @@ class _Blocks:
 
     ``grids`` holds one grid per signal axis; axes that share
     one grid object (the long stage) share its columns.  ``yw`` is the
-    (n, R) weighted data, one column per round, and ``sigma`` the row
+    (R, n) weighted data, one row per round, and ``sigma`` the row
     divisor it was weighted by (None unweighted).
     """
 
@@ -478,7 +472,7 @@ class _Blocks:
         self._trend = np.arange(freqs.size * h, freqs.size * h + spec.n_trend)
         m = spec.n_linear
         self.n = ts.n
-        self.n_rhs = yw.shape[1]
+        self.n_rhs = yw.shape[0]
         self.delta = _gamma(ts.n + 2 * m + 4)
         self.delta_form = _gamma(k_form + 2 * m + 4)
         self.delta_m = _gamma(m + 1)
@@ -529,7 +523,7 @@ class _Blocks:
         solver = BatchSolver(self.design(tuples))
         if need is None:
             step = max(1, _EXACT_TARGET // (tuples.shape[0] * self.n))
-            z = np.concatenate([solver.misfit(self.yw[None, :, r0:r0 + step], self.n)
+            z = np.concatenate([solver.misfit(self.yw[None, r0:r0 + step])
                                 for r0 in range(0, self.n_rhs, step)], axis=1)
         else:
             z = np.full(need.shape, np.inf)
@@ -537,7 +531,7 @@ class _Blocks:
             step = max(1, _EXACT_TARGET // (self.n * (2 * solver.m + 1)))
             for p0 in range(0, pair.size, step):
                 p, r = pair[p0:p0 + step], rnd[p0:p0 + step]
-                z[p, r] = solver.take(p).misfit(self.yw[:, r].T[:, :, None], self.n)[:, 0]
+                z[p, r] = solver.take(p).misfit(self.yw[r][:, None])[:, 0]
         return z, bool(solver.degenerate.any())
 
     def rescore(self, tuples: np.ndarray, need=None):
@@ -663,10 +657,9 @@ def _scan(ts, spec, stats, sigma, grids, y_rounds, workers):
     UnstableSearchError
         If the grids admit no strictly descending tuple.
     """
-    yw = np.asarray(y_rounds, dtype=float).T.copy()
+    yw = np.asarray(y_rounds, dtype=float)
     if sigma is not None:
-        yw /= sigma[:, None]
-    n_rounds = yw.shape[1]
+        yw = yw / sigma
 
     # Screen, on this thread (see the module docstring).  A tuple is
     # kept when its z_lo reaches the running smallest z_hi in some round;
@@ -674,7 +667,7 @@ def _scan(ts, spec, stats, sigma, grids, y_rounds, workers):
     # lower, so the survivors depend on that final minimum alone.
     blocks = _Blocks(ts, spec, stats, sigma, grids, yw)
     count = 0
-    z_star = np.full(n_rounds, np.inf)
+    z_star = np.full(blocks.n_rhs, np.inf)
     kept, kept_lo = [], []
     for tuples in _product_chunks(grids, blocks.rows):
         z_lo, z_hi = blocks.screen(tuples)
@@ -700,7 +693,7 @@ def _scan(ts, spec, stats, sigma, grids, y_rounds, workers):
     z_c, t_c, degen = zip(*ordered_map(lambda job: blocks.rescore(*job), jobs, workers))
     z_c, t_c = np.stack(z_c), np.stack(t_c)
     pick = _lex_argmin(z_c, t_c)
-    rounds = np.arange(n_rounds)
+    rounds = np.arange(blocks.n_rhs)
     return z_c[pick, rounds], t_c[pick, rounds], count, any(degen), blocks
 
 

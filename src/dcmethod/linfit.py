@@ -143,11 +143,11 @@ class BatchSolver:
         np.subtract(col, resid, out=resid)
         return x[..., 0], resid[..., 0]
 
-    def misfit(self, b: np.ndarray, n_points: int) -> np.ndarray:
-        """z = sqrt(rss / n) per (batch, rhs) pair, for ``b``
-        broadcasting against (batch, n, rhs): each column fitted alone
-        by ``residuals``."""
-        return np.sqrt(sumsq(self.residuals(np.swapaxes(b, -1, -2))[1]) / n_points)
+    def misfit(self, rows: np.ndarray) -> np.ndarray:
+        """z = sqrt(rss / n) per (batch, R) pair, for data ``rows``
+        broadcasting against (batch, R, n): each row fitted alone by
+        ``residuals``."""
+        return np.sqrt(sumsq(self.residuals(rows)[1]) / rows.shape[-1])
 
 
 def design_solver(ts, spec, freq_batch, weighting=None) -> BatchSolver:
@@ -276,7 +276,7 @@ def evaluate_z(
         True where the solve was rank deficient.
     """
     solver = design_solver(ts, spec, freq_batch, weighting)
-    z = solver.misfit(weighted_y(ts, weighting)[None, :, None], ts.n)
+    z = solver.misfit(weighted_y(ts, weighting)[None, None])
     return z[:, 0], solver.degenerate
 
 

@@ -173,11 +173,7 @@ class BetaVector:
 
     def interleaved(self, spec: ModelSpec) -> np.ndarray:
         """Full parameter vector [B_11, C_11, .., f_1, .., M_0, ..]."""
-        freq_at, linear_at = layout(spec)
-        out = np.empty(spec.eta)
-        out[freq_at] = self.freqs
-        out[linear_at] = self.linear
-        return out
+        return interleave(spec, self.freqs, self.linear)
 
     @classmethod
     def from_interleaved(cls, spec: ModelSpec, vec) -> "BetaVector":
@@ -196,6 +192,17 @@ def layout(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     linear = np.ones(spec.eta, dtype=bool)
     linear[freq_at] = False
     return freq_at, np.flatnonzero(linear)
+
+
+def interleave(spec: ModelSpec, freqs, linear) -> np.ndarray:
+    """Interleaved parameter rows, (..., eta), from frequency rows
+    (..., k1) and linear coefficient rows (..., n_linear) of one leading
+    shape."""
+    freq_at, linear_at = layout(spec)
+    out = np.empty(np.shape(linear)[:-1] + (spec.eta,))
+    out[..., freq_at] = freqs
+    out[..., linear_at] = linear
+    return out
 
 
 def param_names(spec: ModelSpec) -> list[str]:

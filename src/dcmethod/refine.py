@@ -50,8 +50,8 @@ from numpy.random import SeedSequence, default_rng
 from .errors import ConfigError
 from .gridsearch import SearchConfig, ordered_map, scan_rounds
 from .linfit import RowFit, fit, row_sigma, sumsq, unweighted, weighted_design
-from .model import (BetaVector, ModelSpec, layout, param_names, signal_values,
-                    summarize_signals)
+from .model import (BetaVector, ModelSpec, interleave, layout, param_names,
+                    signal_values, summarize_signals)
 from .timeseries import span_stats
 
 # The per-round entry points the stacked kernel replaced.  The
@@ -147,15 +147,6 @@ def _jacobian(fit: RowFit, spec: ModelSpec, tau) -> np.ndarray:
     return np.matmul(a, fit.solver.solve(dt)).transpose(0, 2, 1) - d
 
 
-def _interleaved(spec: ModelSpec, freqs, x) -> np.ndarray:
-    """Interleaved parameter rows from frequency and linear rows."""
-    freq_at, linear_at = layout(spec)
-    params = np.empty((len(freqs), spec.eta))
-    params[:, freq_at] = freqs
-    params[:, linear_at] = x
-    return params
-
-
 @dataclass
 class _Polished:
     """Final state of every row of one ``_polish`` call."""
@@ -229,7 +220,7 @@ def _polish(t, y, sigma, spec, freqs, stats, max_iter) -> _Polished:
     yw = y if sigma is None else y / sigma
     fit = _fit(t, yw, sigma, spec, freqs, stats)
     z0 = np.sqrt(fit.wsum / n)
-    out = _Polished(_interleaved(spec, freqs, fit.x), fit.rw.copy(),
+    out = _Polished(interleave(spec, freqs, fit.x), fit.rw.copy(),
                     fit.wsum.copy(), z0, np.zeros(n_rows, dtype=int),
                     np.full(n_rows, _CAPPED))
     if max_iter <= 0:
@@ -242,7 +233,7 @@ def _polish(t, y, sigma, spec, freqs, stats, max_iter) -> _Polished:
 
     def retire(done, reason):
         rows = live.row[done]
-        out.params[rows] = _interleaved(spec, live.freqs[done], live.x[done])
+        out.params[rows] = interleave(spec, live.freqs[done], live.x[done])
         out.rw[rows] = live.rw[done]
         out.wsum[rows] = live.wsum[done]
         out.steps[rows] = live.steps[done]

@@ -28,7 +28,7 @@ from .gridsearch import SearchConfig
 from .linfit import row_sigma, solve_linear
 from .model import BetaVector, ModelSpec, eval_model
 from .pipeline import AnalysisOptions, DcmAnalysis, analyze
-from .timeseries import SpanStats, TimeSeries, span_stats
+from .timeseries import SpanStats, TimeSeries
 
 __all__ = [
     "GAMMA_F", "QF_FLOOR", "ModelScore", "FisherComparison", "fisher_test",
@@ -303,9 +303,7 @@ def prediction_test(ts: TimeSeries, split, specs, cfg: SearchConfig,
         raise ConfigError("no withheld points: provide a prediction window")
 
     sig = ts.sigma
-    ts_fit = TimeSeries(ts.t[:k].copy(), ts.y[:k].copy(),
-                        sig[:k].copy() if sig is not None else None)
-    stats_fit = span_stats(ts_fit)
+    ts_fit = TimeSeries(ts.t[:k], ts.y[:k], sig[:k] if sig is not None else None)
     t_pred = ts.t[k:]
     y_pred = ts.y[k:]
 
@@ -314,7 +312,7 @@ def prediction_test(ts: TimeSeries, split, specs, cfg: SearchConfig,
         analysis = analyze(ts_fit, spec, cfg, opts, workers)
         beta = analysis.refined.beta
         if t_pred.size:
-            g_pred = eval_model(t_pred, spec, beta, stats_fit)
+            g_pred = eval_model(t_pred, spec, beta, analysis.stats)
             resid = y_pred - g_pred
             sigma = row_sigma(ts, analysis.weighting)
             resid_w = resid if sigma is None else resid / sigma[k:]
@@ -324,7 +322,7 @@ def prediction_test(ts: TimeSeries, split, specs, cfg: SearchConfig,
             resid = None
             z_pred = None
         if window is not None:
-            m_pred = predicted_mean(spec, beta, stats_fit, window, window_points)
+            m_pred = predicted_mean(spec, beta, analysis.stats, window, window_points)
         elif t_pred.size:
             m_pred = float(np.mean(g_pred))
         else:

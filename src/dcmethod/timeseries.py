@@ -2,9 +2,9 @@
 
 Data files are whitespace separated columns ``t y`` or ``t y sigma``,
 with ``#`` comment lines and blank lines ignored.  Rows are kept sorted
-by time, rows with equal times by y and then sigma, so the order of the
-rows never changes a result; per-point uncertainties, when present, must
-be positive.
+by time, rows with equal times by y and then sigma, 0.0 before -0.0
+wherever the two tie, so the order of the rows never changes a result;
+per-point uncertainties, when present, must be positive.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class TimeSeries:
     ----------
     t : ndarray
         Observation times.  Rows are stored sorted ascending by
-        (t, y, sigma), so any order of the same rows gives the same
-        arrays; ties in t are allowed.
+        (t, y, sigma), 0.0 before -0.0 in t and in y, so any order of
+        the same rows gives the same arrays; ties in t are allowed.
     y : ndarray
         Measured values.
     sigma : ndarray, optional
@@ -54,8 +54,9 @@ class TimeSeries:
                 raise DataError("sigma must match t in length")
             if not np.isfinite(self.sigma).all() or (self.sigma <= 0).any():
                 raise DataError("sigma values must be finite and > 0")
-        keys = (self.y, self.t) if self.sigma is None else (self.sigma, self.y, self.t)
-        order = np.lexsort(keys)
+        # lexsort ties -0.0 with 0.0; the sign bits break those ties
+        keys = (np.signbit(self.y), self.y, np.signbit(self.t), self.t)
+        order = np.lexsort(keys if self.sigma is None else (self.sigma,) + keys)
         self.t = self.t[order]
         self.y = self.y[order]
         if self.sigma is not None:

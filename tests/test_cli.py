@@ -408,26 +408,43 @@ pmax = 5.70
     assert not (tmp_path / "pred.out").exists()
 
 
-@pytest.mark.parametrize("verb, entry", [("ladder", "model_ladder"),
-                                         ("predict", "prediction_test")])
-def test_repeated_model_shape_is_rejected_before_any_analysis(tmp_path, capsys,
-                                                              monkeypatch, verb, entry):
+def _rejected_models(tmp_path, capsys, monkeypatch, verb, entry, models):
+    """stderr of ``dcm <verb>`` given ``models``, checked to exit 3 with
+    the key's line before any analysis or output directory."""
     import dcmethod.cli as cli
     calls = []
     monkeypatch.setattr(cli, entry, lambda *a, **kw: calls.append(a))
     make_data(tmp_path / "series.dat")
-    ctl = write_control(tmp_path / "case.ctl", """\
+    ctl = write_control(tmp_path / "case.ctl", f"""\
 data = series.dat
-models = 1,1,0; 2,1,0; 1,1,0
+models = {models}
 pmin = 0.63
 pmax = 5.70
 """ + ("split = 30\n" if verb == "predict" else ""))
     assert main([verb, "--control", ctl]) == 3
     err = capsys.readouterr().err
     assert "case.ctl:2: bad value for 'models'" in err
-    assert "duplicate model shape g(1,1,0)" in err
     assert not calls
     assert not (tmp_path / "case.out").exists()
+    return err
+
+
+@pytest.mark.parametrize("verb, entry", [("ladder", "model_ladder"),
+                                         ("predict", "prediction_test")])
+def test_repeated_model_shape_is_rejected_before_any_analysis(tmp_path, capsys,
+                                                              monkeypatch, verb, entry):
+    err = _rejected_models(tmp_path, capsys, monkeypatch, verb, entry,
+                           "1,1,0; 2,1,0; 1,1,0")
+    assert "duplicate model shape g(1,1,0)" in err
+
+
+@pytest.mark.parametrize("verb, entry", [("ladder", "model_ladder"),
+                                         ("predict", "prediction_test")])
+def test_invalid_model_shape_is_rejected_with_its_line(tmp_path, capsys,
+                                                       monkeypatch, verb, entry):
+    # ModelSpec raises ConfigError, not ValueError, inside the converter
+    err = _rejected_models(tmp_path, capsys, monkeypatch, verb, entry, "1,1,0; 1,0,0")
+    assert "k2 must be >= 1" in err
 
 
 def test_simulate_writes_series_and_truth(tmp_path, capsys):

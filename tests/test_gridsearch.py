@@ -122,6 +122,33 @@ def test_product_chunks_single_axis_is_plain_grid():
     assert np.array_equal(got[:, 0], grids[0])
 
 
+@st.composite
+def chunk_cases(draw):
+    k = draw(st.integers(1, 3))
+    points = st.lists(st.integers(0, 12).map(lambda v: v / 4.0), min_size=1, max_size=7)
+    if draw(st.booleans()):
+        grids = [np.array(draw(points))] * k
+    else:
+        grids = [np.array(draw(points)) for _ in range(k)]
+    return grids, draw(st.integers(1, 20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunk_cases())
+def test_product_chunks_are_full_chunks_of_the_descending_tuples(case):
+    grids, rows = case
+    want = [[g[i] for g, i in zip(grids, idx)]
+            for idx in itertools.product(*(range(g.size) for g in grids))]
+    want = np.array([w for w in want if all(a > b for a, b in zip(w, w[1:]))])
+    chunks = list(_product_chunks(grids, rows))
+    assert all(c.shape[0] == rows for c in chunks[:-1])
+    assert all(0 < c.shape[0] <= rows for c in chunks)
+    if want.size:
+        assert np.array_equal(np.concatenate(chunks), want)
+    else:
+        assert chunks == []
+
+
 def test_chunk_rows_depends_only_on_dimensions():
     target = gridsearch._EXACT_TARGET
     assert _chunk_rows(100, 5, target) == _chunk_rows(100, 5, target)
@@ -301,7 +328,7 @@ def test_scan_rounds_matches_per_tuple_brute_force():
     assert z_min.shape == (4,)
     assert best.shape == (4, 2)
 
-    yw = y_rounds.T / ts.sigma[:, None]
+    yw = y_rounds / ts.sigma
     want_z = np.full(4, np.inf)
     want_f = np.zeros((4, 2))
     for combo in itertools.product(*grids):
@@ -309,7 +336,7 @@ def test_scan_rounds_matches_per_tuple_brute_force():
         if not f[0] > f[1]:
             continue
         solver = design_solver(ts, spec, f[None, :], "chi-square")
-        z = solver.misfit(yw[None, :, :], ts.n)[0]
+        z = solver.misfit(yw[None])[0]
         for r in range(4):
             if z[r] < want_z[r] or (z[r] == want_z[r]
                                     and tuple(f) < tuple(want_f[r])):
@@ -401,7 +428,7 @@ def test_screen_bound_holds_and_degenerate_tuples_are_guarded(case):
     yw = weighted_y(ts, mode)[:, None] + (case["noise"] * rng.normal(
         size=(n, case["rounds"] - 1)) / (sigma[:, None] if sigma is not None else 1.0))
     tuples = np.array(list(itertools.product(grid, repeat=spec.k1)))
-    blocks = _Blocks(ts, spec, stats, row_sigma(ts, mode), [grid] * spec.k1, yw)
+    blocks = _Blocks(ts, spec, stats, row_sigma(ts, mode), [grid] * spec.k1, yw.T)
     ok, rss, bound = blocks.score(tuples)
 
     solver = design_solver(ts, spec, tuples, mode)
@@ -419,7 +446,7 @@ def test_singular_tuples_are_routed_not_raised():
     grid = np.array([3.0, 6.0, 6.5])
     tuples = np.array([[6.0, 6.0], [6.0, 3.0], [6.5, 3.0]])
     blocks = _Blocks(ts, spec, span_stats(ts), row_sigma(ts, "chi-square"), [grid, grid],
-                     weighted_y(ts)[:, None])
+                     weighted_y(ts)[None])
     ok, rss, bound = blocks.score(tuples)
     # a duplicated frequency and f_a = 2 f_b with two harmonics
     assert ok.tolist() == [False, False, True]
@@ -500,7 +527,7 @@ def test_blocked_formation_is_within_its_constant(n, f, rounds, h, seed):
     yw = exact_bits((n, rounds))
     # a group that keeps only each frequency's own block, a full one
     groups = [(0, f * h, False), (f * h, f * h + 2, True)]
-    gram, rhs, ss, k = gridsearch._gram(cols, yw, groups, h)
+    gram, rhs, ss, k = gridsearch._gram(cols, yw.T, groups, h)
     g = _gamma(k)
     own = [range(0, f * h)[i:i + h] for i in range(0, f * h, h)]
     for i, j in itertools.product(range(f * h + 2), repeat=2):
@@ -527,7 +554,7 @@ def test_formation_constant_counts_the_block_additions(monkeypatch):
     a, b = np.zeros(n), np.zeros(n)
     a[0] = b[0] = 1.0
     a[2::2], b[2::2] = 2.0 ** -27, 1.5 * 2.0 ** -27
-    gram, _, _, k = gridsearch._gram(np.stack([a, b], axis=1), b[:, None],
+    gram, _, _, k = gridsearch._gram(np.stack([a, b], axis=1), b[None],
                                      [(0, 2, True)], 1)
     exact = 1 + 19 * Fraction(3, 4) * Fraction(np.finfo(float).eps) / 2
     error = exact - Fraction(gram[0, 1])
@@ -645,7 +672,7 @@ def test_model7_hazard_scans_match_brute_force():
 
     long_tuples = np.concatenate(list(_product_chunks([grid] * 2, 4096)))
     blocks = _Blocks(ts, spec, stats, row_sigma(ts, "chi-square"), [grid, grid],
-                     weighted_y(ts)[:, None])
+                     weighted_y(ts)[None])
     idx = blocks.columns(long_tuples)
     gram = blocks.gram[idx[:, :, None], idx[:, None, :]]
     b = blocks.rhs[idx]
@@ -665,7 +692,7 @@ def test_model7_hazard_scans_match_brute_force():
     assert np.array_equal(sh.best, f_want)
     short_tuples = np.concatenate(list(_product_chunks(sh.grids, 4096)))
     blocks = _Blocks(ts, spec, stats, row_sigma(ts, "chi-square"), sh.grids,
-                     weighted_y(ts)[:, None])
+                     weighted_y(ts)[None])
     ok, rss, _ = blocks.score(short_tuples)
     assert not np.array_equal(short_tuples[ok][np.argmin(rss[:, 0])], f_want)
     z_lo, z_hi = blocks.screen(short_tuples)
@@ -759,7 +786,7 @@ def test_gathered_design_matrices_equal_design_matrix(weighted, shape):
     short_grids = [np.linspace(c - 0.7, c + 0.7, 6) for c in (7.1, 6.6, 3.0)[:spec.k1]]
     for grids in ([long_grid] * spec.k1, short_grids):
         blocks = _Blocks(ts, spec, stats, row_sigma(ts, mode), grids,
-                         weighted_y(ts)[:, None])
+                         weighted_y(ts)[None])
         # every combination, descending or not, as slice points are
         tuples = np.array(list(itertools.product(*grids)))
         got = blocks.design(tuples)
@@ -946,4 +973,4 @@ def test_round_z_does_not_depend_on_the_round_count(rounds):
     assert np.array_equal(best, np.tile(f, (rounds, 1)))
     assert (z_min == want).all()
     assert (design_solver(ts, spec, f[None]).misfit(
-        np.tile(weighted_y(ts)[:, None], rounds)[None], ts.n) == want).all()
+        np.tile(weighted_y(ts), (rounds, 1))[None]) == want).all()

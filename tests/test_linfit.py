@@ -245,7 +245,7 @@ def test_batch_misfit_matches_residual_norm():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(3, 9, 2))
     b = rng.normal(size=(3, 9, 4))
-    z = BatchSolver(a).misfit(b, 9)
+    z = BatchSolver(a).misfit(np.swapaxes(b, 1, 2))
     want = np.array([[np.sqrt(fit(a[i:i + 1], b[i, :, r][None]).wsum[0] / 9)
                       for r in range(4)] for i in range(3)])
     assert np.array_equal(z, want)

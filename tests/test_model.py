@@ -26,8 +26,7 @@ from dcmethod import (
     trend_values,
 )
 from dcmethod.model import (SignalReport, SignalSummary, _local_extrema,
-                            _parabolic_peak, param_names, scaled_time)
-from dcmethod.refine import _interleaved
+                            _parabolic_peak, interleave, param_names, scaled_time)
 
 UNIT = SpanStats(t_mid=0.5, delta_t=1.0, f0=1.0, y_mean=0.0, y_std=0.0)
 
@@ -92,7 +91,7 @@ def test_interleaved_round_trip():
                  ModelSpec(2, 3, -1), ModelSpec(3, 2, 1)):
         freqs = rng.uniform(1.0, 3.0, size=(4, spec.k1))
         linear = rng.normal(size=(4, spec.n_linear))
-        rows = _interleaved(spec, freqs, linear)
+        rows = interleave(spec, freqs, linear)
         for f, x, row in zip(freqs, linear, rows):
             beta = BetaVector(f, x)
             vec = beta.interleaved(spec)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcmethod import DataError, TimeSeries, load_series, span_stats, write_series
 
@@ -15,6 +16,31 @@ def test_rows_sorted_by_time():
 def test_sigma_sorted_with_rows():
     ts = TimeSeries([2.0, 1.0], [20.0, 10.0], [0.2, 0.1])
     assert np.array_equal(ts.sigma, [0.1, 0.2])
+
+
+@st.composite
+def shuffled_rows(draw):
+    # few distinct values, so that times and values tie, and both zeros
+    n = draw(st.integers(2, 12))
+    value = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+    t = draw(st.lists(value, min_size=n, max_size=n))
+    y = draw(st.lists(value, min_size=n, max_size=n))
+    sigma = draw(st.none() | st.lists(st.sampled_from([0.5, 1.0]), min_size=n, max_size=n))
+    return t, y, sigma, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_rows())
+def test_any_row_order_gives_the_same_bits(case):
+    t, y, sigma, perm = case
+    a = TimeSeries(t, y, sigma)
+    b = TimeSeries(*(None if c is None else np.array(c)[perm] for c in (t, y, sigma)))
+    for name in ("t", "y", "sigma"):
+        got, want = getattr(b, name), getattr(a, name)
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
 
 def test_length_mismatch_rejected():
