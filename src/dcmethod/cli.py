@@ -38,7 +38,7 @@ from .model import ModelSpec, eval_model, param_names, signal_values, trend_valu
 from .pipeline import AnalysisOptions, analyze
 from .selection import model_ladder, prediction_test
 from .simulate import SimulationSpec, default_filename, model_truth, simulate
-from .timeseries import load_series, write_series
+from .timeseries import TimeSeries, load_series, write_series
 
 __all__ = ["main"]
 
@@ -78,12 +78,27 @@ class Control:
             self.used.add(key)
             return default
         self.used.add(key)
-        raw, lineno = self.entries[key]
         try:
-            return conv(raw)
+            return conv(self.entries[key][0])
         except (TypeError, ValueError, ConfigError) as exc:
-            raise ConfigError(
-                f"{self.path}:{lineno}: bad value for {key!r}: {exc}") from None
+            raise self._bad(key, exc) from None
+
+    def _bad(self, key, exc) -> ConfigError:
+        return ConfigError(
+            f"{self.path}:{self.entries[key][1]}: bad value for {key!r}: {exc}")
+
+    def build(self, keys, make, *args, **kw):
+        """``make(*args, **kw)``, a constructor of values read from
+        ``keys``: a ConfigError it raises names the lines of the keys
+        this file gives."""
+        try:
+            return make(*args, **kw)
+        except ConfigError as exc:
+            given = [k for k in keys if k in self.entries]
+            if len(given) == 1:
+                raise self._bad(given[0], exc) from None
+            where = ", ".join(f"{k!r} (line {self.entries[k][1]})" for k in given)
+            raise ConfigError(f"{self.path}: {where}: {exc}") from None
 
     def path_of(self, key, default=None, required=False):
         raw = self.get(key, str, default=default, required=required)
@@ -143,6 +158,22 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _weighting(raw: str):
+    """The ``weighting`` key as the map from the loaded series to the
+    one analysed, whose sigma column alone decides the weighting."""
+    if raw not in ("auto", "unweighted", "chi-square"):
+        raise ValueError(f"expected auto, unweighted or chi-square, got {raw!r}")
+
+    def weigh(ts: TimeSeries) -> TimeSeries:
+        if raw == "chi-square" and not ts.weighted:
+            raise ConfigError("chi-square weighting needs a sigma column")
+        return TimeSeries(ts.t, ts.y) if raw == "unweighted" else ts
+    return weigh
+
+
+_SEARCH_KEYS = ("pmin", "pmax", "fmin", "fmax", "nlong", "nshort", "halfwidth")
+
+
 def _search_config(ctl: Control, required: bool = True) -> SearchConfig | None:
     """The search range and grid sizes; None when the control file gives
     no range and ``required`` is False."""
@@ -165,10 +196,10 @@ def _search_config(ctl: Control, required: bool = True) -> SearchConfig | None:
     if have_p:
         if p_min is None or p_max is None:
             raise ConfigError(f"{ctl.path}: pmin and pmax belong together")
-        return SearchConfig.from_periods(p_min, p_max, **kw)
+        return ctl.build(_SEARCH_KEYS, SearchConfig.from_periods, p_min, p_max, **kw)
     if f_min is None or f_max is None:
         raise ConfigError(f"{ctl.path}: fmin and fmax belong together")
-    return SearchConfig(f_min=f_min, f_max=f_max, **kw)
+    return ctl.build(_SEARCH_KEYS, SearchConfig, f_min=f_min, f_max=f_max, **kw)
 
 
 def _seed(ctl: Control, args) -> int:
@@ -178,13 +209,16 @@ def _seed(ctl: Control, args) -> int:
     return seed if args.seed is None else args.seed
 
 
-def _options(ctl: Control, args, default_boot=100) -> AnalysisOptions:
-    return AnalysisOptions(
+def _options(ctl: Control, args, default_boot=100):
+    """The analysis options, and the ``weighting`` key's map from the
+    loaded series to the one analysed."""
+    opts = ctl.build(
+        ("seed", "nboot", "bootstrap_refine"), AnalysisOptions,
         seed=_seed(ctl, args),
         n_boot=ctl.get("nboot", int, default_boot),
         refine_rounds=ctl.get("bootstrap_refine", _to_bool, True),
-        weighting=ctl.get("weighting", str, None),
     )
+    return opts, ctl.get("weighting", _weighting, _weighting("auto"))
 
 
 def _jsonable(obj):
@@ -320,17 +354,18 @@ def _analysis_dict(analysis):
 
 @_series_verb
 def _run(ctl: Control, args):
-    spec = ModelSpec(
+    spec = ctl.build(
+        ("k1", "k2", "k3"), ModelSpec,
         ctl.get("k1", int, required=True),
         ctl.get("k2", int, required=True),
         ctl.get("k3", int, required=True),
     )
     # a pure trend runs no scan, so its range is optional
     cfg = _search_config(ctl, required=spec.k1 > 0)
-    opts = _options(ctl, args)
+    opts, weigh = _options(ctl, args)
 
     def job(ts, out):
-        analysis = analyze(ts, spec, cfg, opts, workers=args.workers)
+        analysis = analyze(weigh(ts), spec, cfg, opts, workers=args.workers)
         payload = _analysis_dict(analysis)
         if cfg is not None:
             payload["search"] = {
@@ -400,10 +435,10 @@ def _dft(ctl: Control, args):
 def _ladder(ctl: Control, args):
     cfg = _search_config(ctl)
     specs = ctl.get("models", _model_list, required=True)
-    opts = _options(ctl, args)
+    opts, weigh = _options(ctl, args)
 
     def job(ts, out):
-        report = model_ladder(ts, specs, cfg, opts, workers=args.workers)
+        report = model_ladder(weigh(ts), specs, cfg, opts, workers=args.workers)
         out.json("ladder.json", {
             "best": report.best,
             "ambiguous": report.ambiguous,
@@ -441,11 +476,11 @@ def _predict(ctl: Control, args):
         raise ConfigError(f"{ctl.path}: give exactly one of split or split_time")
     window = ctl.get("window", _window)
     window_points = ctl.get("window_points", _positive_int, 1000)
-    opts = _options(ctl, args, default_boot=0)
+    opts, weigh = _options(ctl, args, default_boot=0)
 
     def job(ts, out):
         reports = prediction_test(
-            ts, split if split is not None else split_time, specs, cfg, opts,
+            weigh(ts), split if split is not None else split_time, specs, cfg, opts,
             window=window, window_points=window_points, workers=args.workers)
         fits = [r.analysis for r in reports]
         out.json("predict.json", {"reports": [

@@ -192,7 +192,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnstableSearchError
-from .linfit import BatchSolver, evaluate_z, row_sigma, weighted_design
+from .linfit import BatchSolver, evaluate_z, weighted_design
 from .model import ModelSpec
 from .timeseries import TimeSeries, span_stats
 
@@ -697,7 +697,7 @@ def _scan(ts, spec, stats, sigma, grids, y_rounds, workers):
     return z_c[pick, rounds], t_c[pick, rounds], count, any(degen), blocks
 
 
-def periodogram_slice(ts, spec, freqs, axis, grid, weighting=None):
+def periodogram_slice(ts, spec, freqs, axis, grid):
     """Misfit z along frequency axis ``axis`` < k1, the others held fixed.
 
     Returns the z values over ``grid``, every one from the exact kernel.
@@ -709,7 +709,7 @@ def periodogram_slice(ts, spec, freqs, axis, grid, weighting=None):
     if not 0 <= axis < spec.k1:
         raise ConfigError(f"axis {axis} is not a signal axis 0..{spec.k1 - 1}")
     tuples = _cut(np.asarray(freqs, dtype=float), axis, np.asarray(grid, dtype=float))
-    z = [evaluate_z(ts, spec, c, weighting)[0]
+    z = [evaluate_z(ts, spec, c)[0]
          for c in _batches(tuples, _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET))]
     return np.concatenate(z) if z else np.empty(0)
 
@@ -736,7 +736,7 @@ def _slices(blocks, grids, best, workers) -> list[Slice]:
             for i, (g, zi) in enumerate(zip(grids, np.split(z, cuts)))]
 
 
-def _stage(stage, ts, spec, grids, weighting, workers) -> Periodogram:
+def _stage(stage, ts, spec, grids, workers) -> Periodogram:
     """One search stage: the engine on the series itself (R = 1), then,
     from the engine's columns and through its ``ordered_map``, a slice
     through the winner along every signal axis."""
@@ -746,7 +746,7 @@ def _stage(stage, ts, spec, grids, weighting, workers) -> Periodogram:
         raise ConfigError(
             f"need more than eta+1 = {spec.eta + 1} points, have {ts.n}")
     z_min, best, count, degenerate, blocks = _scan(
-        ts, spec, span_stats(ts), row_sigma(ts, weighting), grids, ts.y[None], workers)
+        ts, spec, span_stats(ts), ts.sigma, grids, ts.y[None], workers)
     best = best[0]
     return Periodogram(
         stage=stage, grids=grids, best=best, z_min=float(z_min[0]),
@@ -755,7 +755,7 @@ def _stage(stage, ts, spec, grids, weighting, workers) -> Periodogram:
     )
 
 
-def long_search(ts, spec, cfg: SearchConfig, weighting=None, workers=1):
+def long_search(ts, spec, cfg: SearchConfig, workers=1):
     """Coarse scan over all descending tuples from one even grid.
 
     Returns
@@ -770,10 +770,10 @@ def long_search(ts, spec, cfg: SearchConfig, weighting=None, workers=1):
         If the grid has fewer points than signals.
     """
     grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
-    return _stage("long", ts, spec, [grid] * spec.k1, weighting, workers)
+    return _stage("long", ts, spec, [grid] * spec.k1, workers)
 
 
-def short_search(ts, spec, cfg: SearchConfig, centers, weighting=None, workers=1):
+def short_search(ts, spec, cfg: SearchConfig, centers, workers=1):
     """Dense scan in a window around each long-stage frequency.
 
     ``centers`` is the long-stage best tuple.  Windows are clipped to
@@ -791,10 +791,10 @@ def short_search(ts, spec, cfg: SearchConfig, centers, weighting=None, workers=1
     a = cfg.window_half_width
     grids = [np.linspace(max(cfg.f_min, mid - a), min(cfg.f_max, mid + a), cfg.n_short)
              for mid in centers]
-    return _stage("short", ts, spec, grids, weighting, workers)
+    return _stage("short", ts, spec, grids, workers)
 
 
-def scan_rounds(ts, spec, grids, y_rounds, weighting=None, workers=1):
+def scan_rounds(ts, spec, grids, y_rounds, workers=1):
     """Best tuple over the given grids for many data rounds at once.
 
     This is the bootstrap work horse: each resampled series re-runs the
@@ -833,6 +833,6 @@ def scan_rounds(ts, spec, grids, y_rounds, weighting=None, workers=1):
     shape = np.shape(y_rounds)
     if len(shape) != 2 or shape[0] < 1 or shape[1] != ts.n:
         raise ConfigError(f"y_rounds must be (R, {ts.n}) with R >= 1, got {shape}")
-    z_min, best, _, _, _ = _scan(ts, spec, span_stats(ts), row_sigma(ts, weighting),
-                                 grids, y_rounds, workers)
+    z_min, best, _, _, _ = _scan(ts, spec, span_stats(ts), ts.sigma, grids, y_rounds,
+                                 workers)
     return z_min, best

@@ -9,13 +9,15 @@ equations would lose half the available precision exactly there.  A
 rank-deficient solve returns the minimum norm solution and sets a
 condition flag rather than failing.
 
-Weighted fits scale rows by 1/sigma_i, which turns the residual sum of
-squares into chi-square.  That is one step: ``row_sigma`` turns the
-weighting into the row divisor (None unweighted), ``weighted_design``
-divides the design rows by it.  Every fit runs through one kernel,
-``BatchSolver``, and one reduction: ``BatchSolver.residuals`` solves
-each data row as its own contiguous column and forms its explicit
-residual b - A x, and ``sumsq`` sums its squares.  Both entries go
+A series with a sigma column is fitted by chi-square, one without by
+plain least squares: the series carries its weighting, and no entry
+takes a separate switch.  Weighted fits scale rows by 1/sigma_i, which
+turns the residual sum of squares into chi-square.  That is one step:
+``weighted_design`` divides the design rows by ``ts.sigma`` (None
+unweighted).  Every fit runs through one kernel, ``BatchSolver``, and
+one reduction: ``BatchSolver.residuals`` solves each data row as its
+own contiguous column and forms its explicit residual b - A x, and
+``sumsq`` sums its squares.  Both entries go
 through it: ``fit`` for rows that each have their own matrix and data
 (a single fit, the polish, the spectral baseline), ``BatchSolver.misfit``
 for one matrix per tuple against many data rows (the scans, the slices,
@@ -41,35 +43,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .model import BetaVector, ModelSpec, design_matrix
 from .timeseries import SpanStats, TimeSeries, span_stats
 
 __all__ = [
     "FitResult", "RANK_RCOND", "BatchSolver", "RowFit", "fit", "design_solver",
-    "solve_linear", "evaluate_z", "fit_columns", "weighting_mode", "row_sigma",
-    "weighted_design", "unweighted", "sumsq",
+    "solve_linear", "evaluate_z", "fit_columns", "weighted_design", "unweighted",
+    "sumsq",
 ]
 
 # Relative singular value cutoff below which directions are truncated.
 RANK_RCOND = 1e-10
-
-
-def weighting_mode(ts: TimeSeries, weighting: str | None) -> str:
-    """Resolve the requested weighting against the available columns."""
-    if weighting is None or weighting == "auto":
-        return "chi-square" if ts.weighted else "unweighted"
-    if weighting not in ("unweighted", "chi-square"):
-        raise ConfigError(f"unknown weighting {weighting!r}")
-    if weighting == "chi-square" and not ts.weighted:
-        raise ConfigError("chi-square weighting needs a sigma column")
-    return weighting
-
-
-def row_sigma(ts: TimeSeries, weighting: str | None) -> np.ndarray | None:
-    """The row divisor of a fit: ``ts.sigma`` under chi-square
-    weighting, None for an unweighted fit."""
-    return ts.sigma if weighting_mode(ts, weighting) == "chi-square" else None
 
 
 def weighted_design(t, spec: ModelSpec, freqs, stats: SpanStats, sigma) -> np.ndarray:
@@ -150,18 +134,16 @@ class BatchSolver:
         return np.sqrt(sumsq(self.residuals(rows)[1]) / rows.shape[-1])
 
 
-def design_solver(ts, spec, freq_batch, weighting=None) -> BatchSolver:
+def design_solver(ts, spec, freq_batch) -> BatchSolver:
     """Build the weighted design matrices for a tuple batch and factor
     them.  Pair with :meth:`BatchSolver.misfit` using ``weighted_y``."""
     fb = np.atleast_2d(np.asarray(freq_batch, dtype=float))
-    return BatchSolver(weighted_design(ts.t, spec, fb, span_stats(ts),
-                                       row_sigma(ts, weighting)))
+    return BatchSolver(weighted_design(ts.t, spec, fb, span_stats(ts), ts.sigma))
 
 
-def weighted_y(ts: TimeSeries, weighting: str | None = None) -> np.ndarray:
+def weighted_y(ts: TimeSeries) -> np.ndarray:
     """The right hand side matching ``design_solver`` row scaling."""
-    sigma = row_sigma(ts, weighting)
-    return ts.y if sigma is None else ts.y / sigma
+    return ts.y if ts.sigma is None else ts.y / ts.sigma
 
 
 def sumsq(x):
@@ -223,12 +205,7 @@ class FitResult:
         return self.r_sum if self.chi2 is None else self.chi2
 
 
-def solve_linear(
-    ts: TimeSeries,
-    spec: ModelSpec,
-    freqs,
-    weighting: str | None = None,
-) -> FitResult:
+def solve_linear(ts: TimeSeries, spec: ModelSpec, freqs) -> FitResult:
     """Fit all linear coefficients at one frequency tuple.
 
     Parameters
@@ -240,12 +217,11 @@ def solve_linear(
     -------
     FitResult
     """
-    sigma = row_sigma(ts, weighting)
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    f = fit(weighted_design(ts.t, spec, freqs[None, :], span_stats(ts), sigma),
-            weighted_y(ts, weighting)[None, :])
+    f = fit(weighted_design(ts.t, spec, freqs[None, :], span_stats(ts), ts.sigma),
+            weighted_y(ts)[None, :])
     wsum = float(f.wsum[0])
-    residuals, r_sum, chi2 = unweighted(f.rw[0], wsum, sigma)
+    residuals, r_sum, chi2 = unweighted(f.rw[0], wsum, ts.sigma)
     return FitResult(
         beta=BetaVector(freqs, f.x[0]),
         residuals=residuals,
@@ -257,12 +233,7 @@ def solve_linear(
     )
 
 
-def evaluate_z(
-    ts: TimeSeries,
-    spec: ModelSpec,
-    freq_batch,
-    weighting: str | None = None,
-):
+def evaluate_z(ts: TimeSeries, spec: ModelSpec, freq_batch):
     """Normalised misfit z for a batch of frequency tuples.
 
     Parameters
@@ -275,8 +246,8 @@ def evaluate_z(
     degenerate : ndarray of bool, shape (B,)
         True where the solve was rank deficient.
     """
-    solver = design_solver(ts, spec, freq_batch, weighting)
-    z = solver.misfit(weighted_y(ts, weighting)[None, None])
+    solver = design_solver(ts, spec, freq_batch)
+    z = solver.misfit(weighted_y(ts)[None, None])
     return z[:, 0], solver.degenerate
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .gridsearch import Periodogram, SearchConfig, long_search, short_search
-from .linfit import weighting_mode
 from .model import ModelSpec, SignalSummary, summarize_signals
 from .refine import BootstrapReport, RefinedModel, bootstrap, refine
 from .timeseries import SpanStats, TimeSeries, span_stats
@@ -29,12 +28,13 @@ __all__ = ["AnalysisOptions", "DcmAnalysis", "analyze"]
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Knobs that do not alter the searched frequency set."""
+    """Knobs that do not alter the searched frequency set.  The
+    weighting is the series': chi-square exactly when it has a sigma
+    column."""
 
     n_boot: int = 100
     seed: int = 0
     refine_rounds: bool = True
-    weighting: str | None = None
 
     def __post_init__(self):
         if self.n_boot < 0:
@@ -78,23 +78,23 @@ def analyze(ts: TimeSeries, spec: ModelSpec, cfg: SearchConfig | None,
     models (k1 = 0), which have no frequencies to search.
     """
     stats = span_stats(ts)
-    mode = weighting_mode(ts, opts.weighting)
     long = short = None
     start, grids = np.empty(0), []
     if spec.k1:
         if cfg is None:
             raise ConfigError("a search range is required when k1 >= 1")
-        long = long_search(ts, spec, cfg, mode, workers)
-        short = short_search(ts, spec, cfg, long.best, mode, workers)
+        long = long_search(ts, spec, cfg, workers)
+        short = short_search(ts, spec, cfg, long.best, workers)
         start, grids = short.best, short.grids
-    refined = refine(ts, spec, start, mode)
+    refined = refine(ts, spec, start)
 
     summary = summarize_signals(spec, refined.beta, stats)
     boot = None
     if opts.n_boot >= 2:
         boot = bootstrap(ts, spec, cfg, refined, grids, opts.n_boot,
-                         opts.seed, mode, opts.refine_rounds, workers)
+                         opts.seed, refine_rounds=opts.refine_rounds, workers=workers)
     return DcmAnalysis(
-        spec=spec, stats=stats, weighting=mode, n=ts.n,
+        spec=spec, stats=stats, n=ts.n,
+        weighting="chi-square" if ts.weighted else "unweighted",
         long=long, short=short, refined=refined, summary=summary, boot=boot,
     )

@@ -49,7 +49,7 @@ from numpy.random import SeedSequence, default_rng
 
 from .errors import ConfigError
 from .gridsearch import SearchConfig, ordered_map, scan_rounds
-from .linfit import RowFit, fit, row_sigma, sumsq, unweighted, weighted_design
+from .linfit import RowFit, fit, sumsq, unweighted, weighted_design
 from .model import (BetaVector, ModelSpec, interleave, layout, param_names,
                     signal_values, summarize_signals)
 from .timeseries import span_stats
@@ -278,7 +278,7 @@ def _polish(t, y, sigma, spec, freqs, stats, max_iter) -> _Polished:
     return out
 
 
-def refine(ts, spec, freqs, weighting=None, max_iter=_MAX_ITER) -> RefinedModel:
+def refine(ts, spec, freqs, max_iter=_MAX_ITER) -> RefinedModel:
     """Polish the frequency tuple ``freqs`` by variable projection.
 
     ``freqs`` (shape (k1,), empty for a pure trend; another length is a
@@ -290,14 +290,13 @@ def refine(ts, spec, freqs, weighting=None, max_iter=_MAX_ITER) -> RefinedModel:
     that no longer lowers z (``z-tol``), no damping factor that lowers z
     (``no-descent``) or ``max_iter`` accepted steps (``max-iter``).
     """
-    sigma = row_sigma(ts, weighting)
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size != spec.k1:
         raise ConfigError(f"expected {spec.k1} frequencies, got {freqs.size}")
-    out = _polish(ts.t, ts.y[None, :], sigma, spec, freqs.reshape(1, spec.k1),
+    out = _polish(ts.t, ts.y[None, :], ts.sigma, spec, freqs.reshape(1, spec.k1),
                   span_stats(ts), max_iter)
     wsum = float(out.wsum[0])
-    residuals, r_sum, chi2 = unweighted(out.rw[0], wsum, sigma)
+    residuals, r_sum, chi2 = unweighted(out.rw[0], wsum, ts.sigma)
     stop = _STOPS[out.stop[0]]
     return RefinedModel(
         beta=BetaVector.from_interleaved(spec, out.params[0]), residuals=residuals,
@@ -353,9 +352,11 @@ def _wrap_epoch(value, period, reference):
 
 
 def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
-              n_rounds, seed, weighting=None, refine_rounds=True,
-              workers=1) -> BootstrapReport:
+              n_rounds, seed, *, refine_rounds=True, workers=1) -> BootstrapReport:
     """Residual bootstrap around a refined model.
+
+    Every round is fitted as ``ts`` is: by chi-square when it has a
+    sigma column.
 
     Parameters
     ----------
@@ -380,7 +381,6 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     if n_rounds < 2:
         raise ConfigError("bootstrap needs at least 2 rounds")
     stats = span_stats(ts)
-    sigma = row_sigma(ts, weighting)
     g_fit = ts.y - refined.residuals
     y_rounds = _resample_rounds(g_fit, refined.residuals, n_rounds, seed)
 
@@ -388,7 +388,7 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     eta = spec.eta
     if spec.k1 > 0:
         grid_step = float(min(g[1] - g[0] for g in grids if g.size > 1))
-        _, best_tuples = scan_rounds(ts, spec, grids, y_rounds, weighting, workers)
+        _, best_tuples = scan_rounds(ts, spec, grids, y_rounds, workers)
     else:
         grid_step = 0.0
         best_tuples = np.zeros((n_rounds, 0))
@@ -396,7 +396,7 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     def fit_block(rows):
         """(params, z, summary) of each round of ``rows`` that succeeds."""
         try:
-            out = _polish(ts.t, y_rounds[rows], sigma, spec, best_tuples[rows], stats,
+            out = _polish(ts.t, y_rounds[rows], ts.sigma, spec, best_tuples[rows], stats,
                           _MAX_ITER if refine_rounds else 0)
             z = np.sqrt(out.wsum / ts.n)
             return list(zip(out.params, z, summarize_signals(spec, out.params, stats)))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .gridsearch import SearchConfig
-from .linfit import row_sigma, solve_linear
+from .linfit import solve_linear
 from .model import BetaVector, ModelSpec, eval_model
 from .pipeline import AnalysisOptions, DcmAnalysis, analyze
 from .timeseries import SpanStats, TimeSeries
@@ -201,11 +201,12 @@ class NoSignalReport:
 
 
 def no_signal_test(ts: TimeSeries, signal: ModelScore | DcmAnalysis,
-                   max_trend_order: int, weighting: str | None = None,
-                   gamma: float = GAMMA_F) -> NoSignalReport:
+                   max_trend_order: int, gamma: float = GAMMA_F) -> NoSignalReport:
     """Test a fitted signal model against trend-only alternatives.
 
-    Polynomials with fewer parameters than the signal model act as the
+    The polynomials are fitted as ``ts`` is weighted, by chi-square when
+    it has a sigma column, so ``signal`` should come from the same
+    series.  Polynomials with fewer parameters than the signal model act as the
     simple model; higher orders act as the complex one; an equal count
     falls back to the statistic comparison.
     """
@@ -219,7 +220,7 @@ def no_signal_test(ts: TimeSeries, signal: ModelScore | DcmAnalysis,
     preferred = True
     for k in range(max_trend_order + 1):
         spec = ModelSpec(0, 1, k)
-        fit = solve_linear(ts, spec, np.empty(0), weighting)
+        fit = solve_linear(ts, spec, np.empty(0))
         poly = ModelScore(spec.label, spec.eta, fit.stat)
         polynomials.append(poly)
         cmp = _fisher_pair(poly, signal, ts.n, gamma)
@@ -314,8 +315,7 @@ def prediction_test(ts: TimeSeries, split, specs, cfg: SearchConfig,
         if t_pred.size:
             g_pred = eval_model(t_pred, spec, beta, analysis.stats)
             resid = y_pred - g_pred
-            sigma = row_sigma(ts, analysis.weighting)
-            resid_w = resid if sigma is None else resid / sigma[k:]
+            resid_w = resid if sig is None else resid / sig[k:]
             z_pred = float(np.sqrt(np.mean(resid_w ** 2)))
         else:
             g_pred = np.empty(0)

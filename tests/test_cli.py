@@ -255,6 +255,127 @@ def test_relative_paths_resolve_against_the_control_file(tmp_path, monkeypatch):
     assert (sub / "run.out" / "params.json").exists()
 
 
+def _no_load(monkeypatch):
+    """Calls of ``load_series`` from the driver, recorded, not run."""
+    import dcmethod.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "load_series", lambda *a: calls.append(a))
+    return calls
+
+
+@pytest.mark.parametrize("key, value, where", [
+    ("nlong", "1", ": 'pmin' (line 5), 'pmax' (line 6), 'nlong' (line 7): "
+                   "grids need at least 2 points"),
+    ("nboot", "-1", ":7: bad value for 'nboot': n_boot must be >= 0"),
+    ("halfwidth", "0", ": 'pmin' (line 5), 'pmax' (line 6), 'halfwidth' (line 7): "
+                       "half_width_frac must be > 0"),
+    ("k2", "0", ": 'k1' (line 2), 'k2' (line 3), 'k3' (line 4): k2 must be >= 1"),
+    ("pmin", "6", ": 'pmin' (line 5), 'pmax' (line 6): need 0 < p_min < p_max"),
+], ids=["nlong", "nboot", "halfwidth", "k2", "pmin"])
+def test_constructor_errors_name_the_lines_of_their_keys(tmp_path, capsys, monkeypatch,
+                                                         key, value, where):
+    # SearchConfig, AnalysisOptions and ModelSpec each check values read
+    # from several keys; their errors name every such key the file gives
+    keys = {"data": "series.dat", "k1": "1", "k2": "1", "k3": "0",
+            "pmin": "0.63", "pmax": "5.7"}
+    keys[key] = value
+    ctl = write_control(tmp_path / "case.ctl",
+                        "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    loads = _no_load(monkeypatch)
+    assert main(["run", "--control", ctl]) == 3
+    assert capsys.readouterr().err == f"error: {ctl}{where}\n"
+    assert not loads
+    assert not (tmp_path / "case.out").exists()
+
+
+# ---------------------------------------------------------------------------
+# the weighting key: resolved into the analysed series, once
+# ---------------------------------------------------------------------------
+
+WEIGHTING_CTLS = {
+    "run": RUN_CTL,
+    "ladder": """\
+data = series.dat
+models = 1,1,0; 1,1,1
+pmin = 0.63
+pmax = 5.70
+nlong = 24
+nshort = 16
+nboot = 4
+seed = 2
+""",
+    "predict": """\
+data = series.dat
+models = 1,1,0; 0,1,1
+split = 30
+pmin = 0.63
+pmax = 5.70
+nlong = 24
+nshort = 16
+""",
+}
+
+
+@pytest.mark.parametrize("line", ["", "weighting = auto\n"], ids=["absent", "auto"])
+@pytest.mark.parametrize("sigma", [True, False], ids=["sigma", "no-sigma"])
+def test_weighting_key_auto_or_absent_follows_the_sigma_column(tmp_path, line, sigma):
+    ts = simulate(SimulationSpec(1, 40, 20, seed=9))
+    write_series(str(tmp_path / "series.dat"),
+                 ts if sigma else dcmethod.TimeSeries(ts.t, ts.y))
+    text = RUN_CTL.replace("nboot = 6", "nboot = 0") + line
+    assert main(["run", "--control", write_control(tmp_path / "case.ctl", text)]) == 0
+    payload = json.loads((tmp_path / "run.out" / "params.json").read_text())
+    assert payload["weighting"] == ("chi-square" if sigma else "unweighted")
+    assert (payload["refined"]["chi2"] is None) == (not sigma)
+
+
+@pytest.mark.parametrize("verb", ["run", "ladder", "predict"])
+def test_unweighted_key_matches_the_series_without_sigma(tmp_path, verb):
+    # every output byte of `weighting = unweighted` on a weighted series
+    # is that of the same rows written without their sigma column
+    ts = simulate(SimulationSpec(1, 40, 20, seed=9))
+    outputs = []
+    for sub, series, line in (("keyed", ts, "weighting = unweighted\n"),
+                              ("plain", dcmethod.TimeSeries(ts.t, ts.y), "")):
+        d = tmp_path / sub
+        d.mkdir()
+        write_series(str(d / "series.dat"), series)
+        ctl = write_control(d / "case.ctl", WEIGHTING_CTLS[verb] + line)
+        assert main([verb, "--control", ctl]) == 0
+        out = d / ("run.out" if verb == "run" else "case.out")
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_chi_square_key_needs_a_sigma_column(tmp_path, capsys):
+    ts = simulate(SimulationSpec(1, 40, 20, seed=9))
+    write_series(str(tmp_path / "series.dat"), dcmethod.TimeSeries(ts.t, ts.y))
+    ctl = write_control(tmp_path / "case.ctl", RUN_CTL + "weighting = chi-square\n")
+    assert main(["run", "--control", ctl]) == 3
+    assert "chi-square weighting needs a sigma column" in capsys.readouterr().err
+    assert not (tmp_path / "run.out").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "ladder", "predict"])
+def test_bad_weighting_value_names_its_line(tmp_path, capsys, monkeypatch, verb):
+    text = WEIGHTING_CTLS[verb] + "weighting = quadrature\n"
+    ctl = write_control(tmp_path / "case.ctl", text)
+    loads = _no_load(monkeypatch)
+    assert main([verb, "--control", ctl]) == 3
+    line = text.count("\n")
+    assert capsys.readouterr().err == (
+        f"error: {ctl}:{line}: bad value for 'weighting': "
+        "expected auto, unweighted or chi-square, got 'quadrature'\n")
+    assert not loads
+
+
+def test_dft_rejects_the_weighting_key(tmp_path, capsys):
+    ctl = write_control(tmp_path / "scan.ctl", "data = series.dat\nfmin = 1.0\n"
+                        "fmax = 6.0\nweighting = unweighted\n")
+    assert main(["dft", "--control", ctl]) == 3
+    assert "unknown keys: 'weighting' (line 4)" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # other verbs
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from dcmethod.gridsearch import (
     periodogram_slice,
     scan_rounds,
 )
-from dcmethod.linfit import (BatchSolver, design_solver, evaluate_z, row_sigma,
-                             solve_linear, sumsq, weighted_y, weighting_mode)
+from dcmethod.linfit import (BatchSolver, design_solver, evaluate_z, solve_linear,
+                             sumsq, weighted_y)
 from dcmethod.model import design_matrix
 
 
@@ -335,7 +335,7 @@ def test_scan_rounds_matches_per_tuple_brute_force():
         f = np.asarray(combo)
         if not f[0] > f[1]:
             continue
-        solver = design_solver(ts, spec, f[None, :], "chi-square")
+        solver = design_solver(ts, spec, f[None, :])
         z = solver.misfit(yw[None])[0]
         for r in range(4):
             if z[r] < want_z[r] or (z[r] == want_z[r]
@@ -424,14 +424,13 @@ def test_screen_bound_holds_and_degenerate_tuples_are_guarded(case):
     sigma = case["noise"] * rng.uniform(0.5, 2.0, n) if case["weighted"] else None
     ts = TimeSeries(t, signal + case["noise"] * rng.normal(size=n), sigma)
     stats = span_stats(ts)
-    mode = weighting_mode(ts, None)
-    yw = weighted_y(ts, mode)[:, None] + (case["noise"] * rng.normal(
+    yw = weighted_y(ts)[:, None] + (case["noise"] * rng.normal(
         size=(n, case["rounds"] - 1)) / (sigma[:, None] if sigma is not None else 1.0))
     tuples = np.array(list(itertools.product(grid, repeat=spec.k1)))
-    blocks = _Blocks(ts, spec, stats, row_sigma(ts, mode), [grid] * spec.k1, yw.T)
+    blocks = _Blocks(ts, spec, stats, ts.sigma, [grid] * spec.k1, yw.T)
     ok, rss, bound = blocks.score(tuples)
 
-    solver = design_solver(ts, spec, tuples, mode)
+    solver = design_solver(ts, spec, tuples)
     # the screen's columns are the exact kernel's, bit for bit
     assert np.array_equal(blocks.cols[:, blocks.columns(tuples)].transpose(1, 0, 2),
                           solver.a)
@@ -445,7 +444,7 @@ def test_singular_tuples_are_routed_not_raised():
     spec = ModelSpec(2, 2, 0)
     grid = np.array([3.0, 6.0, 6.5])
     tuples = np.array([[6.0, 6.0], [6.0, 3.0], [6.5, 3.0]])
-    blocks = _Blocks(ts, spec, span_stats(ts), row_sigma(ts, "chi-square"), [grid, grid],
+    blocks = _Blocks(ts, spec, span_stats(ts), ts.sigma, [grid, grid],
                      weighted_y(ts)[None])
     ok, rss, bound = blocks.score(tuples)
     # a duplicated frequency and f_a = 2 f_b with two harmonics
@@ -671,7 +670,7 @@ def test_model7_hazard_scans_match_brute_force():
     grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
 
     long_tuples = np.concatenate(list(_product_chunks([grid] * 2, 4096)))
-    blocks = _Blocks(ts, spec, stats, row_sigma(ts, "chi-square"), [grid, grid],
+    blocks = _Blocks(ts, spec, stats, ts.sigma, [grid, grid],
                      weighted_y(ts)[None])
     idx = blocks.columns(long_tuples)
     gram = blocks.gram[idx[:, :, None], idx[:, None, :]]
@@ -691,7 +690,7 @@ def test_model7_hazard_scans_match_brute_force():
     assert sh.z_min == z_want
     assert np.array_equal(sh.best, f_want)
     short_tuples = np.concatenate(list(_product_chunks(sh.grids, 4096)))
-    blocks = _Blocks(ts, spec, stats, row_sigma(ts, "chi-square"), sh.grids,
+    blocks = _Blocks(ts, spec, stats, ts.sigma, sh.grids,
                      weighted_y(ts)[None])
     ok, rss, _ = blocks.score(short_tuples)
     assert not np.array_equal(short_tuples[ok][np.argmin(rss[:, 0])], f_want)
@@ -751,7 +750,6 @@ def test_stage_slices_equal_periodogram_slice(case, exact_target, monkeypatch):
     if exact_target is not None:
         monkeypatch.setattr(gridsearch, "_EXACT_TARGET", exact_target)
     ts, spec, cfg = _stage_case(case)
-    mode = weighting_mode(ts, None)
     degenerate = False
     for workers in (1, 3):
         pg = long_search(ts, spec, cfg, workers=workers)
@@ -760,7 +758,7 @@ def test_stage_slices_equal_periodogram_slice(case, exact_target, monkeypatch):
             assert [sl.signal for sl in stage.slices] == list(range(1, spec.k1 + 1))
             for i, (sl, grid) in enumerate(zip(stage.slices, stage.grids)):
                 assert sl.f is grid
-                want = periodogram_slice(ts, spec, stage.best, i, grid, mode)
+                want = periodogram_slice(ts, spec, stage.best, i, grid)
                 assert np.array_equal(sl.z, want)
                 tuples = np.tile(stage.best, (grid.size, 1))
                 tuples[:, i] = grid
@@ -781,11 +779,10 @@ def test_gathered_design_matrices_equal_design_matrix(weighted, shape):
         ts = TimeSeries(ts.t, ts.y)
     spec = ModelSpec(*shape)
     stats = span_stats(ts)
-    mode = weighting_mode(ts, None)
     long_grid = np.linspace(2.0, 8.0, 9)
     short_grids = [np.linspace(c - 0.7, c + 0.7, 6) for c in (7.1, 6.6, 3.0)[:spec.k1]]
     for grids in ([long_grid] * spec.k1, short_grids):
-        blocks = _Blocks(ts, spec, stats, row_sigma(ts, mode), grids,
+        blocks = _Blocks(ts, spec, stats, ts.sigma, grids,
                          weighted_y(ts)[None])
         # every combination, descending or not, as slice points are
         tuples = np.array(list(itertools.product(*grids)))

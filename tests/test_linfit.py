@@ -5,16 +5,16 @@ them with Cramer's rule, hand-expanded determinants and all.  It shares
 no code path with the SVD machinery under test.
 """
 
-import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
-from dcmethod import (ConfigError, ModelSpec, SearchConfig, TimeSeries, bootstrap,
-                      detrend, diagnose_stability, long_search, no_signal_test,
-                      periodogram_slice, refine, short_search, span_stats)
-from dcmethod.gridsearch import scan_rounds
+from dcmethod import (AnalysisOptions, ModelSpec, SearchConfig, TimeSeries,
+                      bootstrap, detrend, diagnose_stability, long_search,
+                      no_signal_test, periodogram_slice, refine, short_search,
+                      span_stats)
+from dcmethod.gridsearch import _stage, scan_rounds
 from dcmethod.linfit import (
     BatchSolver,
     design_solver,
@@ -23,8 +23,8 @@ from dcmethod.linfit import (
     fit_columns,
     solve_linear,
     weighted_y,
-    weighting_mode,
 )
+from dcmethod.selection import ModelScore
 from dcmethod.model import design_matrix
 
 
@@ -57,87 +57,49 @@ def sine_series(n=40, seed=0, sigma=None):
 
 
 # ---------------------------------------------------------------------------
-# weighting mode resolution
+# the series carries its weighting
 # ---------------------------------------------------------------------------
 
 def test_weighting_auto_follows_sigma():
-    assert weighting_mode(sine_series(), None) == "unweighted"
-    assert weighting_mode(sine_series(sigma=0.05), None) == "chi-square"
-    assert weighting_mode(sine_series(sigma=0.05), "auto") == "chi-square"
+    # chi-square exactly when the series has a sigma column; the control
+    # file's weighting key is resolved into the series by the driver
+    spec = ModelSpec(1, 1, 0)
+    assert solve_linear(sine_series(), spec, [1.3]).chi2 is None
+    assert solve_linear(sine_series(sigma=0.05), spec, [1.3]).chi2 is not None
 
 
-def test_weighting_explicit_override():
-    assert weighting_mode(sine_series(sigma=0.05), "unweighted") == "unweighted"
-
-
-def test_weighting_chi_square_needs_sigma():
-    with pytest.raises(ConfigError):
-        weighting_mode(sine_series(), "chi-square")
-
-
-def test_weighting_unknown_mode():
-    with pytest.raises(ConfigError):
-        weighting_mode(sine_series(), "quadrature")
-
-
-def _bits(obj):
-    """Every float of a result as bytes, walking dataclasses and lists."""
-    if dataclasses.is_dataclass(obj):
-        return [_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)]
-    if isinstance(obj, (list, tuple)):
-        return [_bits(o) for o in obj]
-    if isinstance(obj, (np.ndarray, float)):
-        a = np.asarray(obj)
-        return a.dtype.str, a.shape, a.tobytes()
-    return obj
-
-
-def test_unweighted_mode_ignores_the_sigma_column():
-    # one weighting resolver: weighting="unweighted" on a weighted series
-    # gives the bits of the same series without its sigma column, through
-    # every entry that takes a weighting
-    rng = np.random.default_rng(4)
-    n = 40
-    t = np.sort(rng.random(n)) * 3.0
-    y = (np.cos(2 * np.pi * 2.1 * t) + 0.6 * np.sin(2 * np.pi * 1.3 * t) + 0.5
-         + rng.normal(0, 0.1, n))
-    weighted = TimeSeries(t, y, rng.uniform(0.05, 0.3, n))
-    plain = TimeSeries(t, y)
-    spec = ModelSpec(2, 1, 0)
-    cfg = SearchConfig(0.8, 2.6, n_long=24, n_short=12)
-    y_rounds = y[None, :] + rng.normal(0, 0.1, (3, n))
-    start = np.array([2.05, 1.32])
-
-    def entries(ts, weighting):
-        long = long_search(ts, spec, cfg, weighting)
-        short = short_search(ts, spec, cfg, long.best, weighting)
-        return [
-            long, short,
-            scan_rounds(ts, spec, short.grids, y_rounds, weighting),
-            periodogram_slice(ts, spec, start, 1, short.grids[1], weighting),
-            refine(ts, spec, start, weighting),
-            solve_linear(ts, spec, start, weighting),
-            evaluate_z(ts, spec, np.stack([start, start[::-1], [2.0, 2.0]]), weighting),
-        ]
-
-    want = entries(plain, None)
-    got = entries(weighted, "unweighted")
-    for name, w, g in zip(["long_search", "short_search", "scan_rounds",
-                           "periodogram_slice", "refine", "solve_linear", "evaluate_z"],
-                          want, got):
-        assert _bits(g) == _bits(w), name
-    assert _bits(entries(weighted, "chi-square")) != _bits(want)
-
-    grids = want[1].grids
-    for call in (lambda: long_search(plain, spec, cfg, "chi-square"),
-                 lambda: short_search(plain, spec, cfg, start, "chi-square"),
-                 lambda: scan_rounds(plain, spec, grids, y_rounds, "chi-square"),
-                 lambda: periodogram_slice(plain, spec, start, 0, grids[0], "chi-square"),
-                 lambda: refine(plain, spec, start, "chi-square"),
-                 lambda: solve_linear(plain, spec, start, "chi-square"),
-                 lambda: evaluate_z(plain, spec, start[None], "chi-square")):
-        with pytest.raises(ConfigError, match="sigma column"):
-            call()
+def test_an_old_positional_weighting_raises_type_error():
+    # no entry takes a weighting any more; a string (or None) passed
+    # where one used to go fails loudly instead of landing in the next
+    # parameter
+    ts = sine_series(n=30, seed=1, sigma=0.05)
+    spec = ModelSpec(1, 1, 0)
+    cfg = SearchConfig(0.8, 2.5, n_long=8, n_short=6)
+    grids = [np.linspace(1.2, 1.4, 6)]
+    start = np.array([1.3])
+    refined = refine(ts, spec, start)
+    y_rounds = np.tile(ts.y, (2, 1))
+    entries = {
+        "weighted_y": lambda w: weighted_y(ts, w),
+        "design_solver": lambda w: design_solver(ts, spec, start[None], w),
+        "solve_linear": lambda w: solve_linear(ts, spec, start, w),
+        "evaluate_z": lambda w: evaluate_z(ts, spec, start[None], w),
+        "long_search": lambda w: long_search(ts, spec, cfg, w),
+        "short_search": lambda w: short_search(ts, spec, cfg, start, w),
+        "_stage": lambda w: _stage("long", ts, spec, grids, w, 1),
+        "scan_rounds": lambda w: scan_rounds(ts, spec, grids, y_rounds, w),
+        "periodogram_slice": lambda w: periodogram_slice(ts, spec, start, 0, grids[0], w),
+        "refine": lambda w: refine(ts, spec, start, w),
+        "bootstrap": lambda w: bootstrap(ts, spec, cfg, refined, grids, 4, 0, w),
+        "no_signal_test": lambda w: no_signal_test(
+            ts, ModelScore("g(1,1,0)", spec.eta, refined.stat), 1, w),
+        "AnalysisOptions": lambda w: AnalysisOptions(0, 0, True, w),
+    }
+    for name, call in entries.items():
+        for weighting in ("chi-square", "unweighted", None):
+            with pytest.raises(TypeError):
+                call(weighting)
+                pytest.fail(f"{name} accepted weighting {weighting!r}")
 
 
 def test_entries_that_take_the_series_derive_its_span():
@@ -150,7 +112,7 @@ def test_entries_that_take_the_series_derive_its_span():
         assert "stats" not in inspect.signature(entry).parameters, entry.__name__
     ts = sine_series(seed=1)
     spec = ModelSpec(1, 1, 0)
-    with pytest.raises(ConfigError, match="unknown weighting"):
+    with pytest.raises(TypeError):
         solve_linear(ts, spec, [1.3], span_stats(ts))
     with pytest.raises(TypeError):
         refine(ts, spec, [1.3], stats=span_stats(ts))
@@ -289,16 +251,16 @@ def test_single_tuple_goes_through_batch_path():
 
 def test_weighted_y_applies_row_scaling():
     ts = sine_series(seed=14, sigma=0.1)
-    assert np.array_equal(weighted_y(ts, "chi-square"), ts.y / ts.sigma)
-    assert np.array_equal(weighted_y(ts, "unweighted"), ts.y)
+    assert np.array_equal(weighted_y(ts), ts.y / ts.sigma)
+    assert np.array_equal(weighted_y(TimeSeries(ts.t, ts.y)), ts.y)
 
 
 def test_design_solver_weighted_rows():
     ts = sine_series(seed=15, sigma=0.25)
     spec = ModelSpec(1, 1, 0)
     stats = span_stats(ts)
-    solver = design_solver(ts, spec, np.array([[1.3]]), "chi-square")
-    b = weighted_y(ts, "chi-square")[None, :, None]
+    solver = design_solver(ts, spec, np.array([[1.3]]))
+    b = weighted_y(ts)[None, :, None]
     x = solver.solve(b)
     aw = design_matrix(ts.t, spec, np.array([1.3]), stats) / ts.sigma[:, None]
     want = np.linalg.lstsq(aw, ts.y / ts.sigma, rcond=None)[0]

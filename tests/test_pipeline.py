@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dcmethod import (
+    MODELS,
     AnalysisOptions,
     ConfigError,
     ModelSpec,
     SearchConfig,
+    SimulationSpec,
     TimeSeries,
+    simulate,
 )
 from dcmethod.pipeline import analyze
 from dcmethod.linfit import solve_linear
@@ -85,8 +89,8 @@ def test_signal_shape_requires_a_range():
 
 def test_weighting_override_is_honoured():
     ts = series(seed=6)
-    plain = analyze(ts, ModelSpec(1, 1, 0), CFG,
-                    AnalysisOptions(n_boot=0, weighting="unweighted"))
+    plain = analyze(TimeSeries(ts.t, ts.y), ModelSpec(1, 1, 0), CFG,
+                    AnalysisOptions(n_boot=0))
     assert plain.weighting == "unweighted"
     assert plain.refined.chi2 is None
     assert plain.stat == plain.refined.r_sum
@@ -95,3 +99,27 @@ def test_weighting_override_is_honoured():
 def test_negative_boot_count_is_rejected():
     with pytest.raises(ConfigError):
         AnalysisOptions(n_boot=-1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1, 3, 7]), st.integers(80, 120), st.integers(0, 2**16),
+       st.integers(-6, 6))
+def test_equal_sigmas_match_the_unweighted_fit(model, n, seed, k):
+    # every sigma equal to c = 2^k divides each row exactly, so the
+    # chi-square fit is the unweighted fit with z scaled by 1/c, bit for
+    # bit: the same scan winners, slices and polished frequencies
+    ts = simulate(SimulationSpec(model, n, 50, seed=seed))
+    spec = MODELS[model].spec
+    cfg = SearchConfig.from_periods(*MODELS[model].period_range, n_long=30, n_short=20)
+    c = 2.0 ** k
+    plain = analyze(TimeSeries(ts.t, ts.y), spec, cfg, AnalysisOptions(n_boot=0))
+    equal = analyze(TimeSeries(ts.t, ts.y, np.full(n, c)), spec, cfg,
+                    AnalysisOptions(n_boot=0))
+    assert (plain.weighting, equal.weighting) == ("unweighted", "chi-square")
+    for a, b in ((plain.long, equal.long), (plain.short, equal.short)):
+        assert np.array_equal(a.best, b.best)
+        assert a.z_min == b.z_min * c
+        for sa, sb in zip(a.slices, b.slices):
+            assert np.array_equal(sa.z, sb.z * c)
+    assert np.array_equal(plain.refined.beta.freqs, equal.refined.beta.freqs)
+    assert plain.refined.z == equal.refined.z * c

@@ -1,10 +1,13 @@
 """The README's examples run as documented."""
 
+import inspect
 import re
 import textwrap
 from pathlib import Path
 
-from dcmethod import SimulationSpec, default_filename, simulate, write_series
+import dcmethod
+from dcmethod import (SimulationSpec, default_filename, gridsearch, linfit, simulate,
+                      write_series)
 from dcmethod.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -36,3 +39,21 @@ def test_readme_quick_start_runs_as_written(monkeypatch, tmp_path):
         assert main(command.split()) == 0, command
     for name in listed:
         assert (tmp_path / out / name).is_file(), name
+
+
+def test_readme_signature_block_matches_the_library():
+    # each entry, read as `def <entry>: pass`, has the parameter names,
+    # kinds and defaults of the function it names
+    text = README.read_text()
+    block = text[text.index("Every entry that takes the series"):text.index("These twelve")]
+    entries = re.findall(r"^    (\w+\(.*?\))$", block, re.M | re.S)
+    assert len(entries) == 12
+    for entry in entries:
+        name = entry[:entry.index("(")]
+        scope = dict(vars(dcmethod))
+        exec(f"def {entry}: pass", scope)
+        want = inspect.signature(scope[name])
+        module = next(m for m in (dcmethod, linfit, gridsearch) if hasattr(m, name))
+        got = inspect.signature(getattr(module, name))
+        assert ([(p.name, p.kind, p.default) for p in want.parameters.values()]
+                == [(p.name, p.kind, p.default) for p in got.parameters.values()]), name

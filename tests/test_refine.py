@@ -351,12 +351,12 @@ refine_mod = importlib.import_module("dcmethod.refine")
 CONVERGED_STOPS = {"grad", "z-tol"}
 
 
-def reference_refine(ts, spec, beta0, stats, weighting, max_iter):
+def reference_refine(ts, spec, beta0, stats, max_iter):
     """One row at a time, as a plain loop: the variable-projection
     Levenberg-Marquardt iteration the stacked kernel must reproduce bit
     for bit.  Returns (params, weighted residuals, weighted sum of
     squares, z0, accepted steps, stop)."""
-    sigma = ts.sigma if weighting == "chi-square" else None
+    sigma = ts.sigma
     yw = ts.y if sigma is None else ts.y / sigma
     tau = ts.t - stats.t_mid
 
@@ -434,38 +434,38 @@ def polish_cases(draw):
     g = eval_model(t, spec, truth, stats)
     series = [TimeSeries(t, g + rng.normal(0, 1, n) * sigma, sigma)
               for _ in range(rows)]
-    mode = draw(st.sampled_from(["unweighted", "chi-square"]))
-    starts = [solve_linear(ts, spec, freqs + rng.normal(0, 0.01, k1), mode).beta
+    if draw(st.sampled_from(["unweighted", "chi-square"])) == "unweighted":
+        series = [TimeSeries(ts.t, ts.y) for ts in series]
+    starts = [solve_linear(ts, spec, freqs + rng.normal(0, 0.01, k1)).beta
               for ts in series]
     max_iter = draw(st.sampled_from([0, 1, 2, 5, 200]))
-    return spec, series, starts, stats, mode, max_iter
+    return spec, series, starts, stats, max_iter
 
 
-def polish(series, starts, spec, stats, mode, max_iter, rows=None):
+def polish(series, starts, spec, stats, max_iter, rows=None):
     ts = series[0]
     y = np.array([s.y for s in series])
     freqs = np.array([b.freqs for b in starts])
     if rows is not None:
         y, freqs = y[rows], freqs[rows]
-    sigma = ts.sigma if mode == "chi-square" else None
-    return refine_mod._polish(ts.t, y, sigma, spec, freqs, stats, max_iter)
+    return refine_mod._polish(ts.t, y, ts.sigma, spec, freqs, stats, max_iter)
 
 
 @settings(max_examples=40, deadline=None)
 @given(polish_cases())
 def test_stacked_polish_equals_the_reference_loop_per_row(case):
-    spec, series, starts, stats, mode, max_iter = case
-    out = polish(series, starts, spec, stats, mode, max_iter)
+    spec, series, starts, stats, max_iter = case
+    out = polish(series, starts, spec, stats, max_iter)
     for r, (ts, beta0) in enumerate(zip(series, starts)):
         p, rw, s_sum, z0, steps, stop = reference_refine(
-            ts, spec, beta0, stats, mode, max_iter)
+            ts, spec, beta0, stats, max_iter)
         assert np.array_equal(out.params[r], p)
         assert np.array_equal(out.rw[r], rw)
         assert out.wsum[r] == s_sum
         assert out.z0[r] == z0
         assert out.steps[r] == steps
         assert refine_mod._STOPS[out.stop[r]] == stop
-        single = refine(ts, spec, beta0.freqs, mode, max_iter=max_iter)
+        single = refine(ts, spec, beta0.freqs, max_iter=max_iter)
         assert single.stop == stop
         assert single.iterations == steps
         assert single.converged == (stop in CONVERGED_STOPS)
@@ -475,14 +475,14 @@ def test_stacked_polish_equals_the_reference_loop_per_row(case):
 @settings(max_examples=30, deadline=None)
 @given(polish_cases(), st.data())
 def test_polishing_rows_together_equals_any_split(case, data):
-    spec, series, starts, stats, mode, max_iter = case
-    whole = polish(series, starts, spec, stats, mode, max_iter)
+    spec, series, starts, stats, max_iter = case
+    whole = polish(series, starts, spec, stats, max_iter)
     order = data.draw(st.permutations(range(len(series))))
     cut = data.draw(st.integers(0, len(series)))
     for part in (list(order[:cut]), list(order[cut:])):
         if not part:
             continue
-        sub = polish(series, starts, spec, stats, mode, max_iter, rows=part)
+        sub = polish(series, starts, spec, stats, max_iter, rows=part)
         assert np.array_equal(sub.params, whole.params[part])
         assert np.array_equal(sub.rw, whole.rw[part])
         assert np.array_equal(sub.wsum, whole.wsum[part])
@@ -493,16 +493,15 @@ def test_polishing_rows_together_equals_any_split(case, data):
 @settings(max_examples=40, deadline=None)
 @given(polish_cases())
 def test_block_linear_fit_equals_solve_linear_per_round(case):
-    spec, series, _, stats, mode, _ = case
+    spec, series, _, stats, _ = case
     rng = np.random.default_rng(len(series))
     tuples = np.sort(rng.uniform(0.5, 4.0, (len(series), spec.k1)), axis=1)[:, ::-1]
     ts = series[0]
     y = np.array([s.y for s in series])
-    sigma = ts.sigma if mode == "chi-square" else None
-    out = refine_mod._polish(ts.t, y, sigma, spec, tuples, stats, 0)
+    out = refine_mod._polish(ts.t, y, ts.sigma, spec, tuples, stats, 0)
     params, wsum = out.params, out.wsum
     for r, s in enumerate(series):
-        fit = solve_linear(s, spec, tuples[r], mode)
+        fit = solve_linear(s, spec, tuples[r])
         assert np.array_equal(params[r], fit.beta.interleaved(spec))
         assert np.sqrt(wsum[r] / ts.n) == fit.z
 
@@ -520,10 +519,9 @@ def test_harmonic_polish_converges_below_the_old_capped_z():
     spec = MODELS[7].spec
     stats = span_stats(ts)
     fit = solve_linear(ts, spec, model_truth(sim).beta.freqs * (1 + 1e-4))
-    mode = "chi-square" if ts.weighted else "unweighted"
     p, rw, s_sum, z0, steps, stop = reference_refine(
-        ts, spec, fit.beta, stats, mode, 200)
-    out = refine(ts, spec, fit.beta.freqs, mode)
+        ts, spec, fit.beta, stats, 200)
+    out = refine(ts, spec, fit.beta.freqs)
     assert out.stop in CONVERGED_STOPS
     assert out.converged
     assert out.z <= GN_CAPPED_Z
@@ -641,8 +639,8 @@ def test_z_tol_on_the_last_allowed_step_counts_as_converged():
 @settings(max_examples=25, deadline=None)
 @given(polish_cases())
 def test_converged_exactly_when_stopped_on_grad_or_z_tol(case):
-    spec, series, starts, stats, mode, max_iter = case
-    out = refine(series[0], spec, starts[0].freqs, mode, max_iter=max_iter)
+    spec, series, starts, stats, max_iter = case
+    out = refine(series[0], spec, starts[0].freqs, max_iter=max_iter)
     assert out.stop in refine_mod._STOPS
     assert out.converged == (out.stop in CONVERGED_STOPS)
     assert out.z <= out.z_initial
