@@ -186,13 +186,14 @@ whatever the number of threads.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, UnstableSearchError
-from .linfit import BatchSolver, evaluate_z, weighted_design
+from .linfit import BatchSolver, evaluate_z, weighted_design, weighted_y
 from .model import ModelSpec
 from .timeseries import TimeSeries, span_stats
 
@@ -281,13 +282,29 @@ class Periodogram:
     degenerate_hit: bool = False
 
 
+class _WorkersTypeError(ConfigError, TypeError):
+    """A worker count that is not an integer: a bad argument type, and
+    reported as every other bad setting is."""
+
+
+def _check_workers(workers):
+    """Raise ConfigError unless ``workers`` is an integer >= 1 (NumPy
+    integers count, ``bool`` does not)."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise _WorkersTypeError(f"workers must be an integer >= 1, got {workers!r}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+
+
 def ordered_map(fn, items, workers):
     """``fn(item)`` for every item, in input order, as a list or iterator.
 
     With ``workers`` > 1 the calls run on a thread pool.  If one raises,
     the calls not yet started are cancelled and the exception propagates.
+    ``workers`` must be an integer >= 1 (ConfigError).
     """
-    if workers <= 1:
+    _check_workers(workers)
+    if workers == 1:
         return map(fn, items)
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
@@ -441,12 +458,12 @@ class _Blocks:
     against them.
 
     ``grids`` holds one grid per signal axis; axes that share
-    one grid object (the long stage) share its columns.  ``yw`` is the
-    (R, n) weighted data, one row per round, and ``sigma`` the row
-    divisor it was weighted by (None unweighted).
+    one grid object (the long stage) share its columns.  The columns are
+    weighted by ``ts.sigma`` and ``yw`` is the (R, n) data weighted the
+    same way (``weighted_y``), one row per round.
     """
 
-    def __init__(self, ts: TimeSeries, spec: ModelSpec, stats, sigma, grids, yw):
+    def __init__(self, ts: TimeSeries, spec: ModelSpec, grids, yw):
         distinct = []
         self._axis = []
         for g in grids:
@@ -459,7 +476,7 @@ class _Blocks:
             self._axis.append((g[order], start + order))
         freqs = np.concatenate(distinct)
         self.cols = weighted_design(ts.t, ModelSpec(freqs.size, spec.k2, spec.k3),
-                                    freqs, stats, sigma)
+                                    freqs, span_stats(ts), ts.sigma)
         h = 2 * spec.k2
         bounds = np.cumsum([0] + [g.size * h for g in distinct])
         groups = [(a0, a1, sum(g is d for g in grids) > 1)
@@ -630,12 +647,12 @@ def _lex_argmin(z: np.ndarray, tuples: np.ndarray) -> np.ndarray:
     return np.lexsort(keys, axis=0)[0]
 
 
-def _scan(ts, spec, stats, sigma, grids, y_rounds, workers):
+def _scan(ts, spec, grids, y_rounds, workers):
     """The scan engine: the best tuple over ``grids`` for every data round.
 
     Screens every strictly descending tuple across ``grids`` against all
-    R rounds of ``y_rounds`` (shape (R, n)), rows divided by ``sigma``
-    (None unweighted), re-scores each survivor with
+    R rounds of ``y_rounds`` (shape (R, n)) on the times of ``ts``, each
+    weighted as ``ts`` is (``weighted_y``), re-scores each survivor with
     the exact kernel against the rounds it can win and picks per round
     with ``_lex_argmin``: within each exact chunk, then once over the
     stacked chunk winners.
@@ -654,18 +671,19 @@ def _scan(ts, spec, stats, sigma, grids, y_rounds, workers):
 
     Raises
     ------
+    ConfigError
+        If ``workers`` is not an integer >= 1.
     UnstableSearchError
         If the grids admit no strictly descending tuple.
     """
-    yw = np.asarray(y_rounds, dtype=float)
-    if sigma is not None:
-        yw = yw / sigma
+    _check_workers(workers)
+    yw = weighted_y(ts, rows=y_rounds)
 
     # Screen, on this thread (see the module docstring).  A tuple is
     # kept when its z_lo reaches the running smallest z_hi in some round;
     # the final cut below uses the scan-wide minimum, which can only be
     # lower, so the survivors depend on that final minimum alone.
-    blocks = _Blocks(ts, spec, stats, sigma, grids, yw)
+    blocks = _Blocks(ts, spec, grids, yw)
     count = 0
     z_star = np.full(blocks.n_rhs, np.inf)
     kept, kept_lo = [], []
@@ -745,8 +763,7 @@ def _stage(stage, ts, spec, grids, workers) -> Periodogram:
     if ts.n <= spec.eta + 1:
         raise ConfigError(
             f"need more than eta+1 = {spec.eta + 1} points, have {ts.n}")
-    z_min, best, count, degenerate, blocks = _scan(
-        ts, spec, span_stats(ts), ts.sigma, grids, ts.y[None], workers)
+    z_min, best, count, degenerate, blocks = _scan(ts, spec, grids, ts.y[None], workers)
     best = best[0]
     return Periodogram(
         stage=stage, grids=grids, best=best, z_min=float(z_min[0]),
@@ -833,6 +850,5 @@ def scan_rounds(ts, spec, grids, y_rounds, workers=1):
     shape = np.shape(y_rounds)
     if len(shape) != 2 or shape[0] < 1 or shape[1] != ts.n:
         raise ConfigError(f"y_rounds must be (R, {ts.n}) with R >= 1, got {shape}")
-    z_min, best, _, _, _ = _scan(ts, spec, span_stats(ts), ts.sigma, grids, y_rounds,
-                                 workers)
+    z_min, best, _, _, _ = _scan(ts, spec, grids, y_rounds, workers)
     return z_min, best

@@ -12,20 +12,21 @@ condition flag rather than failing.
 A series with a sigma column is fitted by chi-square, one without by
 plain least squares: the series carries its weighting, and no entry
 takes a separate switch.  Weighted fits scale rows by 1/sigma_i, which
-turns the residual sum of squares into chi-square.  That is one step:
-``weighted_design`` divides the design rows by ``ts.sigma`` (None
-unweighted).  Every fit runs through one kernel, ``BatchSolver``, and
-one reduction: ``BatchSolver.residuals`` solves each data row as its
-own contiguous column and forms its explicit residual b - A x, and
-``sumsq`` sums its squares.  Both entries go
-through it: ``fit`` for rows that each have their own matrix and data
-(a single fit, the polish, the spectral baseline), ``BatchSolver.misfit``
-for one matrix per tuple against many data rows (the scans, the slices,
-the bootstrap rounds).  So every z is the one-column fit: a tuple scored
-inside any batch, against any number of rounds, reproduces
-``solve_linear`` on that tuple and series bit for bit.  Residuals are
-always explicit; norm-difference identities cancel catastrophically
-when the fit is near exact.
+turns the residual sum of squares into chi-square.  That is one step
+on each side, each in one place: ``weighted_design`` divides the design
+rows by sigma (None unweighted), ``weighted_y`` divides data rows by
+``ts.sigma``, and ``unweighted`` undoes it for the residuals.  Every
+fit runs through one kernel, ``BatchSolver``, and one reduction:
+``BatchSolver.residuals`` solves each data row as its own contiguous
+column and forms its explicit residual b - A x, and ``sumsq`` sums its
+squares.  Both entries go through it: ``fit`` for rows that each have
+their own matrix and data (a single fit, the polish, the spectral
+baseline), ``BatchSolver.misfit`` for one matrix per tuple against many
+data rows (the scans, the slices, the bootstrap rounds).  So every z is
+the one-column fit: a tuple scored inside any batch, against any number
+of rounds, reproduces ``solve_linear`` on that tuple and series bit for
+bit.  Residuals are always explicit; norm-difference identities cancel
+catastrophically when the fit is near exact.
 
 This kernel is the reference every reported misfit comes from.  The
 grid scans (``gridsearch``) score most tuples far more cheaply from
@@ -141,9 +142,12 @@ def design_solver(ts, spec, freq_batch) -> BatchSolver:
     return BatchSolver(weighted_design(ts.t, spec, fb, span_stats(ts), ts.sigma))
 
 
-def weighted_y(ts: TimeSeries) -> np.ndarray:
-    """The right hand side matching ``design_solver`` row scaling."""
-    return ts.y if ts.sigma is None else ts.y / ts.sigma
+def weighted_y(ts: TimeSeries, *, rows=None) -> np.ndarray:
+    """Data rows divided by ``ts.sigma``, the right-hand sides matching
+    ``weighted_design``: the series' own y, or ``rows`` (R, n) on its
+    times.  Unweighted rows come back as they are, not copied."""
+    y = ts.y if rows is None else np.asarray(rows, dtype=float)
+    return y if ts.sigma is None else y / ts.sigma
 
 
 def sumsq(x):
@@ -171,13 +175,13 @@ def fit(a: np.ndarray, yw: np.ndarray) -> RowFit:
     return RowFit(solver, x[:, 0], rw[:, 0], sumsq(rw[:, 0]))
 
 
-def unweighted(resid_w: np.ndarray, wsum: float, sigma: np.ndarray | None):
-    """Plain residuals, r_sum and chi2 of a fit from its weighted
-    residuals ``resid_w`` and their sum of squares ``wsum``.  ``sigma``
-    is None for an unweighted fit, whose chi2 is None."""
-    if sigma is None:
+def unweighted(ts: TimeSeries, resid_w: np.ndarray, wsum: float):
+    """Plain residuals, r_sum and chi2 of a fit to ``ts`` from its
+    weighted residuals ``resid_w`` and their sum of squares ``wsum``:
+    ``weighted_y`` undone.  A series without sigma has chi2 None."""
+    if ts.sigma is None:
         return resid_w, wsum, None
-    residuals = resid_w * sigma
+    residuals = resid_w * ts.sigma
     return residuals, float(residuals @ residuals), wsum
 
 
@@ -221,7 +225,7 @@ def solve_linear(ts: TimeSeries, spec: ModelSpec, freqs) -> FitResult:
     f = fit(weighted_design(ts.t, spec, freqs[None, :], span_stats(ts), ts.sigma),
             weighted_y(ts)[None, :])
     wsum = float(f.wsum[0])
-    residuals, r_sum, chi2 = unweighted(f.rw[0], wsum, ts.sigma)
+    residuals, r_sum, chi2 = unweighted(ts, f.rw[0], wsum)
     return FitResult(
         beta=BetaVector(freqs, f.x[0]),
         residuals=residuals,

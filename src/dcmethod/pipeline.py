@@ -39,6 +39,8 @@ class AnalysisOptions:
     def __post_init__(self):
         if self.n_boot < 0:
             raise ConfigError("n_boot must be >= 0")
+        if self.n_boot == 1:
+            raise ConfigError("n_boot must be 0 or >= 2: one round has no spread")
 
 
 @dataclass
@@ -90,7 +92,7 @@ def analyze(ts: TimeSeries, spec: ModelSpec, cfg: SearchConfig | None,
 
     summary = summarize_signals(spec, refined.beta, stats)
     boot = None
-    if opts.n_boot >= 2:
+    if opts.n_boot:
         boot = bootstrap(ts, spec, cfg, refined, grids, opts.n_boot,
                          opts.seed, refine_rounds=opts.refine_rounds, workers=workers)
     return DcmAnalysis(

@@ -47,9 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
+from . import linfit
 from .errors import ConfigError
 from .gridsearch import SearchConfig, ordered_map, scan_rounds
-from .linfit import RowFit, fit, sumsq, unweighted, weighted_design
+from .linfit import RowFit, sumsq, unweighted, weighted_design, weighted_y
 from .model import (BetaVector, ModelSpec, interleave, layout, param_names,
                     signal_values, summarize_signals)
 from .timeseries import span_stats
@@ -116,12 +117,6 @@ class RefinedModel:
     @property
     def stat(self) -> float:
         return self.r_sum if self.chi2 is None else self.chi2
-
-
-def _fit(t, yw, sigma, spec, freqs, stats) -> RowFit:
-    """``linfit.fit`` of row r of the weighted series ``yw`` (R, n) at the
-    frequency tuple ``freqs[r]``, design rows divided by ``sigma``."""
-    return fit(weighted_design(t, spec, freqs, stats, sigma), yw)
 
 
 def _jacobian(fit: RowFit, spec: ModelSpec, tau) -> np.ndarray:
@@ -192,17 +187,18 @@ def _step_factors(jt, rw, wsum):
     return flat, dict(scale=scale, q=q, s=s, ptr=np.matmul(pt, rw[:, :, None])[:, :, 0])
 
 
-def _polish(t, y, sigma, spec, freqs, stats, max_iter) -> _Polished:
+def _polish(ts, y, spec, freqs, max_iter) -> _Polished:
     """Variable-projection Levenberg-Marquardt polish of a stack of
     independent rows over their frequencies alone.
 
-    Row r fits ``y[r]`` (shape (R, n)) from the frequency tuple
-    ``freqs[r]`` (shape (R, k1)); the linear coefficients are always the
-    least squares fit at the current frequencies, so each row minimises
-    its profile misfit, the one the grid scans minimise.  Per row,
-    lambda starts at 1e-3 and moves x0.1 (down to 1e-15) on an accepted
-    step, x10 on a rejected one.  A row stops, for the first that holds
-    of
+    Row r fits ``y[r]`` (shape (R, n)) on the times of ``ts``, weighted
+    as ``ts`` is (``weighted_y``), from the frequency tuple ``freqs[r]``
+    (shape (R, k1)); the span comes from ``ts``, once per call.  The
+    linear coefficients are always the least squares fit at the current
+    frequencies, so each row minimises its profile misfit, the one the
+    grid scans minimise.  Per row, lambda starts at 1e-3 and moves x0.1
+    (down to 1e-15) on an accepted step, x10 on a rejected one.  A row
+    stops, for the first that holds of
 
     * ``grad``: at an accepted point, ||J^T r|| <= _GRAD_TOL ||J||_F ||r||;
     * ``z-tol``: a step that moves no frequency by more than _STEP_TOL
@@ -216,16 +212,16 @@ def _polish(t, y, sigma, spec, freqs, stats, max_iter) -> _Polished:
     """
     freqs = np.array(freqs, dtype=float)
     n_rows = freqs.shape[0]
-    n = t.size
-    yw = y if sigma is None else y / sigma
-    fit = _fit(t, yw, sigma, spec, freqs, stats)
+    n, stats = ts.n, span_stats(ts)
+    yw = weighted_y(ts, rows=y)
+    fit = linfit.fit(weighted_design(ts.t, spec, freqs, stats, ts.sigma), yw)
     z0 = np.sqrt(fit.wsum / n)
     out = _Polished(interleave(spec, freqs, fit.x), fit.rw.copy(),
                     fit.wsum.copy(), z0, np.zeros(n_rows, dtype=int),
                     np.full(n_rows, _CAPPED))
     if max_iter <= 0:
         return out
-    tau = t - stats.t_mid
+    tau = ts.t - stats.t_mid
     flat, factors = _step_factors(_jacobian(fit, spec, tau), fit.rw, fit.wsum)
     live = _Live(row=np.arange(n_rows), freqs=freqs, yw=yw, x=fit.x, rw=fit.rw,
                  wsum=fit.wsum, z=z0.copy(), lam=np.full(n_rows, _LAMBDA0),
@@ -248,7 +244,7 @@ def _polish(t, y, sigma, spec, freqs, stats, max_iter) -> _Polished:
         trial = live.freqs + delta
         finite = np.isfinite(trial).all(axis=1)
         trial[~finite] = live.freqs[~finite]
-        fit = _fit(t, live.yw, sigma, spec, trial, stats)
+        fit = linfit.fit(weighted_design(ts.t, spec, trial, stats, ts.sigma), live.yw)
         better = finite & np.isfinite(fit.wsum) & (fit.wsum < live.wsum)
         z, z_new = live.z, np.sqrt(fit.wsum / n)
         cycles = np.abs(delta).max(axis=1, initial=0.0) * stats.delta_t
@@ -293,10 +289,9 @@ def refine(ts, spec, freqs, max_iter=_MAX_ITER) -> RefinedModel:
     freqs = np.asarray(freqs, dtype=float)
     if freqs.size != spec.k1:
         raise ConfigError(f"expected {spec.k1} frequencies, got {freqs.size}")
-    out = _polish(ts.t, ts.y[None, :], ts.sigma, spec, freqs.reshape(1, spec.k1),
-                  span_stats(ts), max_iter)
+    out = _polish(ts, ts.y[None, :], spec, freqs.reshape(1, spec.k1), max_iter)
     wsum = float(out.wsum[0])
-    residuals, r_sum, chi2 = unweighted(out.rw[0], wsum, ts.sigma)
+    residuals, r_sum, chi2 = unweighted(ts, out.rw[0], wsum)
     stop = _STOPS[out.stop[0]]
     return RefinedModel(
         beta=BetaVector.from_interleaved(spec, out.params[0]), residuals=residuals,
@@ -396,7 +391,7 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     def fit_block(rows):
         """(params, z, summary) of each round of ``rows`` that succeeds."""
         try:
-            out = _polish(ts.t, y_rounds[rows], ts.sigma, spec, best_tuples[rows], stats,
+            out = _polish(ts, y_rounds[rows], spec, best_tuples[rows],
                           _MAX_ITER if refine_rounds else 0)
             z = np.sqrt(out.wsum / ts.n)
             return list(zip(out.params, z, summarize_signals(spec, out.params, stats)))

@@ -267,11 +267,13 @@ def _no_load(monkeypatch):
     ("nlong", "1", ": 'pmin' (line 5), 'pmax' (line 6), 'nlong' (line 7): "
                    "grids need at least 2 points"),
     ("nboot", "-1", ":7: bad value for 'nboot': n_boot must be >= 0"),
+    ("nboot", "1", ":7: bad value for 'nboot': "
+                   "n_boot must be 0 or >= 2: one round has no spread"),
     ("halfwidth", "0", ": 'pmin' (line 5), 'pmax' (line 6), 'halfwidth' (line 7): "
                        "half_width_frac must be > 0"),
     ("k2", "0", ": 'k1' (line 2), 'k2' (line 3), 'k3' (line 4): k2 must be >= 1"),
     ("pmin", "6", ": 'pmin' (line 5), 'pmax' (line 6): need 0 < p_min < p_max"),
-], ids=["nlong", "nboot", "halfwidth", "k2", "pmin"])
+], ids=["nlong", "nboot", "nboot-one", "halfwidth", "k2", "pmin"])
 def test_constructor_errors_name_the_lines_of_their_keys(tmp_path, capsys, monkeypatch,
                                                          key, value, where):
     # SearchConfig, AnalysisOptions and ModelSpec each check values read

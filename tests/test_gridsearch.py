@@ -18,13 +18,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from dcmethod import (
     MODELS,
+    AnalysisOptions,
     ConfigError,
     ModelSpec,
     SearchConfig,
     SimulationSpec,
     TimeSeries,
     UnstableSearchError,
+    analyze,
+    bootstrap,
     long_search,
+    refine,
     short_search,
     simulate,
     span_stats,
@@ -423,11 +427,10 @@ def test_screen_bound_holds_and_degenerate_tuples_are_guarded(case):
               + 0.2 * t / t[-1] + 1.0)
     sigma = case["noise"] * rng.uniform(0.5, 2.0, n) if case["weighted"] else None
     ts = TimeSeries(t, signal + case["noise"] * rng.normal(size=n), sigma)
-    stats = span_stats(ts)
     yw = weighted_y(ts)[:, None] + (case["noise"] * rng.normal(
         size=(n, case["rounds"] - 1)) / (sigma[:, None] if sigma is not None else 1.0))
     tuples = np.array(list(itertools.product(grid, repeat=spec.k1)))
-    blocks = _Blocks(ts, spec, stats, ts.sigma, [grid] * spec.k1, yw.T)
+    blocks = _Blocks(ts, spec, [grid] * spec.k1, yw.T)
     ok, rss, bound = blocks.score(tuples)
 
     solver = design_solver(ts, spec, tuples)
@@ -444,8 +447,7 @@ def test_singular_tuples_are_routed_not_raised():
     spec = ModelSpec(2, 2, 0)
     grid = np.array([3.0, 6.0, 6.5])
     tuples = np.array([[6.0, 6.0], [6.0, 3.0], [6.5, 3.0]])
-    blocks = _Blocks(ts, spec, span_stats(ts), ts.sigma, [grid, grid],
-                     weighted_y(ts)[None])
+    blocks = _Blocks(ts, spec, [grid, grid], weighted_y(ts)[None])
     ok, rss, bound = blocks.score(tuples)
     # a duplicated frequency and f_a = 2 f_b with two harmonics
     assert ok.tolist() == [False, False, True]
@@ -633,6 +635,42 @@ def test_ordered_map_stops_at_the_first_error():
         assert len(started) < 50
 
 
+@pytest.mark.parametrize("workers", [0, -3, None, 1.5, True])
+def test_a_bad_worker_count_fails_before_the_screen(monkeypatch, workers):
+    ts = two_sine_series(n=20, seed=8)
+    spec = ModelSpec(2, 1, 0)
+    cfg = SearchConfig(4.0, 8.0, n_long=10, n_short=6)
+    grids = [np.linspace(6.0, 6.5, 6), np.linspace(5.7, 6.1, 6)]
+    refined = refine(ts, spec, [6.25, 5.9])
+    trend = ModelSpec(0, 1, 1)
+    monkeypatch.setattr(gridsearch._Blocks, "screen", lambda *a: pytest.fail("screened"))
+    entries = {
+        "long_search": lambda: long_search(ts, spec, cfg, workers),
+        "short_search": lambda: short_search(ts, spec, cfg, [6.25, 5.9], workers),
+        "scan_rounds": lambda: scan_rounds(ts, spec, grids, np.tile(ts.y, (2, 1)),
+                                           workers),
+        "bootstrap": lambda: bootstrap(ts, spec, cfg, refined, grids, 4, 0,
+                                       workers=workers),
+        "analyze": lambda: analyze(ts, spec, cfg, AnalysisOptions(n_boot=0), workers),
+        # a pure trend reaches the bootstrap's pool without a scan
+        "trend bootstrap": lambda: bootstrap(ts, trend, None, refine(ts, trend, []), [],
+                                             4, 0, workers=workers),
+    }
+    for name, call in entries.items():
+        with pytest.raises(ConfigError, match="workers must be"):
+            call()
+            pytest.fail(f"{name} accepted workers={workers!r}")
+
+
+def test_numpy_integer_worker_counts_are_accepted():
+    ts = two_sine_series(n=20, seed=8)
+    cfg = SearchConfig(4.0, 8.0, n_long=10, n_short=6)
+    want = long_search(ts, ModelSpec(1, 1, 0), cfg)
+    for workers in (np.int64(1), np.int32(2)):
+        got = long_search(ts, ModelSpec(1, 1, 0), cfg, workers)
+        assert (got.z_min, got.best.tolist()) == (want.z_min, want.best.tolist())
+
+
 def test_rescored_tuples_do_not_depend_on_workers(monkeypatch):
     ts = two_sine_series(n=20, seed=8)
     spec = ModelSpec(2, 1, 0)
@@ -665,13 +703,11 @@ def test_model7_hazard_scans_match_brute_force():
     # restore the brute-force winner
     ts = simulate(SimulationSpec(7, 40, 1e6, seed=22))
     spec = ModelSpec(2, 2, 2)
-    stats = span_stats(ts)
     cfg = SearchConfig.from_periods(0.4, 3.6, n_long=20, n_short=12)
     grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
 
     long_tuples = np.concatenate(list(_product_chunks([grid] * 2, 4096)))
-    blocks = _Blocks(ts, spec, stats, ts.sigma, [grid, grid],
-                     weighted_y(ts)[None])
+    blocks = _Blocks(ts, spec, [grid, grid], weighted_y(ts)[None])
     idx = blocks.columns(long_tuples)
     gram = blocks.gram[idx[:, :, None], idx[:, None, :]]
     b = blocks.rhs[idx]
@@ -690,8 +726,7 @@ def test_model7_hazard_scans_match_brute_force():
     assert sh.z_min == z_want
     assert np.array_equal(sh.best, f_want)
     short_tuples = np.concatenate(list(_product_chunks(sh.grids, 4096)))
-    blocks = _Blocks(ts, spec, stats, ts.sigma, sh.grids,
-                     weighted_y(ts)[None])
+    blocks = _Blocks(ts, spec, sh.grids, weighted_y(ts)[None])
     ok, rss, _ = blocks.score(short_tuples)
     assert not np.array_equal(short_tuples[ok][np.argmin(rss[:, 0])], f_want)
     z_lo, z_hi = blocks.screen(short_tuples)
@@ -782,8 +817,7 @@ def test_gathered_design_matrices_equal_design_matrix(weighted, shape):
     long_grid = np.linspace(2.0, 8.0, 9)
     short_grids = [np.linspace(c - 0.7, c + 0.7, 6) for c in (7.1, 6.6, 3.0)[:spec.k1]]
     for grids in ([long_grid] * spec.k1, short_grids):
-        blocks = _Blocks(ts, spec, stats, ts.sigma, grids,
-                         weighted_y(ts)[None])
+        blocks = _Blocks(ts, spec, grids, weighted_y(ts)[None])
         # every combination, descending or not, as slice points are
         tuples = np.array(list(itertools.product(*grids)))
         got = blocks.design(tuples)

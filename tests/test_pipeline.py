@@ -16,6 +16,7 @@ from dcmethod import (
 )
 from dcmethod.pipeline import analyze
 from dcmethod.linfit import solve_linear
+from dcmethod.model import layout
 
 
 def series(seed=0, n=60, noise=0.05):
@@ -123,3 +124,46 @@ def test_equal_sigmas_match_the_unweighted_fit(model, n, seed, k):
             assert np.array_equal(sa.z, sb.z * c)
     assert np.array_equal(plain.refined.beta.freqs, equal.refined.beta.freqs)
     assert plain.refined.z == equal.refined.z * c
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3, 5, 7]), st.booleans(), st.integers(60, 120),
+       st.integers(0, 2**16), st.integers(-8, 8), st.sampled_from([0, *range(2, 9)]))
+def test_y_times_c_scales_z_and_the_amplitudes_by_c(model, weighted, n, seed, k,
+                                                     n_boot):
+    # y times c = 2^k, sigma kept, scales every z, linear coefficient,
+    # amplitude and their spreads by exactly c, and leaves every
+    # frequency, period, epoch, stop reason and flag as it was
+    ts = simulate(SimulationSpec(model, n, 50, seed=seed))
+    sigma = ts.sigma if weighted else None
+    c = 2.0 ** k
+    ts, scaled = TimeSeries(ts.t, ts.y, sigma), TimeSeries(ts.t, ts.y * c, sigma)
+    spec = MODELS[model].spec
+    cfg = SearchConfig.from_periods(*MODELS[model].period_range, n_long=30, n_short=20)
+    opts = AnalysisOptions(n_boot=n_boot, seed=seed)
+    a, b = analyze(ts, spec, cfg, opts), analyze(scaled, spec, cfg, opts)
+    for pa, pb in ((a.long, b.long), (a.short, b.short)):
+        assert np.array_equal(pa.best, pb.best)
+        assert pb.z_min == pa.z_min * c
+        for sa, sb in zip(pa.slices, pb.slices):
+            assert np.array_equal(sb.z, sa.z * c)
+    ra, rb = a.refined, b.refined
+    assert rb.z <= b.short.z_min
+    assert np.array_equal(ra.beta.freqs, rb.beta.freqs)
+    assert np.array_equal(rb.beta.linear, ra.beta.linear * c)
+    assert (rb.z, rb.z_initial) == (ra.z * c, ra.z_initial * c)
+    assert (ra.stop, ra.iterations) == (rb.stop, rb.iterations)
+    for sa, sb in zip(a.summary.signals, b.summary.signals):
+        assert sb.amplitude == sa.amplitude * c
+        assert ((sa.period, sa.t_max1, sa.t_min1, sa.t_max2, sa.t_min2)
+                == (sb.period, sb.t_max1, sb.t_min1, sb.t_max2, sb.t_min2))
+    if n_boot:
+        freq, linear = layout(spec)
+        assert np.array_equal(a.boot.draws[:, freq], b.boot.draws[:, freq])
+        assert np.array_equal(b.boot.draws[:, linear], a.boot.draws[:, linear] * c)
+        assert np.array_equal(b.boot.z_draws, a.boot.z_draws * c)
+        for key, value in a.boot.summary_sigma.items():
+            unit = c if key[0] in "AM" else 1.0
+            assert np.array_equal(b.boot.summary_sigma[key], value * unit,
+                                  equal_nan=True), key
+        assert a.boot.flags == b.boot.flags

@@ -29,14 +29,14 @@ from dcmethod.refine import (
     FLAG_INTERSECTING,
     FLAG_LEAKING,
     RefinedModel,
-    _fit,
     _jacobian,
     _resample_rounds,
     _wrap_epoch,
     bootstrap,
     diagnose_stability,
 )
-from dcmethod.linfit import solve_linear
+from dcmethod import linfit
+from dcmethod.linfit import solve_linear, weighted_design
 from dcmethod.model import eval_model, summarize_signals
 
 
@@ -65,7 +65,7 @@ def test_profile_gradient_matches_finite_differences(weighted, t0):
                    stats) + rng.normal(0, 0.1, 25)
     sigma = rng.uniform(0.5, 2.0, 25) if weighted else None
     yw = (y if sigma is None else y / sigma)[None, :]
-    fit = _fit(t, yw, sigma, spec, freqs, stats)
+    fit = linfit.fit(weighted_design(t, spec, freqs, stats, sigma), yw)
     jt = _jacobian(fit, spec, t - stats.t_mid)
     grad = 2.0 * np.matmul(jt, fit.rw[:, :, None])
     # the columns are projected off the range of A_w, which holds the
@@ -79,8 +79,8 @@ def test_profile_gradient_matches_finite_differences(weighted, t0):
     for i in range(spec.k1):
         df = np.zeros_like(freqs)
         df[0, i] = eps
-        hi = _fit(t, yw, sigma, spec, freqs + df, stats).wsum[0]
-        lo = _fit(t, yw, sigma, spec, freqs - df, stats).wsum[0]
+        hi = linfit.fit(weighted_design(t, spec, freqs + df, stats, sigma), yw).wsum[0]
+        lo = linfit.fit(weighted_design(t, spec, freqs - df, stats, sigma), yw).wsum[0]
         fd = (hi - lo) / (2 * eps)
         assert abs(fd - grad[0, i, 0]) <= 1e-6 * np.linalg.norm(grad), f"frequency {i}"
 
@@ -361,7 +361,8 @@ def reference_refine(ts, spec, beta0, stats, max_iter):
     tau = ts.t - stats.t_mid
 
     def fit_at(f):
-        fit = _fit(ts.t, yw[None, :], sigma, spec, f[None, :], stats)
+        fit = linfit.fit(weighted_design(ts.t, spec, f[None, :], stats, sigma),
+                         yw[None, :])
         return fit, fit.x[0], fit.rw[0], float(fit.wsum[0])
 
     def factors(fit, rw, s_sum):
@@ -448,7 +449,7 @@ def polish(series, starts, spec, stats, max_iter, rows=None):
     freqs = np.array([b.freqs for b in starts])
     if rows is not None:
         y, freqs = y[rows], freqs[rows]
-    return refine_mod._polish(ts.t, y, ts.sigma, spec, freqs, stats, max_iter)
+    return refine_mod._polish(ts, y, spec, freqs, max_iter)
 
 
 @settings(max_examples=40, deadline=None)
@@ -498,7 +499,7 @@ def test_block_linear_fit_equals_solve_linear_per_round(case):
     tuples = np.sort(rng.uniform(0.5, 4.0, (len(series), spec.k1)), axis=1)[:, ::-1]
     ts = series[0]
     y = np.array([s.y for s in series])
-    out = refine_mod._polish(ts.t, y, ts.sigma, spec, tuples, stats, 0)
+    out = refine_mod._polish(ts, y, spec, tuples, 0)
     params, wsum = out.params, out.wsum
     for r, s in enumerate(series):
         fit = solve_linear(s, spec, tuples[r])
