@@ -2,16 +2,18 @@
 
 Every scan is one call of a single engine, given one grid per signal
 and R weighted right-hand sides.  It enumerates every strictly
-descending tuple across the grids, screens them all, re-scores the
-survivors with the exact kernel and keeps, per right-hand side, the
-lowest z with a lexicographic tie-break.  The long stage is the engine
-with R = 1 over k1 copies of one even grid on [f_min, f_max]; the short
-stage is R = 1 over a dense grid inside a narrow window around each
-long-stage frequency; ``scan_rounds`` runs the short-stage grids with
-one right-hand side per bootstrap round.  After a stage's merge has
-fixed its best tuple, the same engine scores the slices through it:
-one tuple per grid point and signal axis, the other frequencies held
-at the best tuple's.
+descending tuple across the grids, screens them all, fits each
+right-hand side's screened-best tuple (its incumbent) with the exact
+kernel, re-scores with it the survivors whose explicit-residual floor
+does not lie above their incumbent's z, and keeps, per right-hand side,
+the lowest z with a lexicographic tie-break.  The long stage is the
+engine with R = 1 over k1 copies of one even grid on [f_min, f_max];
+the short stage is R = 1 over a dense grid inside a narrow window
+around each long-stage frequency; ``scan_rounds`` runs the short-stage
+grids with one right-hand side per bootstrap round.  After a stage's
+merge has fixed its best tuple, the same engine scores the slices
+through it: one tuple per grid point and signal axis, the other
+frequencies held at the best tuple's.
 
 Screen
 ------
@@ -68,8 +70,8 @@ definite, so
 
     lam_min(G) > t - rho,    rho = gamma_(2m+3) tr(G).
 
-The screen factors G once, estimates lam_s = 0.95 / trace(G^-1) =
-0.95 / ||R^-T||_F^2 from that factor (in exact arithmetic 1 / trace(G^-1)
+The screen factors G once, estimates lam_s = 0.95 / trace(G^-1) = 0.95
+/ ||R^-T||_F^2 from that factor (in exact arithmetic 1 / trace(G^-1)
 lies between lam_min / m and lam_min, and is close to lam_min when one
 eigenvalue is far below the others, as in a near-singular tuple), and
 factors M at t = lam_s + 2 rho; the second rho covers the rounding of
@@ -77,9 +79,9 @@ rho and t, since lam_s <= tr(G).  If that factorisation completes,
 lam_min(G) > lam_s is certified, however wrong the estimate was.  By
 Weyl and the formation bound, no eigenvalue of the exact Gram is more
 than delta_f a^2 below the computed one's (no eigensolver error
-enters), so lam_lo = lam_s - delta_f a^2 <= lam_min of the exact
-Gram.  A tuple goes to the exact kernel unless both factorisations
-complete, lam_lo > 0 and
+enters), so lam_lo = lam_s - delta_f a^2 <= lam_min of the exact Gram.
+A tuple goes to the exact kernel unless both factorisations complete,
+lam_lo > 0 and
 
     kappa = a^2 / lam_lo <= T = 1 / (8 delta).
 
@@ -132,6 +134,50 @@ delta_f enters e1, q1 and lam_lo, the bound on the exact Gram's
 spectrum; the guard's threshold T, q2 and e2 belong to the exact kernel
 and keep its delta.
 
+Floor
+-----
+e1 grows with ||y||^2, not with the residual: at a high signal-to-noise
+ratio it exceeds the rss of the best tuples, and no bracket from the
+Grams can tell them apart.  A second floor, for unguarded tuples only,
+is formed from an explicit residual instead, whose rounding enters the
+rss only times ||r||.  For any x, with r_t = y - A x and
+g_t = A^T r_t = A^T A (x* - x), r_t = r* + A (x* - x) with r* orthogonal
+to the columns of A, so
+
+    rss* = ||r_t||^2 - g_t^T (A^T A)^-1 g_t >= ||r_t||^2 - ||g_t||^2 / lam_lo.
+
+The floor takes the screen's x and nu and the tuple's columns gathered
+from C, forms r = fl(y - A x) and g = fl(A^T r), and their computed
+norms rho_r and rho_g (Higham 2002, ch. 3; ||y|| taken as sqrt(s)):
+
+1. |r - r_t| <= gamma_(m+1) (|y| + |A| |x|) componentwise, so
+   ||r - r_t|| <= eps_r = gamma_(m+1) (||y|| + nu).
+2. |g - A^T r| <= gamma_n |A|^T |r| and ||A^T (r - r_t)|| <= a eps_r, so
+   ||g_t|| <= ||g|| + a (gamma_n ||r|| + eps_r).
+3. rho_r and rho_g are within gamma_(n+1) of ||r|| and ||g||.
+
+Hence, with r_lo = (1 - delta) rho_r - 2 eps_r and
+g_hi = (1 + delta) rho_g + 2 a (gamma_n rho_r + eps_r),
+
+    low = (1 - delta) max(r_lo, 0)^2 - 2 g_hi^2 / lam_lo <= rss*.
+
+4. ||y - A x_s||^2 >= rss* for the kernel's x_s, its explicit residual
+   is within D (Bound, term 4, which needs kappa <= T to bound ||x_s||)
+   of y - A x_s, and its sum of squares is at least (1 - gamma_n) times
+   that residual's squared norm, so the rss the kernel reports is at
+   least
+
+    (1 - delta) max((1 - delta) sqrt(max(low, 0)) - 2 D, 0)^2,
+
+and the z floor is the square root of that over n.  delta =
+gamma_(n+2m+4) exceeds gamma_(n+1) by (2m+3) u, and the factors 2 and
+1 +- delta also cover the rounding of the floor's own few operations,
+each placed so that rounding can only lower the floor; rounding is
+monotone, so the computed z floor is at most the kernel's z.  The
+rounding terms cost about 4 (eps_r + D) / ||r|| of the rss, which
+shrinks as ||r|| grows; the g term is second order in the screen's
+solve error.
+
 Verify
 ------
 The bound brackets each unguarded tuple's exact z, as computed by the
@@ -139,27 +185,37 @@ exact kernel, between z_lo = sqrt(max(rss - bound, 0) / n) and z_hi =
 sqrt((rss + bound) / n) (rounding is monotone), per right-hand side
 (round).  Let Z_r be the smallest z_hi of round r.  The survivors are
 every guarded tuple (z_lo = -inf) and every tuple with z_lo <= Z_r for
-some round, and the exact kernel re-scores the (tuple, round) pairs
-with z_lo <= Z_r: every round for a guarded tuple, for any tuple when
-R = 1.  Each survivor's weighted design matrix is gathered from C into
-a C-contiguous (B, n, m) array, the layout ``design_matrix`` returns
-(the matmul bits depend on it), so it equals ``weighted_design(...)``
-bit for bit, and ``BatchSolver`` factors it once.  A survivor every
-round needs is fitted against all rounds by ``misfit``; the pairs of
-the others are fitted through ``BatchSolver.take``, which gathers each
-pair's factors in the same layout, and ``misfit`` on one data row per
-pair.  Either way ``residuals`` fits each right-hand side as its own
-column, so each exact z is ``solve_linear``'s for that tuple and
-series, whatever chunk, pair batch or round block it is in.  The tuple
-that attains each Z_r is among round r's pairs.  A pair left out has
-exact z >= z_lo > Z_r >= the round's exact minimum, strictly above it,
-so it enters the selection as +inf and can neither win nor tie.  One
-rule, ``_lex_argmin`` (lowest exact z, ties to the lexicographically
-smallest tuple), picks each round's winner inside every exact chunk and
-once more over the chunk winners, so the scan yields the same z_min,
+some round.  Round r's incumbent is the tuple that attains Z_r (lowest
+z_hi, ties to the lexicographically smallest tuple), a survivor; the exact kernel fits it against round r, each
+distinct incumbent factored once, and its z is Z_inc <= Z_r.  Every
+other unguarded pair with z_lo <= Z_inc is examined: the pair goes on
+only if its z floor (Floor) is <= Z_inc as well.  The examined tuples
+are screened once more, to the bits of their first screen, for the x,
+nu, D, a and lam_lo the floor reads, before the Grams are freed;
+keeping those for every screened tuple instead would hold R (m + 2) + 2
+values per tuple through the screen.  Guarded tuples go on against
+every round.  Each survivor's weighted design matrix is gathered from C
+into a C-contiguous (B, n, m) array, the layout ``design_matrix``
+returns (the matmul bits depend on it), so it equals
+``weighted_design(...)`` bit for bit, and ``BatchSolver`` factors it
+once.  A survivor every round needs is fitted against all rounds by
+``misfit``; the pairs of the others are fitted through
+``BatchSolver.take``, which gathers each pair's factors in the same
+layout, and ``misfit`` on one data row per pair.  Either way
+``residuals`` fits each right-hand side as its own column, so each
+exact z is ``solve_linear``'s for that tuple and series, whatever
+chunk, pair batch or round block it is in.  A pair left out has an
+exact z above one of its floors, and that floor above Z_inc >= the
+round's exact minimum: strictly above it, so it enters the selection as
++inf and can neither win nor tie.  Exclusion is strict, so a pair whose
+floor equals Z_inc still reaches the kernel.  One rule, ``_lex_argmin``
+(lowest exact z, ties to the lexicographically smallest tuple), picks
+each round's winner inside every exact chunk and once more over the
+incumbents and the chunk winners, so the scan yields the same z_min,
 best tuple and degenerate flag as an exact scan of every tuple, bit for
-bit.  Unguarded tuples are never rank deficient, and every survivor is
-still factored, so the degenerate flag only needs the guarded ones.
+bit; no incumbent is fitted twice.  Unguarded tuples are never rank
+deficient, and every survivor is still factored, so the degenerate flag
+only needs the guarded ones.
 
 A slice point is a tuple over the stage's grids too (the varied
 frequency is on its axis's grid, the others are the best tuple's), so
@@ -175,12 +231,15 @@ row-by-row sums only, so a tuple's screened values do not depend on its
 chunk.  It runs its chunks in order on the calling thread: its steps
 are short NumPy calls on chunk-sized vectors, each of which releases
 and retakes the interpreter lock, so threads running them mostly wait
-for one another (two threads took longer than one).  The exact re-score
-and the slices, whose SVDs run long without the lock, run their chunks
-through one ``ordered_map``.  The set of re-scored pairs is fixed by
-the final Z_r alone, results are merged with exact comparisons, and a
-pair's z does not depend on the chunk it is in, so output is identical
-whatever the number of threads.
+for one another (two threads took longer than one).  The floors, the
+exact re-score and the slices, whose gathers, products and SVDs run
+long without the lock, run their chunks through one ``ordered_map``.
+Each pair's floor is computed from that pair alone, as an (n, m) by
+(m, 1) product, so it too does not depend on its chunk.  The set of
+re-scored pairs is fixed by the final Z_r, the incumbents' exact z and
+each pair's own values, results are merged with exact comparisons, and
+a pair's z does not depend on the chunk it is in, so output is
+identical whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -193,7 +252,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnstableSearchError
-from .linfit import BatchSolver, evaluate_z, weighted_design, weighted_y
+from .linfit import BatchSolver, evaluate_z, sumsq, weighted_design, weighted_y
 from .model import ModelSpec
 from .timeseries import TimeSeries, span_stats
 
@@ -454,8 +513,8 @@ def _certify(gram: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 class _Blocks:
     """Weighted columns C of every scan frequency, their cross-Grams and
-    right-hand sides, and the screen and exact re-score of a tuple chunk
-    against them.
+    right-hand sides, and the screen, the explicit-residual floor and
+    the exact re-score of a tuple chunk against them.
 
     ``grids`` holds one grid per signal axis; axes that share
     one grid object (the long stage) share its columns.  The columns are
@@ -487,7 +546,7 @@ class _Blocks:
         self.yw = yw
         self._harm = np.arange(h)
         self._trend = np.arange(freqs.size * h, freqs.size * h + spec.n_trend)
-        m = spec.n_linear
+        self.m = m = spec.n_linear
         self.n = ts.n
         self.n_rhs = yw.shape[0]
         self.delta = _gamma(ts.n + 2 * m + 4)
@@ -497,7 +556,8 @@ class _Blocks:
         self.exact_rows = _chunk_rows(ts.n, m, _EXACT_TARGET)
 
     def drop_screen(self):
-        """Free the Grams and right-hand sides; C stays for the exact pass."""
+        """Free the Grams and right-hand sides; C stays for the floors and
+        the exact pass."""
         self.gram = self.rhs = None
 
     def columns(self, tuples: np.ndarray) -> np.ndarray:
@@ -571,6 +631,15 @@ class _Blocks:
             Screened residual sum of squares of the passing tuples and
             the bound on its distance to the exact kernel's value.
         """
+        ok, rss, bound, _ = self._fit(tuples)
+        return ok, rss.T, bound.T
+
+    def _fit(self, tuples: np.ndarray):
+        """The screen of a tuple chunk: ok (B,) as ``score`` returns it,
+        the passing tuples' rss and bound, (R, ok.sum()) each, and what
+        ``floor`` reads of them: the Cholesky solution x (m, R, ok.sum()),
+        nu and the kernel's residual rounding D, (R, ok.sum()) each, a
+        and lam_lo, (ok.sum(),) each."""
         # Tuples run along the last axis: every step is elementwise over
         # contiguous rows or a row-by-row sum, so each tuple's bits are
         # its own, whatever chunk it is in.
@@ -608,7 +677,7 @@ class _Blocks:
         r_s = np.sqrt(np.maximum(rss + e1, 0.0) + q2)
         e2 = 2.0 * r_s * dm + dm * dm + d * (r_s + dm) ** 2
         bound = 2.0 * (e1 + g_b ** 2 / lam_lo + q2 + e2)
-        return ok, rss.T, bound.T
+        return ok, rss, bound, (x, nu, dm, a, lam_lo)
 
     def screen(self, tuples: np.ndarray):
         """Bracket each tuple's exact z per round: z_lo and z_hi, (B, R)
@@ -618,15 +687,72 @@ class _Blocks:
         and z_hi = +inf in every round: it cannot be excluded, nor can it
         lower any round's smallest z_hi.
         """
-        ok, rss, bound = self.score(tuples)
+        ok, rss, bound, _ = self._fit(tuples)
         z_lo = np.full((tuples.shape[0], self.n_rhs), -np.inf)
         z_hi = np.full_like(z_lo, np.inf)
         hi = np.sqrt((rss + bound) / self.n)
         lo = np.sqrt(np.maximum(rss - bound, 0.0) / self.n)
-        finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+        finite = np.isfinite(lo).all(axis=0) & np.isfinite(hi).all(axis=0)
         rows = np.flatnonzero(ok)[finite]
-        z_lo[rows], z_hi[rows] = lo[finite], hi[finite]
+        z_lo[rows], z_hi[rows] = lo[:, finite].T, hi[:, finite].T
         return z_lo, z_hi
+
+    def state(self, tuples: np.ndarray) -> np.ndarray:
+        """The screen state of tuples that ``screen`` brackets, the
+        values ``floor`` reads, (B, R (m + 2) + 2): the Cholesky solution
+        x of every round (round r's in columns r m to r m + m - 1), nu
+        and the kernel's residual rounding D of every round, then a and
+        lam_lo.  The tuples are screened again, in the screen's chunks,
+        to the bits of their first screen."""
+        rows = [np.empty((0, (self.m + 2) * self.n_rhs + 2))]
+        for chunk in _batches(tuples, self.rows):
+            _, _, _, (x, nu, dm, a, lam_lo) = self._fit(chunk)
+            x = x.transpose(1, 0, 2).reshape(-1, chunk.shape[0])
+            rows.append(np.concatenate([x, nu, dm, a[None], lam_lo[None]]).T)
+        return np.concatenate(rows)
+
+    def floor(self, tuples: np.ndarray, need: np.ndarray, state: np.ndarray):
+        """Explicit-residual floors of the (tuple, round) pairs ``need``
+        (B, R) marks, for bracketed tuples and their screen ``state``.
+
+        Each marked pair forms r = y_w - A x and g = A^T r from the
+        screen's x and the tuple's columns, each pair alone as an (n, m)
+        by (m, 1) product, ``_EXACT_TARGET // (n (m + 1))`` pairs per
+        step.  The columns are taken from C in one gather, (n, pairs, m),
+        and read through a transposed view: several times faster than
+        ``design``'s C-contiguous copy, whose layout only the SVD's bits
+        need.  Returns (B, R) arrays: low, a floor under the pair's least
+        squares minimum rss* (module docstring, Floor), and the kernel's
+        residual rounding D (Bound, term 4).  Unmarked pairs read -inf
+        and 0.
+        """
+        m, rounds = self.m, self.n_rhs
+        low, dm = np.full(need.shape, -np.inf), np.zeros(need.shape)
+        d, gm, gn = self.delta, self.delta_m, _gamma(self.n)
+        y_norm = np.sqrt(self.ss)
+        pair, rnd = np.nonzero(need)
+        step = max(1, _EXACT_TARGET // (self.n * (m + 1)))
+        for p0 in range(0, pair.size, step):
+            p, r = pair[p0:p0 + step], rnd[p0:p0 + step]
+            a_p = self.cols.take(self.columns(tuples[p]), axis=1).transpose(1, 0, 2)
+            x = state[p[:, None], r[:, None] * m + np.arange(m), None]
+            resid = self.yw[r][..., None] - np.matmul(a_p, x)
+            g = np.matmul(a_p.transpose(0, 2, 1), resid)
+            rho_r, rho_g = np.sqrt(sumsq(resid[..., 0])), np.sqrt(sumsq(g[..., 0]))
+            eps_r = gm * (y_norm[r] + state[p, rounds * m + r])
+            r_lo = np.maximum((1.0 - d) * rho_r - 2.0 * eps_r, 0.0)
+            g_hi = (1.0 + d) * rho_g + 2.0 * state[p, -2] * (gn * rho_r + eps_r)
+            low[p, r] = (1.0 - d) * r_lo * r_lo - 2.0 * g_hi * g_hi / state[p, -1]
+            dm[p, r] = state[p, rounds * (m + 1) + r]
+        return low, dm
+
+    def z_floor(self, low: np.ndarray, dm: np.ndarray) -> np.ndarray:
+        """A floor under the exact kernel's z of a pair, from a floor
+        ``low`` under its least squares minimum rss* and the kernel's
+        residual rounding ``dm`` (module docstring, Floor)."""
+        d = self.delta
+        root = (1.0 - d) * np.sqrt(np.maximum(low, 0.0)) - 2.0 * dm
+        return np.sqrt((1.0 - d) * np.maximum(root, 0.0) ** 2 / self.n)
 
 
 def _batches(tuples: np.ndarray, rows: int):
@@ -652,10 +778,11 @@ def _scan(ts, spec, grids, y_rounds, workers):
 
     Screens every strictly descending tuple across ``grids`` against all
     R rounds of ``y_rounds`` (shape (R, n)) on the times of ``ts``, each
-    weighted as ``ts`` is (``weighted_y``), re-scores each survivor with
-    the exact kernel against the rounds it can win and picks per round
+    weighted as ``ts`` is (``weighted_y``), fits each round's incumbent
+    with the exact kernel, re-scores each survivor against the rounds
+    whose incumbent its floors do not rule it out of, and picks per round
     with ``_lex_argmin``: within each exact chunk, then once over the
-    stacked chunk winners.
+    stacked incumbents and chunk winners.
 
     Returns
     -------
@@ -686,29 +813,53 @@ def _scan(ts, spec, grids, y_rounds, workers):
     blocks = _Blocks(ts, spec, grids, yw)
     count = 0
     z_star = np.full(blocks.n_rhs, np.inf)
-    kept, kept_lo = [], []
+    kept = []
     for tuples in _product_chunks(grids, blocks.rows):
         z_lo, z_hi = blocks.screen(tuples)
         count += tuples.shape[0]
         z_star = np.minimum(z_star, z_hi.min(axis=0))
         keep = (z_lo <= z_star).any(axis=1)
-        kept.append(tuples[keep])
-        kept_lo.append(z_lo[keep])
+        kept.append((tuples[keep], z_lo[keep], z_hi[keep]))
     if count == 0:
         raise UnstableSearchError("the grids admit no ordered frequency tuple")
-    blocks.drop_screen()  # before the exact pass allocates its arrays
-    need = np.concatenate(kept_lo) <= z_star
+    survivors, z_lo, z_hi = (np.concatenate(v) for v in zip(*kept))
+    need = z_lo <= z_star
     keep = need.any(axis=1)
-    survivors, need = np.concatenate(kept)[keep], need[keep]
-
-    # Exact re-score, then the same rule over the chunk winners.  A
-    # survivor every round needs is fitted against all of them at once;
-    # any other only against the rounds whose z_star its z_lo reaches.
-    full = need.all(axis=1)
+    survivors, z_lo, z_hi, need = (v[keep] for v in (survivors, z_lo, z_hi, need))
     rows = blocks.exact_rows
+
+    # Incumbents: each round's tuple of smallest z_hi, fitted exactly.
+    # An unguarded pair goes on to the exact kernel only if its z_lo and
+    # its explicit-residual z floor both reach its round's incumbent z.
+    # Unguarded tuples have a finite z_hi in every round, guarded ones in
+    # none.
+    results, open_ = [], np.empty(0, dtype=int)
+    if np.isfinite(z_star).all():
+        own = np.zeros_like(need)
+        own[_lex_argmin(z_hi, survivors), np.arange(blocks.n_rhs)] = True
+        mine = own.any(axis=1)
+        results.append(blocks.rescore(survivors[mine], own[mine]))
+        z_inc = results[0][0]
+        guarded = np.isinf(z_hi[:, :1])
+        need &= ~own & (guarded | (z_lo <= z_inc))
+        open_ = np.flatnonzero(~guarded[:, 0] & need.any(axis=1))
+    state = blocks.state(survivors[open_])
+    blocks.drop_screen()  # before the floors and the exact pass allocate
+    if open_.size:
+        jobs = zip(*(_batches(v, rows) for v in (survivors[open_], need[open_], state)))
+        floors = ordered_map(lambda job: blocks.z_floor(*blocks.floor(*job)), jobs, workers)
+        need[open_] &= ~(np.concatenate(list(floors)) > z_inc)
+    keep = need.any(axis=1)
+    survivors, need = survivors[keep], need[keep]
+
+    # Exact re-score, then the same rule over the incumbents and the
+    # chunk winners.  A survivor every round needs is fitted against all
+    # of them at once; any other only against the rounds it can win.
+    full = need.all(axis=1)
     jobs = [(t, None) for t in _batches(survivors[full], rows)]
     jobs += zip(_batches(survivors[~full], rows), _batches(need[~full], rows))
-    z_c, t_c, degen = zip(*ordered_map(lambda job: blocks.rescore(*job), jobs, workers))
+    results += ordered_map(lambda job: blocks.rescore(*job), jobs, workers)
+    z_c, t_c, degen = zip(*results)
     z_c, t_c = np.stack(z_c), np.stack(t_c)
     pick = _lex_argmin(z_c, t_c)
     rounds = np.arange(blocks.n_rhs)

@@ -32,10 +32,14 @@ This kernel is the reference every reported misfit comes from.  The
 grid scans (``gridsearch``) score most tuples far more cheaply from
 precomputed Gram blocks, through exactly such a norm-difference
 identity, but only to rule tuples out: each screened value carries a
-rigorous bound on its distance to this kernel's value, and every tuple
-the bound cannot rule out, together with every tuple whose Gram is too
-ill-conditioned to bound, is re-scored here.  The scan's best z and
-tuple are therefore always this kernel's bits.
+rigorous bound on its distance to this kernel's value.  Each round's
+screened-best tuple, its incumbent, is fitted here first; a tuple the
+bound cannot rule out is then compared with its incumbent's z through
+a second floor, formed from an explicit residual of the screen's
+solution so that its rounding is linear in the residual, which the
+Gram bound is not.  Every tuple neither rules out, together with every
+tuple whose Gram is too ill-conditioned to bound, is re-scored here.
+The scan's best z and tuple are therefore always this kernel's bits.
 """
 
 from __future__ import annotations

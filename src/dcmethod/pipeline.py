@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .gridsearch import Periodogram, SearchConfig, long_search, short_search
+from .gridsearch import (Periodogram, SearchConfig, _check_workers, long_search,
+                         short_search)
 from .model import ModelSpec, SignalSummary, summarize_signals
 from .refine import BootstrapReport, RefinedModel, bootstrap, refine
 from .timeseries import SpanStats, TimeSeries, span_stats
@@ -77,8 +78,11 @@ def analyze(ts: TimeSeries, spec: ModelSpec, cfg: SearchConfig | None,
     The scans run only for k1 >= 1; every shape is then polished by
     ``refine``, from the short-stage best tuple or, for a pure trend,
     from the empty tuple.  ``cfg`` may be None only for pure trend
-    models (k1 = 0), which have no frequencies to search.
+    models (k1 = 0), which have no frequencies to search.  ``workers``
+    must be an integer >= 1 (ConfigError), whether or not any stage
+    uses it.
     """
+    _check_workers(workers)
     stats = span_stats(ts)
     long = short = None
     start, grids = np.empty(0), []

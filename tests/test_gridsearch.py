@@ -595,6 +595,187 @@ def test_exact_pass_tuple_counts_do_not_grow(monkeypatch):
     assert seen["rounds"] <= 152
 
 
+def test_incumbents_and_floors_cut_the_exact_pass_and_keep_every_winner(monkeypatch):
+    # the shape of test_exact_pass_tuple_counts_do_not_grow.  Tuples sent
+    # to the exact kernel per stage (long / short / rounds), incumbents
+    # included: 84 / 152 / 152 with the Gram screen alone, 77 / 2 / 2 once
+    # each pair must also bring its explicit-residual floor under its
+    # round's incumbent z.  Every winner is still the brute-force one.
+    ts = simulate(SimulationSpec(7, 500, 1e6, seed=42))
+    spec = ModelSpec(2, 2, 2)
+    cfg = SearchConfig.from_periods(*MODELS[7].period_range, n_long=40, n_short=30)
+    exact = gridsearch._Blocks.rescore
+    seen = dict.fromkeys(("long", "short", "rounds"), 0)
+
+    def counting(blocks, tuples, *need):
+        seen[stage] += len(tuples)
+        return exact(blocks, tuples, *need)
+
+    monkeypatch.setattr(gridsearch._Blocks, "rescore", counting)
+    stage = "long"
+    pg = long_search(ts, spec, cfg)
+    stage = "short"
+    sh = short_search(ts, spec, cfg, pg.best)
+    stage = "rounds"
+    y_rounds = ts.y[None, :] + ts.sigma * np.random.default_rng(7).normal(size=(2, ts.n))
+    z_min, best = scan_rounds(ts, spec, sh.grids, y_rounds)
+    assert seen["long"] <= 77
+    assert seen["short"] <= 2
+    assert seen["rounds"] <= 2
+
+    grid = np.linspace(cfg.f_min, cfg.f_max, cfg.n_long)
+    for stage, grids in ((pg, [grid, grid]), (sh, sh.grids)):
+        z_want, f_want = brute_force_best(ts, spec, grids)
+        assert stage.z_min == z_want
+        assert np.array_equal(stage.best, f_want)
+    for r, y in enumerate(y_rounds):
+        z_want, f_want = brute_force_best(TimeSeries(ts.t, y, ts.sigma), spec, sh.grids)
+        assert z_min[r] == z_want
+        assert np.array_equal(best[r], f_want)
+
+
+def test_a_floor_equal_to_the_incumbent_z_does_not_exclude(monkeypatch):
+    # every floor set to the round's exact minimum, a valid floor, here
+    # equal to the incumbent's z (the short stage's incumbent wins it):
+    # exclusion is strict, so every examined tuple still reaches the
+    # exact kernel
+    ts = simulate(SimulationSpec(7, 40, 1e6, seed=0))
+    spec = ModelSpec(2, 2, 2)
+    cfg = SearchConfig.from_periods(0.4, 3.6, n_long=20, n_short=12)
+    pg = long_search(ts, spec, cfg)
+    grids = short_search(ts, spec, cfg, pg.best).grids
+    z_want, f_want = brute_force_best(ts, spec, grids)
+    rescore, floor = gridsearch._Blocks.rescore, gridsearch._Blocks.floor
+    rescored, examined = set(), set()
+
+    def recording_rescore(blocks, tuples, *need):
+        rescored.update(map(tuple, tuples))
+        return rescore(blocks, tuples, *need)
+
+    def recording_floor(blocks, tuples, *rest):
+        examined.update(map(tuple, tuples))
+        return floor(blocks, tuples, *rest)
+
+    monkeypatch.setattr(gridsearch._Blocks, "rescore", recording_rescore)
+    monkeypatch.setattr(gridsearch._Blocks, "floor", recording_floor)
+    monkeypatch.setattr(gridsearch._Blocks, "z_floor",
+                        lambda blocks, low, dm: np.full(low.shape, z_want))
+    sh = short_search(ts, spec, cfg, pg.best)
+    assert examined
+    assert examined <= rescored
+    assert sh.z_min == z_want
+    assert np.array_equal(sh.best, f_want)
+
+
+def _split(v):
+    """Dekker's split of v into a high and a low half of 26 bits each."""
+    c = 134217729.0 * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _residual(a, x, y):
+    """y - a x with every entry correctly rounded: each product a_ij x_j
+    is split exactly into p + e (Dekker's TwoProduct) and every row's
+    terms are summed exactly by fsum."""
+    p = a * x
+    (ah, al), (xh, xl) = _split(a), _split(x)
+    e = ((ah * xh - p) + ah * xl + al * xh) + al * xl
+    terms = np.concatenate([y[:, None], -p, -e], axis=1)
+    return np.array([math.fsum(row) for row in terms])
+
+
+def _least_squares_minimum(a, y):
+    """min_x ||y - a x||^2 of a full-rank a, to far more digits than a
+    float solve gives: iterative refinement on correctly rounded
+    residuals, less ||a dx||^2 for the last correction dx."""
+    x = np.linalg.lstsq(a, y, rcond=None)[0]
+    for _ in range(3):
+        r = _residual(a, x, y)
+        dx = np.linalg.lstsq(a, r, rcond=None)[0]
+        x = x + dx
+    r = _residual(a, x, y)
+    dx = np.linalg.lstsq(a, r, rcond=None)[0]
+    return math.fsum(r * r) - math.fsum((a @ dx) ** 2)
+
+
+@st.composite
+def floor_cases(draw):
+    return dict(
+        n=draw(st.integers(12, 200)),
+        spec=ModelSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                       draw(st.integers(-1, 2))),
+        weighted=draw(st.booleans()),
+        sn=10.0 ** draw(st.integers(0, 8)),
+        rounds=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(floor_cases())
+@example(dict(n=60, spec=ModelSpec(1, 1, 0), weighted=False, sn=1e8, rounds=3, seed=0))
+@example(dict(n=40, spec=ModelSpec(2, 1, 1), weighted=True, sn=1e8, rounds=2, seed=1))
+@example(dict(n=120, spec=ModelSpec(2, 2, 2), weighted=False, sn=1e6, rounds=1, seed=2))
+@example(dict(n=30, spec=ModelSpec(3, 1, 0), weighted=True, sn=1e4, rounds=3, seed=3))
+def test_explicit_floor_is_below_the_minimum_and_the_kernel_z(case):
+    # for every tuple the guard passes and every round: low <= rss*, the
+    # least squares minimum; the z floor from low, and from rss* itself,
+    # <= the exact kernel's z, which need not be >= sqrt(rss* / n)
+    n, spec = case["n"], case["spec"]
+    rng = np.random.default_rng(case["seed"])
+    t = np.sort(rng.random(n)) * rng.uniform(0.5, 20.0)
+    f0 = rng.uniform(0.5, 3.0)
+    # j f0 and near-coincident pairs beside unrelated frequencies; all
+    # k1-products of the grid add duplicates and both orders
+    near = 1.0 + np.array([1e-9, 1e-6, 1e-4, 1e-2])
+    grid = np.unique(np.concatenate([f0 * np.array([1.0, 2.0, 3.0]), f0 * near,
+                                     rng.uniform(0.2, 6.0, 2)]))
+    # a signal the shape fits exactly at f0, so the tuples through f0
+    # fit down to the noise: relative to their rss, the rounding terms
+    # grow with SN
+    signal = sum(rng.uniform(0.5, 1.0) * np.cos(2 * np.pi * j * f0 * t + rng.uniform(0, 6))
+                 for j in range(1, spec.k2 + 1))
+    signal += sum(rng.uniform(-1.0, 1.0) * (t / t[-1]) ** j for j in range(spec.k3 + 1))
+    noise = 1.0 / case["sn"]
+    sigma = noise * rng.uniform(0.5, 2.0, n) if case["weighted"] else None
+    ts = TimeSeries(t, signal + noise * rng.normal(size=n), sigma)
+    y_rounds = ts.y + noise * rng.normal(size=(case["rounds"], n))
+    y_rounds[0] = ts.y
+    blocks = _Blocks(ts, spec, [grid] * spec.k1, weighted_y(ts, rows=y_rounds))
+    tuples = np.array(list(itertools.product(grid, repeat=spec.k1)))
+    z_lo, _ = blocks.screen(tuples)
+    # the unguarded tuples nearest the minimum, the ones a scan examines
+    open_ = np.flatnonzero(np.isfinite(z_lo[:, 0]))
+    pick = open_[np.argsort(z_lo[open_, 0], kind="stable")][:8]
+    if pick.size == 0:
+        return
+    tuples = tuples[pick]
+    state = blocks.state(tuples)
+    low, dm = blocks.floor(tuples, np.ones((len(pick), case["rounds"]), bool), state)
+    z, _ = blocks.exact(tuples)
+    a = blocks.design(tuples)
+    rss_min = np.array([[_least_squares_minimum(a[b], blocks.yw[r])
+                         for r in range(case["rounds"])] for b in range(len(pick))])
+    assert np.all(low <= rss_min)
+    assert np.all(blocks.z_floor(low, dm) <= z)
+    assert np.all(blocks.z_floor(rss_min, dm) <= z)
+
+    # low holds for any x with nu >= sum_j ||A_j|| |x_j|, not only the
+    # screen's: here every x moved by 1e-4 ||x|| in a random direction
+    m, rounds = spec.n_linear, case["rounds"]
+    moved = state.copy()
+    col_norm = np.linalg.norm(a, axis=1)
+    for r in range(rounds):
+        x = state[:, r * m:(r + 1) * m]
+        step = rng.normal(size=x.shape)
+        step *= 1e-4 * (np.linalg.norm(x, axis=1) / np.linalg.norm(step, axis=1))[:, None]
+        moved[:, r * m:(r + 1) * m] = x + step
+        moved[:, rounds * m + r] = 1.01 * np.sum(col_norm * np.abs(x + step), axis=1)
+    low, _ = blocks.floor(tuples, np.ones((len(pick), rounds), bool), moved)
+    assert np.all(low <= rss_min)
+
+
 def test_degenerate_tuples_reach_the_exact_kernel():
     # the grid holds exact octaves (3, 6), (4, 8), ...: with two harmonics
     # those tuples are rank deficient, so only the exact kernel flags them

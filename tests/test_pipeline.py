@@ -74,6 +74,15 @@ def test_pure_trend_skips_the_scans():
     assert np.array_equal(a.refined.residuals, direct.residuals)
 
 
+@pytest.mark.parametrize("workers", [0, -3, None, True])
+def test_pure_trend_without_a_bootstrap_rejects_a_bad_worker_count(workers):
+    # this shape reaches neither a scan nor the bootstrap's pool, so
+    # analyze itself must check the count
+    ts = series(seed=3)
+    with pytest.raises(ConfigError, match="workers must be"):
+        analyze(ts, ModelSpec(0, 1, 1), None, AnalysisOptions(n_boot=0), workers=workers)
+
+
 def test_pure_trend_bootstrap_works_without_a_range():
     ts = series(seed=4)
     a = analyze(ts, ModelSpec(0, 1, 1), None, AnalysisOptions(n_boot=6, seed=1))

@@ -11,11 +11,12 @@ odd i.  The output holds, per workload and end-to-end metric, each side's
 values, median and quartiles, the pairs the change won (by the
 direction BENCHMARK.json gives) and whether the gain rule holds: wins
 in at least nine tenths of the pairs and a median gap wider than the
-parent's interquartile range.  It also holds the tuples each scan stage
-sent to the exact kernel on each side, and the (tuple, round) pairs the
-kernel fitted for them, counted in-process at the first seed with
-`--workers 1`, and the machine: nproc, Python, NumPy, the
-BLAS and the thread pins bench/run.py sets.
+parent's interquartile range.  It also holds, per scan stage on each
+side, the tuples sent to the exact kernel, the (tuple, round) pairs the
+kernel fitted for them and the pairs the explicit-residual floor
+examined (0 on a checkout without that pass), counted in-process at the
+first seed with `--workers 1`, and the machine: nproc, Python, NumPy,
+the BLAS and the thread pins bench/run.py sets.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ from pathlib import Path
 
 # Run inside a checkout: per stage of one `dcm run --workers 1` per
 # workload, stages in call order, the tuples the scans sent to the exact
-# kernel and the (tuple, round) pairs it fitted.  The wrapper forwards
-# whatever `rescore` takes; a call without a pair mask fits every round.
+# kernel, the (tuple, round) pairs it fitted and the pairs the
+# explicit-residual floor (`_Blocks.floor`) examined.  The wrappers
+# forward whatever they are given; a `rescore` call without a pair mask
+# fits every round.  A checkout without `_Blocks.floor` reads 0 floor
+# pairs.
 COUNT = r"""
 import json, pathlib, sys, tempfile
 root = pathlib.Path.cwd()
@@ -42,10 +46,11 @@ import dcmethod.cli as cli
 from dcmethod import gridsearch
 
 scan, rescore = gridsearch._scan, gridsearch._Blocks.rescore
+floor = getattr(gridsearch._Blocks, "floor", None)
 counts = []
 
 def counting_scan(*args, **kw):
-    counts.append({"tuples": 0, "pairs": 0})
+    counts.append({"tuples": 0, "pairs": 0, "floor_pairs": 0})
     return scan(*args, **kw)
 
 def counting_rescore(blocks, tuples, *args, **kw):
@@ -55,7 +60,13 @@ def counting_rescore(blocks, tuples, *args, **kw):
                             else int(need.sum()))
     return rescore(blocks, tuples, *args, **kw)
 
+def counting_floor(blocks, tuples, need, *args, **kw):
+    counts[-1]["floor_pairs"] += int(need.sum())
+    return floor(blocks, tuples, need, *args, **kw)
+
 gridsearch._scan, gridsearch._Blocks.rescore = counting_scan, counting_rescore
+if floor is not None:
+    gridsearch._Blocks.floor = counting_floor
 out = {}
 for name, wl in bench.WORKLOADS.items():
     with tempfile.TemporaryDirectory() as tmp:
