@@ -15,6 +15,14 @@ merge has fixed its best tuple, the same engine scores the slices
 through it: one tuple per grid point and signal axis, the other
 frequencies held at the best tuple's.
 
+The engine (``_Blocks``) holds what does not depend on the data: the
+columns C, the Grams G and, once its first scan has screened them, each
+tuple's guard.  The short stage's engine travels with its
+``Periodogram`` to the bootstrap's round scan, which scans the same
+tuples on the same series: that scan forms only the rounds' right-hand
+sides and certifies no tuple (Guard).  ``analyze`` drops the engine
+once the round scan has run.
+
 Screen
 ------
 A scan frequency contributes the same weighted cos/sin columns to every
@@ -22,17 +30,19 @@ tuple that contains it.  The columns of all scan frequencies plus the
 trend columns are therefore built once, as one matrix C, by the exact
 kernel's own expression (``linfit.weighted_design``), so the design
 matrix A of a tuple is a column subset of C, bit for bit.  C is kept
-for the whole scan: the exact pass gathers each tuple's A from it
-instead of rebuilding it.  The entries of C^T C a tuple can gather (one
-frequency per signal axis: between two axes' grids, within a grid that
-several axes share, each frequency's own block, and the trend's), every
-right-hand side C^T y_w (all bootstrap rounds at once) and every
-y_w^T y_w are formed over row blocks of n_b = ceil(sqrt(n)) rows: the
-partials of each block come from its rows alone and are added in place
-into one running buffer.  Each tuple gathers its m x m
-Gram G = A^T A and b = A^T y_w and is scored in O(m^3), independent of
-n (the joint, multi-term form of the generalised Lomb-Scargle normal
-equations):
+for the whole scan, and for the engine's later scans: the exact pass
+gathers each tuple's A from it instead of rebuilding it.  The entries
+of C^T C a tuple can gather (one frequency per signal axis: between two
+axes' grids, within a grid that several axes share, each frequency's
+own block, and the trend's), every right-hand side C^T y_w (all
+bootstrap rounds at once) and every y_w^T y_w are formed over row
+blocks of n_b = ceil(sqrt(n)) rows: the partials of each block come
+from its rows alone and are added in place into one running buffer.
+G's bits do not depend on the right-hand sides formed beside it, and a
+later scan of the engine forms only its own C^T y_w and y_w^T y_w, over
+the same row blocks.  Each tuple gathers its m x m Gram G = A^T A and
+b = A^T y_w and is scored in O(m^3), independent of n (the joint,
+multi-term form of the generalised Lomb-Scargle normal equations):
 
     x = G^-1 b,    rss = s - 2 b^T x + x^T G x,    s = y_w^T y_w,
 
@@ -96,6 +106,16 @@ above ``RANK_RCOND`` = 1e-10: the exact kernel solves it at full rank.
 An exactly singular Gram (a duplicated frequency, or f_a = j f_b on a
 grid with k2 >= j) has lam_min = 0, so no lam_lo > 0 can be certified
 for it: it is routed, never raised.
+
+The guard is a property of the tuple's G, n and delta_f alone, never of
+the data: the rounds on the series' own times and weights share all
+three with the scan that certified it.  So each tuple is certified
+once per engine, in the engine's first scan, which keeps (ok, lam_lo,
+a^2) per tuple in enumeration order; the floors of that scan and every
+later scan of the engine read it back.  A later scan factors each
+passing tuple's [G | b] once, R^T R = G with R^-T b alongside, and takes
+x by back-substitution: the Bound below holds for any x.  A tuple whose
+[G | b] factorisation fails is guarded.
 
 Bound
 -----
@@ -186,15 +206,16 @@ sqrt((rss + bound) / n) (rounding is monotone), per right-hand side
 (round).  Let Z_r be the smallest z_hi of round r.  The survivors are
 every guarded tuple (z_lo = -inf) and every tuple with z_lo <= Z_r for
 some round.  Round r's incumbent is the tuple that attains Z_r (lowest
-z_hi, ties to the lexicographically smallest tuple), a survivor; the exact kernel fits it against round r, each
-distinct incumbent factored once, and its z is Z_inc <= Z_r.  Every
-other unguarded pair with z_lo <= Z_inc is examined: the pair goes on
-only if its z floor (Floor) is <= Z_inc as well.  The examined tuples
-are screened once more, to the bits of their first screen, for the x,
-nu, D, a and lam_lo the floor reads, before the Grams are freed;
-keeping those for every screened tuple instead would hold R (m + 2) + 2
-values per tuple through the screen.  Guarded tuples go on against
-every round.  Each survivor's weighted design matrix is gathered from C
+z_hi, ties to the lexicographically smallest tuple), a survivor; the
+exact kernel fits it against round r, each distinct incumbent factored
+once, and its z is Z_inc <= Z_r.  Every other unguarded pair with z_lo
+<= Z_inc is examined: the pair goes on only if its z floor (Floor) is
+<= Z_inc as well.  The examined tuples are screened once more, on their
+kept guard and [G | b] (Guard), for the x, nu, D, a and lam_lo the
+floor reads, before the right-hand sides are freed; keeping those for
+every screened tuple instead would hold R (m + 2) + 2 values per tuple
+through the screen, against the guard's three.  Guarded tuples go on
+against every round.  Each survivor's weighted design matrix is gathered from C
 into a C-contiguous (B, n, m) array, the layout ``design_matrix``
 returns (the matmul bits depend on it), so it equals
 ``weighted_design(...)`` bit for bit, and ``BatchSolver`` factors it
@@ -244,10 +265,11 @@ identical whatever the number of threads.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -330,7 +352,12 @@ class Slice:
 
 @dataclass
 class Periodogram:
-    """Result of one search stage."""
+    """Result of one search stage.
+
+    The short stage's also carries its scan engine, for the bootstrap's
+    round scan over the same grids (``scan_rounds``); ``analyze`` drops
+    it once that scan has run.
+    """
 
     stage: str
     grids: list[np.ndarray]
@@ -339,6 +366,7 @@ class Periodogram:
     slices: list[Slice]
     combinations: int
     degenerate_hit: bool = False
+    _engine: _Blocks | None = field(default=None, compare=False, repr=False)
 
 
 class _WorkersTypeError(ConfigError, TypeError):
@@ -414,22 +442,19 @@ def _gram(cols: np.ndarray, yw: np.ndarray, groups, h: int):
     ``full`` (a grid shared by several axes, or the trend), else only
     the h x h block of each of its frequencies; the rest stays zero.
     Each block's partials come from one product of its rows and are
-    added in place into the running G, b and s.  Returns them and k,
-    the length of the formation's rounding constant gamma_k.
+    added in place into the running G, b and s (``_rhs``).  Returns them
+    and k, the length of the formation's rounding constant gamma_k.
     """
     n, f = cols.shape
     rows = _row_block(n)
-    gram, rhs, ss = np.zeros((f, f)), np.zeros((f, yw.shape[0])), np.zeros(yw.shape[0])
-    rhs_part = np.empty_like(rhs)
+    gram = np.zeros((f, f))
     part = np.empty(max([(a1 - a0) * (b1 - b0) for i, (a0, a1, full) in enumerate(groups)
                          for b0, b1, _ in groups[i if full else i + 1:]], default=0))
     upper = [(p, q) for p in range(h) for q in range(p, h)]
     own = {i: np.zeros(((a1 - a0) // h, h, h))
            for i, (a0, a1, full) in enumerate(groups) if not full}
     for start in range(0, n, rows):
-        c, y = cols[start:start + rows], yw[:, start:start + rows]
-        rhs += np.matmul(c.T, y.T, out=rhs_part)
-        ss += np.einsum("rn,rn->r", y, y)
+        c = cols[start:start + rows]
         for i, (a0, a1, full) in enumerate(groups):
             ca = c[:, a0:a1]
             if not full:
@@ -448,7 +473,21 @@ def _gram(cols: np.ndarray, yw: np.ndarray, groups, h: int):
         for b0, b1, _ in groups[i + 1:]:
             gram[b0:b1, a0:a1] = gram[a0:a1, b0:b1].T
     blocks = -(-n // rows)
-    return gram, rhs, ss, rows + blocks - 1
+    return (gram, *_rhs(cols, yw), rows + blocks - 1)
+
+
+def _rhs(cols: np.ndarray, yw: np.ndarray):
+    """b = C^T Y^T and s = diag(Y Y^T) for the data rows Y, summed over
+    the row blocks of ``_gram``, so within its formation constant."""
+    n = cols.shape[0]
+    rows = _row_block(n)
+    rhs, ss = np.zeros((cols.shape[1], yw.shape[0])), np.zeros(yw.shape[0])
+    part = np.empty_like(rhs)
+    for start in range(0, n, rows):
+        c, y = cols[start:start + rows], yw[:, start:start + rows]
+        rhs += np.matmul(c.T, y.T, out=part)
+        ss += np.einsum("rn,rn->r", y, y)
+    return rhs, ss
 
 
 def _sum0(terms) -> np.ndarray:
@@ -499,6 +538,33 @@ def _certified_floor(gram: np.ndarray):
     return ok & _certify(gram, lam), lam, inv
 
 
+def _cholesky_solve(gram: np.ndarray, b: np.ndarray):
+    """x = G^-1 b per tuple of an (m, m, B) stack of Grams and (m, R, B)
+    right-hand sides: one Cholesky of [G | b], which leaves R^-T b in its
+    last R columns, then back-substitution.  Returns whether each
+    factorisation completed and x of the tuples where it did,
+    (m, R, ok.sum())."""
+    m = gram.shape[0]
+    aug = np.concatenate([gram, b], axis=1)
+    ok = _cholesky(aug)
+    if not ok.all():
+        aug = aug[..., ok]
+    x = aug[:, m:].copy()
+    for i in range(m - 1, -1, -1):
+        for j in range(i + 1, m):
+            x[i] -= aug[i, j] * x[j]
+        x[i] /= aug[i, i]
+    return ok, x
+
+
+def _passing(ok: np.ndarray, *arrays):
+    """Each array with only the tuples (last axis) where ``ok`` holds."""
+    if ok.all():
+        return arrays
+    keep = np.flatnonzero(ok)
+    return tuple(v[..., keep] for v in arrays)
+
+
 def _certify(gram: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Whether lam_min(G) > lam is certified, per tuple of an (m, m, B)
     stack of Grams: the floating-point Cholesky of G - t I completes at
@@ -512,14 +578,17 @@ def _certify(gram: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 class _Blocks:
-    """Weighted columns C of every scan frequency, their cross-Grams and
-    right-hand sides, and the screen, the explicit-residual floor and
-    the exact re-score of a tuple chunk against them.
+    """The scan engine: weighted columns C of every scan frequency, their
+    cross-Grams G, the right-hand sides of the data rows, each tuple's
+    guard once a scan has screened it, and the screen, the
+    explicit-residual floor and the exact re-score of a tuple chunk
+    against them.
 
     ``grids`` holds one grid per signal axis; axes that share
     one grid object (the long stage) share its columns.  The columns are
     weighted by ``ts.sigma`` and ``yw`` is the (R, n) data weighted the
-    same way (``weighted_y``), one row per round.
+    same way (``weighted_y``), one row per round.  ``rounds`` puts the
+    same engine to other data rows of the same series.
     """
 
     def __init__(self, ts: TimeSeries, spec: ModelSpec, grids, yw):
@@ -542,23 +611,53 @@ class _Blocks:
                   for a0, a1, d in zip(bounds[:-1], bounds[1:], distinct)]
         if spec.n_trend:
             groups.append((bounds[-1], bounds[-1] + spec.n_trend, True))
-        self.gram, self.rhs, self.ss, k_form = _gram(self.cols, yw, groups, h)
-        self.yw = yw
+        self.gram, rhs, ss, k_form = _gram(self.cols, yw, groups, h)
         self._harm = np.arange(h)
         self._trend = np.arange(freqs.size * h, freqs.size * h + spec.n_trend)
         self.m = m = spec.n_linear
         self.n = ts.n
-        self.n_rhs = yw.shape[0]
         self.delta = _gamma(ts.n + 2 * m + 4)
         self.delta_form = _gamma(k_form + 2 * m + 4)
         self.delta_m = _gamma(m + 1)
-        self.rows = _chunk_rows(m + self.n_rhs, m, _SCREEN_TARGET)
         self.exact_rows = _chunk_rows(ts.n, m, _EXACT_TARGET)
+        # what the engine was built for, and each tuple's guard (ok,
+        # lam_lo, a^2) in the order its first scan enumerated them
+        self._source = (ts.t, ts.sigma, spec, list(grids))
+        self.guard, self._screened = None, []
+        self._bind(yw, rhs, ss)
+
+    def _bind(self, yw, rhs, ss):
+        self.yw, self.rhs, self.ss = yw, rhs, ss
+        self.n_rhs = yw.shape[0]
+        self.rows = _chunk_rows(self.m + self.n_rhs, self.m, _SCREEN_TARGET)
+
+    def serves(self, ts: TimeSeries, spec: ModelSpec, grids) -> bool:
+        """Whether this engine was built on the times and weights of
+        ``ts``, for ``spec`` and over these very grid objects."""
+        t, sigma, own_spec, own_grids = self._source
+        return (ts.t is t and ts.sigma is sigma and spec == own_spec
+                and len(grids) == len(own_grids)
+                and all(g is h for g, h in zip(grids, own_grids)))
+
+    def rounds(self, yw) -> "_Blocks":
+        """The same engine against the data rows ``yw`` (R, n) of the same
+        series.  C, G and the kept guard are shared; only b and s are
+        formed, over the same row blocks, so delta_f is unchanged."""
+        other = copy.copy(self)
+        other._bind(yw, *_rhs(self.cols, yw))
+        return other
+
+    def keep_guard(self):
+        """After the engine's first scan: keep the guard its screen
+        recorded for every tuple, for the engine's later scans."""
+        if self.guard is None:
+            self.guard = tuple(np.concatenate(v) for v in zip(*self._screened))
+        self._screened = []
 
     def drop_screen(self):
-        """Free the Grams and right-hand sides; C stays for the floors and
-        the exact pass."""
-        self.gram = self.rhs = None
+        """Free the right-hand sides; C, G and the guard stay for the
+        floors, the exact pass and the engine's later scans."""
+        self.rhs = None
 
     def columns(self, tuples: np.ndarray) -> np.ndarray:
         """Column indices into C of each tuple's design matrix, (B, m)."""
@@ -631,15 +730,22 @@ class _Blocks:
             Screened residual sum of squares of the passing tuples and
             the bound on its distance to the exact kernel's value.
         """
-        ok, rss, bound, _ = self._fit(tuples)
+        ok, rss, bound, _, _ = self._fit(tuples)
         return ok, rss.T, bound.T
 
-    def _fit(self, tuples: np.ndarray):
+    def _fit(self, tuples: np.ndarray, guard=None):
         """The screen of a tuple chunk: ok (B,) as ``score`` returns it,
-        the passing tuples' rss and bound, (R, ok.sum()) each, and what
+        the passing tuples' rss and bound, (R, ok.sum()) each, what
         ``floor`` reads of them: the Cholesky solution x (m, R, ok.sum()),
         nu and the kernel's residual rounding D, (R, ok.sum()) each, a
-        and lam_lo, (ok.sum(),) each."""
+        and lam_lo, (ok.sum(),) each; and the chunk's guard, (ok, lam_lo,
+        a^2), (B,) each.
+
+        Without ``guard`` the guard is computed (module docstring, Guard)
+        and x taken from the certificate's R^-T.  With the chunk's kept
+        guard, no tuple is certified: each passing tuple's [G | b] is
+        factored once for x, and a tuple whose factorisation fails is
+        guarded."""
         # Tuples run along the last axis: every step is elementwise over
         # contiguous rows or a row-by-row sum, so each tuple's bits are
         # its own, whatever chunk it is in.
@@ -648,18 +754,24 @@ class _Blocks:
         m = idx.shape[0]
         diag = (np.arange(m), np.arange(m))
         gram = self.gram.take(idx[:, None] * self.gram.shape[0] + idx[None, :])
-        ok, lam_s, inv = _certified_floor(gram)
-        a2 = _sum0(gram[diag]) * (1.0 + 2.0 * df)
-        lam_lo = lam_s - df * a2
-        ok &= (lam_lo > 0.0) & (8.0 * d * a2 <= lam_lo)
-
         b = self.rhs[idx].transpose(0, 2, 1)
-        if not ok.all():
-            keep = np.flatnonzero(ok)
-            gram, b, inv, a2, lam_lo = (v[..., keep] for v in (gram, b, inv, a2, lam_lo))
-        # x = G^-1 b = R^-1 R^-T b, with inv = R^-T lower triangular
-        low_b = _sum0(inv[:, k, None] * b[k] for k in range(m))
-        x = _sum0(inv[i, :, None] * low_b[i] for i in range(m))
+        if guard is None:
+            ok, lam_s, inv = _certified_floor(gram)
+            a2 = _sum0(gram[diag]) * (1.0 + 2.0 * df)
+            lam_lo = lam_s - df * a2
+            ok &= (lam_lo > 0.0) & (8.0 * d * a2 <= lam_lo)
+            guard = ok, lam_lo, a2
+            gram, b, inv, a2, lam_lo = _passing(ok, gram, b, inv, a2, lam_lo)
+            # x = G^-1 b = R^-1 R^-T b, with inv = R^-T lower triangular
+            low_b = _sum0(inv[:, k, None] * b[k] for k in range(m))
+            x = _sum0(inv[i, :, None] * low_b[i] for i in range(m))
+        else:
+            ok, lam_lo, a2 = guard
+            gram, b, a2, lam_lo = _passing(ok, gram, b, a2, lam_lo)
+            solved, x = _cholesky_solve(gram, b)
+            gram, b, a2, lam_lo = _passing(solved, gram, b, a2, lam_lo)
+            ok = ok.copy()
+            ok[ok] = solved
         gx = _sum0(gram[:, j, None] * x[j] for j in range(m))
         rss = self.ss[:, None] - 2.0 * _sum0(b * x) + _sum0(x * gx)
         ghat = b - gx
@@ -677,17 +789,27 @@ class _Blocks:
         r_s = np.sqrt(np.maximum(rss + e1, 0.0) + q2)
         e2 = 2.0 * r_s * dm + dm * dm + d * (r_s + dm) ** 2
         bound = 2.0 * (e1 + g_b ** 2 / lam_lo + q2 + e2)
-        return ok, rss, bound, (x, nu, dm, a, lam_lo)
+        return ok, rss, bound, (x, nu, dm, a, lam_lo), guard
 
-    def screen(self, tuples: np.ndarray):
+    def screen(self, tuples: np.ndarray, at=None):
         """Bracket each tuple's exact z per round: z_lo and z_hi, (B, R)
         each.
 
         A guarded tuple, or one whose screen overflowed, gets z_lo = -inf
         and z_hi = +inf in every round: it cannot be excluded, nor can it
         lower any round's smallest z_hi.
+
+        ``at`` is the position of the chunk's first tuple in the
+        enumeration of a scan over the engine's grids.  Such a chunk of
+        the engine's first scan records its guard (``keep_guard``); one of
+        any later scan reads it back instead of certifying its tuples.
         """
-        ok, rss, bound, _ = self._fit(tuples)
+        guard = None
+        if at is not None and self.guard is not None:
+            guard = tuple(v[at:at + tuples.shape[0]] for v in self.guard)
+        ok, rss, bound, _, guard = self._fit(tuples, guard)
+        if at is not None and self.guard is None:
+            self._screened.append(guard)
         z_lo = np.full((tuples.shape[0], self.n_rhs), -np.inf)
         z_hi = np.full_like(z_lo, np.inf)
         hi = np.sqrt((rss + bound) / self.n)
@@ -697,16 +819,22 @@ class _Blocks:
         z_lo[rows], z_hi[rows] = lo[:, finite].T, hi[:, finite].T
         return z_lo, z_hi
 
-    def state(self, tuples: np.ndarray) -> np.ndarray:
+    def state(self, tuples: np.ndarray, index=None) -> np.ndarray:
         """The screen state of tuples that ``screen`` brackets, the
         values ``floor`` reads, (B, R (m + 2) + 2): the Cholesky solution
         x of every round (round r's in columns r m to r m + m - 1), nu
         and the kernel's residual rounding D of every round, then a and
-        lam_lo.  The tuples are screened again, in the screen's chunks,
-        to the bits of their first screen."""
+        lam_lo.  The tuples are screened again, in the screen's chunks.
+        Given their positions ``index`` in the enumeration whose guard
+        the engine keeps, they read it instead of being certified again;
+        their x then comes from [G | b], not from the certificate.
+        """
         rows = [np.empty((0, (self.m + 2) * self.n_rhs + 2))]
-        for chunk in _batches(tuples, self.rows):
-            _, _, _, (x, nu, dm, a, lam_lo) = self._fit(chunk)
+        for start in range(0, tuples.shape[0], self.rows):
+            at = slice(start, start + self.rows)
+            chunk = tuples[at]
+            guard = None if index is None else tuple(v[index[at]] for v in self.guard)
+            _, _, _, (x, nu, dm, a, lam_lo), _ = self._fit(chunk, guard)
             x = x.transpose(1, 0, 2).reshape(-1, chunk.shape[0])
             rows.append(np.concatenate([x, nu, dm, a[None], lam_lo[None]]).T)
         return np.concatenate(rows)
@@ -773,7 +901,7 @@ def _lex_argmin(z: np.ndarray, tuples: np.ndarray) -> np.ndarray:
     return np.lexsort(keys, axis=0)[0]
 
 
-def _scan(ts, spec, grids, y_rounds, workers):
+def _scan(ts, spec, grids, y_rounds, workers, engine=None):
     """The scan engine: the best tuple over ``grids`` for every data round.
 
     Screens every strictly descending tuple across ``grids`` against all
@@ -782,7 +910,9 @@ def _scan(ts, spec, grids, y_rounds, workers):
     with the exact kernel, re-scores each survivor against the rounds
     whose incumbent its floors do not rule it out of, and picks per round
     with ``_lex_argmin``: within each exact chunk, then once over the
-    stacked incumbents and chunk winners.
+    stacked incumbents and chunk winners.  ``engine``, the ``_Blocks`` of
+    an earlier scan, is put to these rounds when it ``serves`` them: its
+    C, G and kept guard are reused, and no tuple is certified again.
 
     Returns
     -------
@@ -793,8 +923,8 @@ def _scan(ts, spec, grids, y_rounds, workers):
     degenerate : bool
         True when a re-scored tuple was rank deficient.
     blocks : _Blocks
-        The scan's columns, for exact scores of further tuples over
-        ``grids``.
+        The scan's engine, for exact scores of further tuples over
+        ``grids`` and for later scans of other rounds.
 
     Raises
     ------
@@ -810,22 +940,28 @@ def _scan(ts, spec, grids, y_rounds, workers):
     # kept when its z_lo reaches the running smallest z_hi in some round;
     # the final cut below uses the scan-wide minimum, which can only be
     # lower, so the survivors depend on that final minimum alone.
-    blocks = _Blocks(ts, spec, grids, yw)
+    if engine is not None and engine.serves(ts, spec, grids):
+        blocks = engine.rounds(yw)
+    else:
+        blocks = _Blocks(ts, spec, grids, yw)
     count = 0
     z_star = np.full(blocks.n_rhs, np.inf)
     kept = []
     for tuples in _product_chunks(grids, blocks.rows):
-        z_lo, z_hi = blocks.screen(tuples)
+        z_lo, z_hi = blocks.screen(tuples, count)
+        index = np.arange(count, count + tuples.shape[0])
         count += tuples.shape[0]
         z_star = np.minimum(z_star, z_hi.min(axis=0))
         keep = (z_lo <= z_star).any(axis=1)
-        kept.append((tuples[keep], z_lo[keep], z_hi[keep]))
+        kept.append((tuples[keep], z_lo[keep], z_hi[keep], index[keep]))
     if count == 0:
         raise UnstableSearchError("the grids admit no ordered frequency tuple")
-    survivors, z_lo, z_hi = (np.concatenate(v) for v in zip(*kept))
+    blocks.keep_guard()
+    survivors, z_lo, z_hi, index = (np.concatenate(v) for v in zip(*kept))
     need = z_lo <= z_star
     keep = need.any(axis=1)
-    survivors, z_lo, z_hi, need = (v[keep] for v in (survivors, z_lo, z_hi, need))
+    survivors, z_lo, z_hi, need, index = (v[keep] for v in (survivors, z_lo, z_hi, need,
+                                                            index))
     rows = blocks.exact_rows
 
     # Incumbents: each round's tuple of smallest z_hi, fitted exactly.
@@ -843,7 +979,7 @@ def _scan(ts, spec, grids, y_rounds, workers):
         guarded = np.isinf(z_hi[:, :1])
         need &= ~own & (guarded | (z_lo <= z_inc))
         open_ = np.flatnonzero(~guarded[:, 0] & need.any(axis=1))
-    state = blocks.state(survivors[open_])
+    state = blocks.state(survivors[open_], index[open_])
     blocks.drop_screen()  # before the floors and the exact pass allocate
     if open_.size:
         jobs = zip(*(_batches(v, rows) for v in (survivors[open_], need[open_], state)))
@@ -920,6 +1056,8 @@ def _stage(stage, ts, spec, grids, workers) -> Periodogram:
         stage=stage, grids=grids, best=best, z_min=float(z_min[0]),
         slices=_slices(blocks, grids, best, workers),
         combinations=count, degenerate_hit=degenerate,
+        # the bootstrap rounds rescan the short stage's grids
+        _engine=blocks if stage == "short" else None,
     )
 
 
@@ -962,6 +1100,25 @@ def short_search(ts, spec, cfg: SearchConfig, centers, workers=1):
     return _stage("short", ts, spec, grids, workers)
 
 
+def _round_grids(spec, grids) -> list[np.ndarray]:
+    """The per-signal grids of a round scan, given as a list of grids or
+    as the short-stage ``Periodogram``: one 1-d array of finite
+    frequencies per signal, as float arrays (an array that already is
+    one, shared or not, is kept as it is).
+
+    Raises ConfigError for any other input.
+    """
+    if isinstance(grids, Periodogram):
+        grids = grids.grids
+    if spec.k1 < 1 or len(grids) != spec.k1:
+        raise ConfigError(f"need k1 >= 1 and one grid per signal, got k1 = {spec.k1} "
+                          f"and {len(grids)} grids")
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    if not all(g.ndim == 1 and np.isfinite(g).all() for g in grids):
+        raise ConfigError("each grid must be a 1-d array of finite frequencies")
+    return grids
+
+
 def scan_rounds(ts, spec, grids, y_rounds, workers=1):
     """Best tuple over the given grids for many data rounds at once.
 
@@ -970,15 +1127,19 @@ def scan_rounds(ts, spec, grids, y_rounds, workers=1):
     behind both search stages with one right-hand side per round: the
     screen scores all rounds from one set of Grams, and the exact kernel
     factors each surviving tuple once and reuses the factors for every
-    round.  Each round's z_min is ``solve_linear``'s on that round's
-    series at its best tuple, bit for bit, so with ``y_rounds =
-    ts.y[None]`` it returns the z_min and best tuple of a search stage
-    over the same grids.
+    round.  Given the short-stage ``Periodogram`` of the same series, it
+    also reuses that stage's engine: its columns, its Grams and the guard
+    of every tuple, so the rounds form only their own right-hand sides
+    and certify no tuple.  Each round's z_min is ``solve_linear``'s on
+    that round's series at its best tuple, bit for bit, either way, so
+    with ``y_rounds = ts.y[None]`` it returns the z_min and best tuple
+    of a search stage over the same grids.
 
     Parameters
     ----------
-    grids : list of ndarray
-        Per-signal candidate frequencies (as produced by the short stage).
+    grids : list of array_like, or Periodogram
+        Per-signal candidate frequencies, or the short-stage
+        ``Periodogram`` whose grids (and engine) to use.
     y_rounds : ndarray, shape (R, n)
         One resampled data vector per round, R >= 1.
 
@@ -990,16 +1151,17 @@ def scan_rounds(ts, spec, grids, y_rounds, workers=1):
     Raises
     ------
     ConfigError
-        If ``grids`` does not hold k1 >= 1 grids, or ``y_rounds`` is not
-        (R, n) with R >= 1.
+        If ``grids`` does not hold k1 >= 1 grids of finite frequencies,
+        or ``y_rounds`` is not (R, n) with R >= 1 and finite values.
     UnstableSearchError
         If no strictly descending tuple exists across the grids.
     """
-    if spec.k1 < 1 or len(grids) != spec.k1:
-        raise ConfigError(f"need k1 >= 1 and one grid per signal, got k1 = {spec.k1} "
-                          f"and {len(grids)} grids")
+    engine = grids._engine if isinstance(grids, Periodogram) else None
+    grids = _round_grids(spec, grids)
     shape = np.shape(y_rounds)
     if len(shape) != 2 or shape[0] < 1 or shape[1] != ts.n:
         raise ConfigError(f"y_rounds must be (R, {ts.n}) with R >= 1, got {shape}")
-    z_min, best, _, _, _ = _scan(ts, spec, grids, y_rounds, workers)
+    if not np.isfinite(y_rounds).all():
+        raise ConfigError("y_rounds holds a non-finite value")
+    z_min, best, _, _, _ = _scan(ts, spec, grids, y_rounds, workers, engine)
     return z_min, best

@@ -91,7 +91,8 @@ def analyze(ts: TimeSeries, spec: ModelSpec, cfg: SearchConfig | None,
             raise ConfigError("a search range is required when k1 >= 1")
         long = long_search(ts, spec, cfg, workers)
         short = short_search(ts, spec, cfg, long.best, workers)
-        start, grids = short.best, short.grids
+        # the short stage's Periodogram hands its engine to the rounds' scan
+        start, grids = short.best, short
     refined = refine(ts, spec, start)
 
     summary = summarize_signals(spec, refined.beta, stats)
@@ -99,6 +100,8 @@ def analyze(ts: TimeSeries, spec: ModelSpec, cfg: SearchConfig | None,
     if opts.n_boot:
         boot = bootstrap(ts, spec, cfg, refined, grids, opts.n_boot,
                          opts.seed, refine_rounds=opts.refine_rounds, workers=workers)
+    if short is not None:
+        short._engine = None
     return DcmAnalysis(
         spec=spec, stats=stats, n=ts.n,
         weighting="chi-square" if ts.weighted else "unweighted",

@@ -30,7 +30,11 @@ rows share its stack.  ``refine`` is the kernel on a stack of one.
 The bootstrap resamples residuals with replacement, rebuilds synthetic
 series y* = g + eps*, re-runs the short search stage on each draw over
 the same candidate frequencies (``scan_rounds``), then fits, polishes
-and summarises the rounds in contiguous blocks of about
+and summarises the rounds.  Given the short stage's ``Periodogram``, as
+``analyze`` gives it, the rounds' scan runs on that stage's engine: its
+columns, Grams and per-tuple guard are reused, so the scan forms only
+the rounds' right-hand sides and certifies no tuple.  The rounds are
+polished and summarised in contiguous blocks of about
 ``_BLOCK_ELEMENTS`` (n x eta) elements, mapped in order over the worker
 threads; a block's summaries are one stacked ``summarize_signals``
 call.  Block composition
@@ -49,7 +53,8 @@ from numpy.random import SeedSequence, default_rng
 
 from . import linfit
 from .errors import ConfigError
-from .gridsearch import SearchConfig, ordered_map, scan_rounds
+from .gridsearch import (SearchConfig, _check_workers, _round_grids, ordered_map,
+                         scan_rounds)
 from .linfit import RowFit, sumsq, unweighted, weighted_design, weighted_y
 from .model import (BetaVector, ModelSpec, interleave, layout, param_names,
                     signal_values, summarize_signals)
@@ -358,9 +363,13 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     cfg : SearchConfig or None
         The searched range, for the LeakingPeriods flag; None only for
         a pure trend (k1 = 0), which has no frequencies to flag.
-    grids : list of ndarray
+    grids : list of array_like, or Periodogram
         The short-stage per-signal candidate frequencies; every round
-        scans exactly these tuples before its own refinement.
+        scans exactly these tuples before its own refinement.  Given the
+        short-stage ``Periodogram`` itself, the rounds' scan reuses that
+        stage's engine (``scan_rounds``).  The smallest first step of a
+        grid of two or more points is the IntersectingFrequencies grid
+        step; with no such grid it is 0, as for a pure trend.
     refine_rounds : bool
         When False, rounds stop at the grid solution (faster, slightly
         narrower spreads).
@@ -375,6 +384,13 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     """
     if n_rounds < 2:
         raise ConfigError("bootstrap needs at least 2 rounds")
+    _check_workers(workers)
+    grid_step = 0.0
+    if spec.k1 > 0:
+        if cfg is None:
+            raise ConfigError("a search range is required when k1 >= 1")
+        steps = [g[1] - g[0] for g in _round_grids(spec, grids) if g.size > 1]
+        grid_step = float(min(steps, default=0.0))
     stats = span_stats(ts)
     g_fit = ts.y - refined.residuals
     y_rounds = _resample_rounds(g_fit, refined.residuals, n_rounds, seed)
@@ -382,10 +398,8 @@ def bootstrap(ts, spec, cfg: SearchConfig | None, refined: RefinedModel, grids,
     names = param_names(spec)
     eta = spec.eta
     if spec.k1 > 0:
-        grid_step = float(min(g[1] - g[0] for g in grids if g.size > 1))
         _, best_tuples = scan_rounds(ts, spec, grids, y_rounds, workers)
     else:
-        grid_step = 0.0
         best_tuples = np.zeros((n_rounds, 0))
 
     def fit_block(rows):

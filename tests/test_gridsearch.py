@@ -546,6 +546,32 @@ def test_blocked_formation_is_within_its_constant(n, f, rounds, h, seed):
     assert np.array_equal(gram, gram.T)
 
 
+@pytest.mark.parametrize("n", [1, 30, 301])
+def test_the_gram_does_not_depend_on_the_right_hand_sides_beside_it(n):
+    # a round scan on a kept engine forms only b and s, over the same row
+    # blocks: G must be the same bits whatever the rounds, and b and s
+    # those a fresh formation gives
+    rng = np.random.default_rng(n)
+    h = 2
+    cols = rng.normal(size=(n, 4 * h + 2))
+    groups = [(0, 2 * h, False), (2 * h, 4 * h, False), (4 * h, 4 * h + 2, True)]
+    yw = rng.normal(size=(6, n))
+    gram_1 = gridsearch._gram(cols, yw[:1], groups, h)
+    gram_6 = gridsearch._gram(cols, yw, groups, h)
+    assert np.array_equal(gram_1[0], gram_6[0])
+    assert gram_1[3] == gram_6[3]
+    rhs, ss = gridsearch._rhs(cols, yw)
+    assert np.array_equal(rhs, gram_6[1]) and np.array_equal(ss, gram_6[2])
+
+    ts, spec, cfg = _stage_case("weighted")
+    sh = short_search(ts, spec, cfg, long_search(ts, spec, cfg).best)
+    y_rounds = weighted_y(ts, rows=ts.y + 0.1 * rng.normal(size=(3, ts.n)))
+    rounds, fresh = sh._engine.rounds(y_rounds), _Blocks(ts, spec, sh.grids, y_rounds)
+    assert rounds.gram is sh._engine.gram
+    for name in ("gram", "rhs", "ss", "delta_form", "rows"):
+        assert np.array_equal(getattr(rounds, name), getattr(fresh, name))
+
+
 def test_formation_constant_counts_the_block_additions(monkeypatch):
     # two-row blocks: the first sums to 1, each later one to 0.75 u,
     # which the running sum 1 rounds away; every sum inside a block is
@@ -1186,3 +1212,207 @@ def test_round_z_does_not_depend_on_the_round_count(rounds):
     assert (z_min == want).all()
     assert (design_solver(ts, spec, f[None]).misfit(
         np.tile(weighted_y(ts), (rounds, 1))[None]) == want).all()
+
+
+# ---------------------------------------------------------------------------
+# the short stage's engine serves the bootstrap rounds
+# ---------------------------------------------------------------------------
+
+@st.composite
+def engine_cases(draw):
+    return dict(k1=draw(st.integers(1, 3)), k2=draw(st.integers(1, 2)),
+                k3=draw(st.integers(-1, 1)), weighted=draw(st.booleans()),
+                rounds=draw(st.integers(1, 5)),
+                centers=draw(st.sampled_from(["near", "harmonic", "apart"])),
+                seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(engine_cases())
+@example(dict(k1=2, k2=2, k3=1, weighted=True, rounds=5, centers="harmonic", seed=1))
+@example(dict(k1=3, k2=1, k3=0, weighted=False, rounds=3, centers="near", seed=2))
+def test_rounds_on_the_short_stage_engine_equal_bare_grids_and_brute_force(case):
+    # short-stage windows around near-coincident centres (f0 (1 + j 1e-3))
+    # or around j f0, so the tuples hold near-duplicate and near-harmonic
+    # frequencies; the rounds scanned through the stage's Periodogram
+    # certify no tuple and give the bits of a fresh engine and of
+    # solve_linear, tuple by tuple
+    rng = np.random.default_rng(case["seed"])
+    k1, n = case["k1"], 40
+    spec = ModelSpec(k1, case["k2"], case["k3"])
+    t = np.sort(rng.uniform(0.0, 10.0, n))
+    f0 = rng.uniform(0.8, 1.2)
+    centers = {"near": f0 * (1.0 + 1e-3 * np.arange(k1)),
+               "harmonic": f0 * np.arange(1.0, k1 + 1.0),
+               "apart": rng.uniform(0.6, 3.6, k1)}[case["centers"]]
+    centers = np.sort(centers)[::-1]
+    y = sum(np.cos(2 * np.pi * f * t + rng.uniform(0, 6)) for f in centers) + 0.5
+    noise = 0.1
+    sigma = noise * rng.uniform(0.5, 2.0, n) if case["weighted"] else None
+    ts = TimeSeries(t, y + noise * rng.normal(size=n), sigma)
+    cfg = SearchConfig(0.5, 4.0, n_short=5, half_width_frac=0.02)
+    sh = short_search(ts, spec, cfg, centers)
+    y_rounds = ts.y + noise * rng.normal(size=(case["rounds"], n))
+
+    certified = []
+
+    def counting(gram):
+        certified.append(gram.shape[-1])
+        return certify(gram)
+
+    certify = gridsearch._certified_floor
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gridsearch, "_certified_floor", counting)
+        z_min, best = scan_rounds(ts, spec, sh, y_rounds)
+    assert certified == []
+    z_bare, best_bare = scan_rounds(ts, spec, list(sh.grids), y_rounds)
+    assert np.array_equal(z_min, z_bare)
+    assert np.array_equal(best, best_bare)
+    for r, y_r in enumerate(y_rounds):
+        series = TimeSeries(ts.t, y_r, ts.sigma)
+        z_want, f_want = brute_force_best(series, spec, sh.grids)
+        assert z_min[r] == z_want
+        assert np.array_equal(best[r], f_want)
+
+
+def test_analyze_certifies_each_tuple_once_and_keeps_no_engine(monkeypatch):
+    # the long and short stages certify each of their tuples once (the
+    # floors read the kept guard), the rounds none; no engine, so neither
+    # C nor G, outlives analyze
+    ts = simulate(SimulationSpec(7, 60, 1e6, seed=3))
+    spec = ModelSpec(2, 2, 2)
+    cfg = SearchConfig.from_periods(*MODELS[7].period_range, n_long=20, n_short=12)
+    scan, certify = gridsearch._scan, gridsearch._certified_floor
+    certified = []
+
+    def counting_scan(*args, **kw):
+        certified.append(0)
+        return scan(*args, **kw)
+
+    def counting_certify(gram):
+        certified[-1] += gram.shape[-1]
+        return certify(gram)
+
+    monkeypatch.setattr(gridsearch, "_scan", counting_scan)
+    monkeypatch.setattr(gridsearch, "_certified_floor", counting_certify)
+    a = analyze(ts, spec, cfg, AnalysisOptions(n_boot=3, seed=1))
+    assert a.boot.n_ok == 3
+    assert certified == [a.long.combinations, a.short.combinations, 0]
+    assert a.long._engine is None and a.short._engine is None
+    b = analyze(ts, spec, cfg, AnalysisOptions(n_boot=0))
+    assert b.long._engine is None and b.short._engine is None
+
+
+def _hazard_short_stage():
+    # model 7 g(2,2,2) at SN = 1e6: guarded and unguarded tuples side by side
+    ts = simulate(SimulationSpec(7, 40, 1e6, seed=22))
+    spec = ModelSpec(2, 2, 2)
+    cfg = SearchConfig.from_periods(0.4, 3.6, n_long=20, n_short=12)
+    return ts, spec, short_search(ts, spec, cfg, long_search(ts, spec, cfg).best)
+
+
+def test_the_kept_guard_is_each_tuples_own():
+    ts, spec, sh = _hazard_short_stage()
+    tuples = np.concatenate(list(_product_chunks(sh.grids, 4096)))
+    rng = np.random.default_rng(5)
+    yw = weighted_y(ts, rows=ts.y + ts.sigma * rng.normal(size=(3, ts.n)))
+    fresh = _Blocks(ts, spec, sh.grids, yw)
+    want = fresh._fit(tuples)[4]
+    assert 0 < want[0].sum() < len(tuples)
+    engine = sh._engine
+    for kept, own in zip(engine.guard, want):
+        assert np.array_equal(kept, own, equal_nan=True)
+
+    # a round scan's screen and state read each tuple's own guard, in
+    # the rounds' own chunks and in any order
+    rounds = engine.rounds(yw)
+    assert rounds.rows != engine.rows
+    z_lo = np.concatenate([rounds.screen(chunk, at)[0] for at, chunk in zip(
+        itertools.count(0, rounds.rows), _product_chunks(sh.grids, rounds.rows))])
+    assert np.array_equal(np.isinf(z_lo), np.isinf(fresh.screen(tuples)[0]))
+    open_ = rng.permutation(np.flatnonzero(np.isfinite(z_lo[:, 0])))
+    state = rounds.state(tuples[open_], open_)
+    assert np.array_equal(state[:, -2:], fresh.state(tuples[open_])[:, -2:])
+
+
+def test_a_failed_factorisation_of_the_rounds_gram_is_guarded():
+    ts = two_sine_series()
+    spec = ModelSpec(2, 1, 0)
+    grids = [np.linspace(6.0, 6.5, 5), np.linspace(5.7, 6.1, 5)]
+    yw = weighted_y(ts)[None]
+    engine = _Blocks(ts, spec, grids, yw)
+    tuples = np.concatenate(list(_product_chunks(grids, 4096)))
+    engine.screen(tuples, 0)
+    engine.keep_guard()
+    assert engine.guard[0].all()
+    # a Gram the kept guard passes whose [G | b] has a negative pivot
+    rounds = engine.rounds(yw)
+    rounds.gram = rounds.gram.copy()
+    col = rounds.columns(tuples[:1])[0, 0]
+    rounds.gram[col, col] = -1.0
+    hit = (rounds.columns(tuples) == col).any(axis=1)
+    assert 0 < hit.sum() < len(tuples)
+    ok, rss = rounds._fit(tuples, engine.guard)[:2]
+    assert np.array_equal(ok, ~hit)
+    assert rss.shape == (1, (~hit).sum())
+    z_lo, z_hi = rounds.screen(tuples, 0)
+    assert np.isneginf(z_lo[hit]).all() and np.isposinf(z_hi[hit]).all()
+    assert np.isfinite(z_lo[~hit]).all()
+
+
+def test_an_engine_serves_only_its_own_series_spec_and_grids():
+    ts, spec, cfg = _stage_case("weighted")
+    sh = short_search(ts, spec, cfg, long_search(ts, spec, cfg).best)
+    engine = sh._engine
+    assert engine.serves(ts, spec, sh.grids)
+    assert not engine.serves(TimeSeries(ts.t, ts.y), spec, sh.grids)
+    assert not engine.serves(TimeSeries(ts.t + 0.5, ts.y, ts.sigma), spec, sh.grids)
+    assert not engine.serves(ts, ModelSpec(2, 2, 0), sh.grids)
+    assert not engine.serves(ts, spec, [g.copy() for g in sh.grids])
+    # the Periodogram of one series, given with another: a fresh engine
+    rng = np.random.default_rng(2)
+    other = TimeSeries(np.sort(rng.random(ts.n)), ts.y, ts.sigma)
+    y_rounds = other.y + 0.1 * rng.normal(size=(2, ts.n))
+    z_min, best = scan_rounds(other, spec, sh, y_rounds)
+    for r, y in enumerate(y_rounds):
+        z_want, f_want = brute_force_best(TimeSeries(other.t, y, other.sigma), spec,
+                                          sh.grids)
+        assert z_min[r] == z_want
+        assert np.array_equal(best[r], f_want)
+
+
+@pytest.mark.parametrize("bad", ["nan-round", "inf-round", "nan-grid", "2-d-grid"])
+def test_scan_rounds_rejects_non_finite_or_malformed_input(bad):
+    # a NaN round used to return z = NaN with RuntimeWarnings, a NaN grid
+    # value to raise "SVD did not converge"
+    ts = two_sine_series()
+    grids = [np.linspace(5.5, 7.0, 4), np.linspace(5.0, 6.5, 4)]
+    y_rounds = np.tile(ts.y, (2, 1))
+    if bad.endswith("round"):
+        y_rounds[1, 3] = np.nan if bad == "nan-round" else np.inf
+    elif bad == "nan-grid":
+        grids[1] = grids[1].copy()
+        grids[1][2] = np.nan
+    else:
+        grids[0] = grids[0][None]
+    match = "y_rounds" if bad.endswith("round") else "grid"
+    with pytest.raises(ConfigError, match=match):
+        scan_rounds(ts, ModelSpec(2, 1, 0), grids, y_rounds)
+
+
+def test_scan_rounds_takes_grids_as_lists():
+    # lists used to raise a bare TypeError
+    ts = two_sine_series(n=20, seed=8)
+    spec = ModelSpec(2, 1, 0)
+    grid = np.linspace(4.0, 8.0, 12)
+    y_rounds = ts.y + np.random.default_rng(6).normal(0, 0.1, (3, ts.n))
+    cases = [([grid, grid], [grid.tolist(), grid.tolist()]),
+             ([grid, grid], [grid.tolist()] * 2),
+             ([np.arange(4.0, 9.0), grid], [list(range(4, 9)), grid])]
+    for arrays, lists in cases:
+        want, got = (scan_rounds(ts, spec, g, y_rounds) for g in (arrays, lists))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+    # float arrays are used as given, so a shared grid stays shared
+    out = gridsearch._round_grids(spec, [grid, grid])
+    assert out[0] is grid and out[1] is grid

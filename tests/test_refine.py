@@ -228,6 +228,41 @@ def test_bootstrap_requires_two_rounds():
         run_bootstrap(ts, ModelSpec(1, 1, 0), cfg, n_rounds=1, seed=0)
 
 
+@pytest.mark.parametrize("cfg,grids,match", [
+    # used to raise AttributeError on cfg.f_min after every round had run
+    pytest.param(None, [np.linspace(1.3, 1.5, 21)], "search range", id="no-range"),
+    # used to raise a bare "min() arg is an empty sequence"
+    pytest.param(SearchConfig(0.8, 2.5), [], "one grid per signal", id="no-grid"),
+    pytest.param(SearchConfig(0.8, 2.5), [np.array([1.3, np.nan])], "finite",
+                 id="nan-grid"),
+    pytest.param(SearchConfig(0.8, 2.5), [np.linspace(1.3, 1.5, 21)] * 2,
+                 "one grid per signal", id="two-grids"),
+])
+def test_bootstrap_checks_its_inputs_before_any_round(monkeypatch, cfg, grids, match):
+    ts = sine_series(seed=12)
+    spec = ModelSpec(1, 1, 0)
+    refined = refine(ts, spec, [1.4])
+    monkeypatch.setattr(importlib.import_module("dcmethod.refine"), "_resample_rounds",
+                        lambda *a: pytest.fail("a round was drawn"))
+    with pytest.raises(ConfigError, match=match):
+        bootstrap(ts, spec, cfg, refined, grids, 4, 0)
+
+
+def test_bootstrap_on_one_point_grids_has_no_grid_step():
+    # no grid with two points: the IntersectingFrequencies step is 0, as
+    # for a pure trend, where it used to be min() of an empty sequence
+    ts = sine_series(seed=13)
+    spec = ModelSpec(1, 1, 0)
+    refined = refine(ts, spec, [1.4])
+    rep = bootstrap(ts, spec, SearchConfig(0.8, 2.5), refined, [np.array([1.4])], 4, 0)
+    assert rep.grid_step == 0.0
+    assert rep.n_ok == 4
+    two = bootstrap(ts, ModelSpec(2, 1, 0), SearchConfig(0.8, 2.5),
+                    refine(ts, ModelSpec(2, 1, 0), [1.4, 0.9]),
+                    [np.array([1.4]), np.array([0.9, 0.95])], 4, 0)
+    assert two.grid_step == pytest.approx(0.05)
+
+
 # ---------------------------------------------------------------------------
 # instability flags, each triggered in isolation
 # ---------------------------------------------------------------------------

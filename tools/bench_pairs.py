@@ -13,10 +13,11 @@ direction BENCHMARK.json gives) and whether the gain rule holds: wins
 in at least nine tenths of the pairs and a median gap wider than the
 parent's interquartile range.  It also holds, per scan stage on each
 side, the tuples sent to the exact kernel, the (tuple, round) pairs the
-kernel fitted for them and the pairs the explicit-residual floor
-examined (0 on a checkout without that pass), counted in-process at the
-first seed with `--workers 1`, and the machine: nproc, Python, NumPy,
-the BLAS and the thread pins bench/run.py sets.
+kernel fitted for them, the pairs the explicit-residual floor examined
+(0 on a checkout without that pass) and the tuples whose guard the scan
+computed, counted in-process at the first seed with `--workers 1`, and
+the machine: nproc, Python, NumPy, the BLAS and the thread pins
+bench/run.py sets.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from pathlib import Path
 
 # Run inside a checkout: per stage of one `dcm run --workers 1` per
 # workload, stages in call order, the tuples the scans sent to the exact
-# kernel, the (tuple, round) pairs it fitted and the pairs the
-# explicit-residual floor (`_Blocks.floor`) examined.  The wrappers
-# forward whatever they are given; a `rescore` call without a pair mask
-# fits every round.  A checkout without `_Blocks.floor` reads 0 floor
-# pairs.
+# kernel, the (tuple, round) pairs it fitted, the pairs the
+# explicit-residual floor (`_Blocks.floor`) examined and the tuples whose
+# guard the scan computed (`_certified_floor`, the guard's certificate).
+# The wrappers forward whatever they are given; a `rescore` call without
+# a pair mask fits every round.  A checkout without `_Blocks.floor` reads
+# 0 floor pairs, one without `_certified_floor` None certified tuples.
 COUNT = r"""
 import json, pathlib, sys, tempfile
 root = pathlib.Path.cwd()
@@ -47,10 +49,12 @@ from dcmethod import gridsearch
 
 scan, rescore = gridsearch._scan, gridsearch._Blocks.rescore
 floor = getattr(gridsearch._Blocks, "floor", None)
+certify = getattr(gridsearch, "_certified_floor", None)
 counts = []
 
 def counting_scan(*args, **kw):
-    counts.append({"tuples": 0, "pairs": 0, "floor_pairs": 0})
+    counts.append({"tuples": 0, "pairs": 0, "floor_pairs": 0,
+                   "certified": 0 if certify else None})
     return scan(*args, **kw)
 
 def counting_rescore(blocks, tuples, *args, **kw):
@@ -64,9 +68,15 @@ def counting_floor(blocks, tuples, need, *args, **kw):
     counts[-1]["floor_pairs"] += int(need.sum())
     return floor(blocks, tuples, need, *args, **kw)
 
+def counting_certify(gram, *args, **kw):
+    counts[-1]["certified"] += gram.shape[-1]
+    return certify(gram, *args, **kw)
+
 gridsearch._scan, gridsearch._Blocks.rescore = counting_scan, counting_rescore
 if floor is not None:
     gridsearch._Blocks.floor = counting_floor
+if certify is not None:
+    gridsearch._certified_floor = counting_certify
 out = {}
 for name, wl in bench.WORKLOADS.items():
     with tempfile.TemporaryDirectory() as tmp:
