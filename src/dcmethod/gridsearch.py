@@ -46,7 +46,9 @@ multi-term form of the generalised Lomb-Scargle normal equations):
 
     x = G^-1 b,    rss = s - 2 b^T x + x^T G x,    s = y_w^T y_w,
 
-with x from a Cholesky factor G = R^T R.  For any x the formula equals
+with x by back-substitution from one floating-point Cholesky
+factorisation of [G | b] per tuple and scan, which leaves R, G = R^T R,
+with R^-T b beside it (Guard).  For any x the formula equals
 ||y_w - A x||^2 = rss* + ||A (x - x*)||^2, with x* the exact least
 squares solution, so it is second order in the solve error.
 
@@ -80,16 +82,20 @@ definite, so
 
     lam_min(G) > t - rho,    rho = gamma_(2m+3) tr(G).
 
-The screen factors G once, estimates lam_s = 0.95 / trace(G^-1) = 0.95
-/ ||R^-T||_F^2 from that factor (in exact arithmetic 1 / trace(G^-1)
-lies between lam_min / m and lam_min, and is close to lam_min when one
-eigenvalue is far below the others, as in a near-singular tuple), and
-factors M at t = lam_s + 2 rho; the second rho covers the rounding of
-rho and t, since lam_s <= tr(G).  If that factorisation completes,
-lam_min(G) > lam_s is certified, however wrong the estimate was.  By
-Weyl and the formation bound, no eigenvalue of the exact Gram is more
-than delta_f a^2 below the computed one's (no eigensolver error
-enters), so lam_lo = lam_s - delta_f a^2 <= lam_min of the exact Gram.
+On the engine's first scan an identity rides along in the tuple's one
+factorisation, [G | b | I], which leaves R^-T beside R^-T b; the
+Cholesky runs column by column and elementwise, so R, R^-T b and R^-T
+are each the bits they would be alone.  The screen estimates lam_s =
+0.95 / trace(G^-1) = 0.95 / ||R^-T||_F^2 from that factor (in exact
+arithmetic 1 / trace(G^-1) lies between lam_min / m and lam_min, and is
+close to lam_min when one eigenvalue is far below the others, as in a
+near-singular tuple), and factors M at t = lam_s + 2 rho; the second
+rho covers the rounding of rho and t, since lam_s <= tr(G).  If that
+factorisation completes, lam_min(G) > lam_s is certified, however wrong
+the estimate was.  By Weyl and the formation bound, no eigenvalue of the
+exact Gram is more than delta_f a^2 below the computed one's (no
+eigensolver error enters), so lam_lo = lam_s - delta_f a^2 <= lam_min
+of the exact Gram.
 A tuple goes to the exact kernel unless both factorisations complete,
 lam_lo > 0 and
 
@@ -112,10 +118,12 @@ the data: the rounds on the series' own times and weights share all
 three with the scan that certified it.  So each tuple is certified
 once per engine, in the engine's first scan, which keeps (ok, lam_lo,
 a^2) per tuple in enumeration order; the floors of that scan and every
-later scan of the engine read it back.  A later scan factors each
-passing tuple's [G | b] once, R^T R = G with R^-T b alongside, and takes
-x by back-substitution: the Bound below holds for any x.  A tuple whose
-[G | b] factorisation fails is guarded.
+later scan of the engine read it back.  A later scan factors only the
+passing tuples' [G | b], with no identity beside it, and a tuple whose
+factorisation fails is guarded.  Either way x comes from the same
+factorisation of [G | b] by the same back-substitution, so a tuple's
+screened values are the same in every scan of the engine on the same
+data rows; the Bound below holds for any x.
 
 Bound
 -----
@@ -166,8 +174,9 @@ to the columns of A, so
 
     rss* = ||r_t||^2 - g_t^T (A^T A)^-1 g_t >= ||r_t||^2 - ||g_t||^2 / lam_lo.
 
-The floor takes the screen's x and nu and the tuple's columns gathered
-from C, forms r = fl(y - A x) and g = fl(A^T r), and their computed
+The floor's x and nu are the screen's own: it screens its tuples
+again, on their kept guard, and with the tuple's columns gathered from
+C forms r = fl(y - A x) and g = fl(A^T r), and their computed
 norms rho_r and rho_g (Higham 2002, ch. 3; ||y|| taken as sqrt(s)):
 
 1. |r - r_t| <= gamma_(m+1) (|y| + |A| |x|) componentwise, so
@@ -210,33 +219,28 @@ z_hi, ties to the lexicographically smallest tuple), a survivor; the
 exact kernel fits it against round r, each distinct incumbent factored
 once, and its z is Z_inc <= Z_r.  Every other unguarded pair with z_lo
 <= Z_inc is examined: the pair goes on only if its z floor (Floor) is
-<= Z_inc as well.  The examined tuples are screened once more, on their
-kept guard and [G | b] (Guard), for the x, nu, D, a and lam_lo the
-floor reads, before the right-hand sides are freed; keeping those for
-every screened tuple instead would hold R (m + 2) + 2 values per tuple
-through the screen, against the guard's three.  Guarded tuples go on
-against every round.  Each survivor's weighted design matrix is gathered from C
-into a C-contiguous (B, n, m) array, the layout ``design_matrix``
-returns (the matmul bits depend on it), so it equals
-``weighted_design(...)`` bit for bit, and ``BatchSolver`` factors it
-once.  A survivor every round needs is fitted against all rounds by
-``misfit``; the pairs of the others are fitted through
-``BatchSolver.take``, which gathers each pair's factors in the same
-layout, and ``misfit`` on one data row per pair.  Either way
-``residuals`` fits each right-hand side as its own column, so each
-exact z is ``solve_linear``'s for that tuple and series, whatever
-chunk, pair batch or round block it is in.  A pair left out has an
-exact z above one of its floors, and that floor above Z_inc >= the
-round's exact minimum: strictly above it, so it enters the selection as
-+inf and can neither win nor tie.  Exclusion is strict, so a pair whose
-floor equals Z_inc still reaches the kernel.  One rule, ``_lex_argmin``
-(lowest exact z, ties to the lexicographically smallest tuple), picks
-each round's winner inside every exact chunk and once more over the
-incumbents and the chunk winners, so the scan yields the same z_min,
-best tuple and degenerate flag as an exact scan of every tuple, bit for
-bit; no incumbent is fitted twice.  Unguarded tuples are never rank
-deficient, and every survivor is still factored, so the degenerate flag
-only needs the guarded ones.
+<= Z_inc as well.  Guarded tuples go on against every round.  Each
+survivor's weighted design matrix is gathered from C into a
+C-contiguous (B, n, m) array, the layout ``design_matrix`` returns (the
+matmul bits depend on it), so it equals ``weighted_design(...)`` bit
+for bit, and ``BatchSolver`` factors it once.  A survivor every round
+needs is fitted against all rounds by ``misfit``; the pairs of the
+others are fitted through ``BatchSolver.take``, which gathers each
+pair's factors in the same layout, and ``misfit`` on one data row per
+pair.  Either way ``residuals`` fits each right-hand side as its own
+column, so each exact z is ``solve_linear``'s for that tuple and
+series, whatever chunk, pair batch or round block it is in.  A pair left
+out has an exact z above one of its floors, and that floor above Z_inc
+>= the round's exact minimum: strictly above it, so it enters the
+selection as +inf and can neither win nor tie.  Exclusion is strict, so
+a pair whose floor equals Z_inc still reaches the kernel.  One rule,
+``_lex_argmin`` (lowest exact z, ties to the lexicographically smallest
+tuple), picks each round's winner inside every exact chunk and once
+more over the incumbents and the chunk winners, so the scan yields the
+same z_min, best tuple and degenerate flag as an exact scan of every
+tuple, bit for bit; no incumbent is fitted twice.  Unguarded tuples are
+never rank deficient, and every survivor is still factored, so the
+degenerate flag only needs the guarded ones.
 
 A slice point is a tuple over the stage's grids too (the varied
 frequency is on its axis's grid, the others are the best tuple's), so
@@ -254,9 +258,10 @@ are short NumPy calls on chunk-sized vectors, each of which releases
 and retakes the interpreter lock, so threads running them mostly wait
 for one another (two threads took longer than one).  The floors, the
 exact re-score and the slices, whose gathers, products and SVDs run
-long without the lock, run their chunks through one ``ordered_map``.
-Each pair's floor is computed from that pair alone, as an (n, m) by
-(m, 1) product, so it too does not depend on its chunk.  The set of
+long without the lock, run their chunks through one ``ordered_map``.  A
+floor job screens its tuples again, in a batch no larger than a screen
+chunk, and computes each pair's floor from that pair alone, as an (n,
+m) by (m, 1) product, so it too does not depend on its chunk.  The set of
 re-scored pairs is fixed by the final Z_r, the incumbents' exact z and
 each pair's own values, results are merged with exact comparisons, and
 a pair's z does not depend on the chunk it is in, so output is
@@ -524,37 +529,12 @@ def _cholesky(a: np.ndarray, tail: int = 0) -> np.ndarray:
     return (a[np.arange(m), np.arange(m)] > 0.0).all(axis=0)
 
 
-def _certified_floor(gram: np.ndarray):
-    """Per tuple of an (m, m, B) stack of Grams: whether lam_min(G) >
-    lam_s is certified, lam_s = 0.95 / trace(G^-1) estimated from the
-    Cholesky factor G = R^T R, and R^-T, (m, m, B)."""
-    m, rows = gram.shape[1:]
-    aug = np.zeros((m, 2 * m, rows))
-    aug[:, :m] = gram
-    aug[np.arange(m), m + np.arange(m)] = 1.0
-    ok = _cholesky(aug, tail=m)
-    inv = aug[:, m:]
+def _certified_floor(gram: np.ndarray, inv: np.ndarray):
+    """Per tuple of an (m, m, B) stack of Grams and of their R^-T, (m, m,
+    B), from the Cholesky factor G = R^T R: whether lam_min(G) > lam_s is
+    certified, and lam_s = 0.95 / trace(G^-1) = 0.95 / ||R^-T||_F^2."""
     lam = _LAM_FRACTION / _sum0(_sum0(inv * inv))
-    return ok & _certify(gram, lam), lam, inv
-
-
-def _cholesky_solve(gram: np.ndarray, b: np.ndarray):
-    """x = G^-1 b per tuple of an (m, m, B) stack of Grams and (m, R, B)
-    right-hand sides: one Cholesky of [G | b], which leaves R^-T b in its
-    last R columns, then back-substitution.  Returns whether each
-    factorisation completed and x of the tuples where it did,
-    (m, R, ok.sum())."""
-    m = gram.shape[0]
-    aug = np.concatenate([gram, b], axis=1)
-    ok = _cholesky(aug)
-    if not ok.all():
-        aug = aug[..., ok]
-    x = aug[:, m:].copy()
-    for i in range(m - 1, -1, -1):
-        for j in range(i + 1, m):
-            x[i] -= aug[i, j] * x[j]
-        x[i] /= aug[i, i]
-    return ok, x
+    return _certify(gram, lam), lam
 
 
 def _passing(ok: np.ndarray, *arrays):
@@ -654,11 +634,6 @@ class _Blocks:
             self.guard = tuple(np.concatenate(v) for v in zip(*self._screened))
         self._screened = []
 
-    def drop_screen(self):
-        """Free the right-hand sides; C, G and the guard stay for the
-        floors, the exact pass and the engine's later scans."""
-        self.rhs = None
-
     def columns(self, tuples: np.ndarray) -> np.ndarray:
         """Column indices into C of each tuple's design matrix, (B, m)."""
         h = self._harm.size
@@ -719,59 +694,60 @@ class _Blocks:
         pick = _lex_argmin(z, tuples)
         return z[pick, np.arange(self.n_rhs)], tuples[pick], degenerate
 
-    def score(self, tuples: np.ndarray):
-        """Screen a tuple chunk.
-
-        Returns
-        -------
-        ok : ndarray of bool, shape (B,)
-            False where the guard sends the tuple to the exact kernel.
-        rss, bound : ndarray, shape (ok.sum(), R)
-            Screened residual sum of squares of the passing tuples and
-            the bound on its distance to the exact kernel's value.
-        """
-        ok, rss, bound, _, _ = self._fit(tuples)
-        return ok, rss.T, bound.T
-
     def _fit(self, tuples: np.ndarray, guard=None):
-        """The screen of a tuple chunk: ok (B,) as ``score`` returns it,
-        the passing tuples' rss and bound, (R, ok.sum()) each, what
-        ``floor`` reads of them: the Cholesky solution x (m, R, ok.sum()),
-        nu and the kernel's residual rounding D, (R, ok.sum()) each, a
-        and lam_lo, (ok.sum(),) each; and the chunk's guard, (ok, lam_lo,
-        a^2), (B,) each.
+        """The screen of a tuple chunk.
 
-        Without ``guard`` the guard is computed (module docstring, Guard)
-        and x taken from the certificate's R^-T.  With the chunk's kept
-        guard, no tuple is certified: each passing tuple's [G | b] is
-        factored once for x, and a tuple whose factorisation fails is
+        Returns ok (B,), False where the guard sends the tuple to the
+        exact kernel; the passing tuples' screened rss and its bound
+        (R, ok.sum()) each; what ``floor`` reads of them: the solution x
+        (m, R, ok.sum()), nu and the kernel's residual rounding D, (R,
+        ok.sum()) each, a and lam_lo, (ok.sum(),) each; and the chunk's
+        guard, (ok, lam_lo, a^2), (B,) each.
+
+        Each tuple's [G | b] is factored once and x taken by
+        back-substitution.  Without ``guard`` an identity rides along,
+        and its R^-T certifies the guard (module docstring, Guard).  With
+        the chunk's kept guard no tuple is certified, only the passing
+        ones are factored, and a tuple whose factorisation fails is
         guarded."""
         # Tuples run along the last axis: every step is elementwise over
         # contiguous rows or a row-by-row sum, so each tuple's bits are
         # its own, whatever chunk it is in.
         d, df = self.delta, self.delta_form
         idx = self.columns(tuples).T
-        m = idx.shape[0]
+        m, rounds = idx.shape[0], self.n_rhs
         diag = (np.arange(m), np.arange(m))
         gram = self.gram.take(idx[:, None] * self.gram.shape[0] + idx[None, :])
         b = self.rhs[idx].transpose(0, 2, 1)
-        if guard is None:
-            ok, lam_s, inv = _certified_floor(gram)
-            a2 = _sum0(gram[diag]) * (1.0 + 2.0 * df)
-            lam_lo = lam_s - df * a2
-            ok &= (lam_lo > 0.0) & (8.0 * d * a2 <= lam_lo)
-            guard = ok, lam_lo, a2
-            gram, b, inv, a2, lam_lo = _passing(ok, gram, b, inv, a2, lam_lo)
-            # x = G^-1 b = R^-1 R^-T b, with inv = R^-T lower triangular
-            low_b = _sum0(inv[:, k, None] * b[k] for k in range(m))
-            x = _sum0(inv[i, :, None] * low_b[i] for i in range(m))
-        else:
+        tail = m if guard is None else 0
+        if guard is not None:
             ok, lam_lo, a2 = guard
             gram, b, a2, lam_lo = _passing(ok, gram, b, a2, lam_lo)
-            solved, x = _cholesky_solve(gram, b)
-            gram, b, a2, lam_lo = _passing(solved, gram, b, a2, lam_lo)
+        aug = np.zeros((m, m + rounds + tail, gram.shape[-1]))
+        aug[:, :m], aug[:, m:m + rounds] = gram, b
+        if tail:
+            aug[diag[0], m + rounds + diag[1]] = 1.0
+        solved = _cholesky(aug, tail)
+        if guard is None:
+            certified, lam_s = _certified_floor(gram, aug[:, m + rounds:])
+            a2 = _sum0(gram[diag]) * (1.0 + 2.0 * df)
+            lam_lo = lam_s - df * a2
+            ok = solved & certified & (lam_lo > 0.0) & (8.0 * d * a2 <= lam_lo)
+            keep, guard = ok, (ok, lam_lo, a2)
+        else:
+            keep = solved
             ok = ok.copy()
             ok[ok] = solved
+        aug, gram, b, a2, lam_lo = _passing(keep, aug[:, :m + rounds], gram, b, a2,
+                                            lam_lo)
+        # R x = R^-T b, bottom row first; row i subtracts its terms in
+        # column order
+        x = aug[:, m:].copy()
+        for i in range(m - 1, -1, -1):
+            xi = x[i]
+            for term in aug[i, i + 1:m, None] * x[i + 1:]:
+                xi -= term
+            xi /= aug[i, i]
         gx = _sum0(gram[:, j, None] * x[j] for j in range(m))
         rss = self.ss[:, None] - 2.0 * _sum0(b * x) + _sum0(x * gx)
         ghat = b - gx
@@ -819,42 +795,28 @@ class _Blocks:
         z_lo[rows], z_hi[rows] = lo[:, finite].T, hi[:, finite].T
         return z_lo, z_hi
 
-    def state(self, tuples: np.ndarray, index=None) -> np.ndarray:
-        """The screen state of tuples that ``screen`` brackets, the
-        values ``floor`` reads, (B, R (m + 2) + 2): the Cholesky solution
-        x of every round (round r's in columns r m to r m + m - 1), nu
-        and the kernel's residual rounding D of every round, then a and
-        lam_lo.  The tuples are screened again, in the screen's chunks.
-        Given their positions ``index`` in the enumeration whose guard
-        the engine keeps, they read it instead of being certified again;
-        their x then comes from [G | b], not from the certificate.
-        """
-        rows = [np.empty((0, (self.m + 2) * self.n_rhs + 2))]
-        for start in range(0, tuples.shape[0], self.rows):
-            at = slice(start, start + self.rows)
-            chunk = tuples[at]
-            guard = None if index is None else tuple(v[index[at]] for v in self.guard)
-            _, _, _, (x, nu, dm, a, lam_lo), _ = self._fit(chunk, guard)
-            x = x.transpose(1, 0, 2).reshape(-1, chunk.shape[0])
-            rows.append(np.concatenate([x, nu, dm, a[None], lam_lo[None]]).T)
-        return np.concatenate(rows)
-
-    def floor(self, tuples: np.ndarray, need: np.ndarray, state: np.ndarray):
+    def floor(self, tuples: np.ndarray, need: np.ndarray, index=None):
         """Explicit-residual floors of the (tuple, round) pairs ``need``
-        (B, R) marks, for bracketed tuples and their screen ``state``.
+        (B, R) marks, for tuples the screen brackets.
 
-        Each marked pair forms r = y_w - A x and g = A^T r from the
-        screen's x and the tuple's columns, each pair alone as an (n, m)
-        by (m, 1) product, ``_EXACT_TARGET // (n (m + 1))`` pairs per
-        step.  The columns are taken from C in one gather, (n, pairs, m),
-        and read through a transposed view: several times faster than
-        ``design``'s C-contiguous copy, whose layout only the SVD's bits
-        need.  Returns (B, R) arrays: low, a floor under the pair's least
-        squares minimum rss* (module docstring, Floor), and the kernel's
-        residual rounding D (Bound, term 4).  Unmarked pairs read -inf
-        and 0.
+        The tuples are screened again for the x, nu, D, a and lam_lo the
+        screen bracketed them with: on the guard the engine keeps for
+        their positions ``index`` in its enumeration, or, without
+        ``index``, certified afresh.  Each marked pair forms r = y_w - A x
+        and g = A^T r from the screen's x and the tuple's columns, each
+        pair alone as an (n, m) by (m, 1) product, ``_EXACT_TARGET // (n
+        (m + 1))`` pairs per step.  The columns are taken from C in one
+        gather, (n, pairs, m), and read through a transposed view: several
+        times faster than ``design``'s C-contiguous copy, whose layout
+        only the SVD's bits need.  Returns (B, R) arrays: low, a floor
+        under the pair's least squares minimum rss* (module docstring,
+        Floor), and the kernel's residual rounding D (Bound, term 4).
+        Unmarked pairs read -inf and 0.
         """
-        m, rounds = self.m, self.n_rhs
+        guard = None if index is None else tuple(v[index] for v in self.guard)
+        _, _, _, (x, nu, dm_s, a, lam_lo), _ = self._fit(tuples, guard)
+        x = x.transpose(2, 1, 0).copy()
+        m = self.m
         low, dm = np.full(need.shape, -np.inf), np.zeros(need.shape)
         d, gm, gn = self.delta, self.delta_m, _gamma(self.n)
         y_norm = np.sqrt(self.ss)
@@ -863,15 +825,14 @@ class _Blocks:
         for p0 in range(0, pair.size, step):
             p, r = pair[p0:p0 + step], rnd[p0:p0 + step]
             a_p = self.cols.take(self.columns(tuples[p]), axis=1).transpose(1, 0, 2)
-            x = state[p[:, None], r[:, None] * m + np.arange(m), None]
-            resid = self.yw[r][..., None] - np.matmul(a_p, x)
+            resid = self.yw[r][..., None] - np.matmul(a_p, x[p, r].reshape(-1, m, 1))
             g = np.matmul(a_p.transpose(0, 2, 1), resid)
             rho_r, rho_g = np.sqrt(sumsq(resid[..., 0])), np.sqrt(sumsq(g[..., 0]))
-            eps_r = gm * (y_norm[r] + state[p, rounds * m + r])
+            eps_r = gm * (y_norm[r] + nu[r, p])
             r_lo = np.maximum((1.0 - d) * rho_r - 2.0 * eps_r, 0.0)
-            g_hi = (1.0 + d) * rho_g + 2.0 * state[p, -2] * (gn * rho_r + eps_r)
-            low[p, r] = (1.0 - d) * r_lo * r_lo - 2.0 * g_hi * g_hi / state[p, -1]
-            dm[p, r] = state[p, rounds * (m + 1) + r]
+            g_hi = (1.0 + d) * rho_g + 2.0 * a[p] * (gn * rho_r + eps_r)
+            low[p, r] = (1.0 - d) * r_lo * r_lo - 2.0 * g_hi * g_hi / lam_lo[p]
+            dm[p, r] = dm_s[r, p]
         return low, dm
 
     def z_floor(self, low: np.ndarray, dm: np.ndarray) -> np.ndarray:
@@ -979,10 +940,11 @@ def _scan(ts, spec, grids, y_rounds, workers, engine=None):
         guarded = np.isinf(z_hi[:, :1])
         need &= ~own & (guarded | (z_lo <= z_inc))
         open_ = np.flatnonzero(~guarded[:, 0] & need.any(axis=1))
-    state = blocks.state(survivors[open_], index[open_])
-    blocks.drop_screen()  # before the floors and the exact pass allocate
     if open_.size:
-        jobs = zip(*(_batches(v, rows) for v in (survivors[open_], need[open_], state)))
+        # a floor job screens its tuples again, so no batch exceeds a
+        # screen chunk
+        jobs = zip(*(_batches(v, min(rows, blocks.rows))
+                     for v in (survivors[open_], need[open_], index[open_])))
         floors = ordered_map(lambda job: blocks.z_floor(*blocks.floor(*job)), jobs, workers)
         need[open_] &= ~(np.concatenate(list(floors)) > z_inc)
     keep = need.any(axis=1)
@@ -1009,11 +971,12 @@ def periodogram_slice(ts, spec, freqs, axis, grid):
     Points where the varied frequency duplicates a fixed one are
     evaluated through the same rank-truncated solve as everywhere else.
     The search stages compute their slices inside the scan engine, from
-    its columns, to the same bits.
+    its columns, to the same bits.  ``freqs`` and ``grid`` must each be
+    a 1-d array of finite frequencies (ConfigError).
     """
     if not 0 <= axis < spec.k1:
         raise ConfigError(f"axis {axis} is not a signal axis 0..{spec.k1 - 1}")
-    tuples = _cut(np.asarray(freqs, dtype=float), axis, np.asarray(grid, dtype=float))
+    tuples = _cut(_frequencies(freqs, "freqs"), axis, _frequencies(grid, "grid"))
     z = [evaluate_z(ts, spec, c)[0]
          for c in _batches(tuples, _chunk_rows(ts.n, spec.n_linear, _EXACT_TARGET))]
     return np.concatenate(z) if z else np.empty(0)
@@ -1088,23 +1051,38 @@ def short_search(ts, spec, cfg: SearchConfig, centers, workers=1):
 
     Raises
     ------
+    ConfigError
+        If ``centers`` is not k1 finite frequencies in [f_min, f_max].
     UnstableSearchError
         If no strictly descending tuple exists across the windows.
     """
     centers = np.asarray(centers, dtype=float)
     if centers.shape != (spec.k1,):
         raise ConfigError(f"expected {spec.k1} window centers")
+    # NaN fails both comparisons
+    if not ((cfg.f_min <= centers) & (centers <= cfg.f_max)).all():
+        raise ConfigError(f"window centers must lie in [f_min, f_max] = "
+                          f"[{cfg.f_min!r}, {cfg.f_max!r}], got {centers.tolist()}")
     a = cfg.window_half_width
     grids = [np.linspace(max(cfg.f_min, mid - a), min(cfg.f_max, mid + a), cfg.n_short)
              for mid in centers]
     return _stage("short", ts, spec, grids, workers)
 
 
+def _frequencies(values, what: str) -> np.ndarray:
+    """``values`` as a 1-d float array of finite frequencies (an array
+    that already is one is kept as it is); ConfigError naming ``what``
+    for anything else."""
+    out = np.asarray(values, dtype=float)
+    if out.ndim != 1 or not np.isfinite(out).all():
+        raise ConfigError(f"{what} must be a 1-d array of finite frequencies")
+    return out
+
+
 def _round_grids(spec, grids) -> list[np.ndarray]:
     """The per-signal grids of a round scan, given as a list of grids or
     as the short-stage ``Periodogram``: one 1-d array of finite
-    frequencies per signal, as float arrays (an array that already is
-    one, shared or not, is kept as it is).
+    frequencies per signal (``_frequencies``; shared grids stay shared).
 
     Raises ConfigError for any other input.
     """
@@ -1113,10 +1091,7 @@ def _round_grids(spec, grids) -> list[np.ndarray]:
     if spec.k1 < 1 or len(grids) != spec.k1:
         raise ConfigError(f"need k1 >= 1 and one grid per signal, got k1 = {spec.k1} "
                           f"and {len(grids)} grids")
-    grids = [np.asarray(g, dtype=float) for g in grids]
-    if not all(g.ndim == 1 and np.isfinite(g).all() for g in grids):
-        raise ConfigError("each grid must be a 1-d array of finite frequencies")
-    return grids
+    return [_frequencies(g, "each grid") for g in grids]
 
 
 def scan_rounds(ts, spec, grids, y_rounds, workers=1):

@@ -1,22 +1,31 @@
-"""The gain rule of tools/bench_pairs.py, which every BENCH_*.json
-``gain_rule_met`` comes from: the change wins at least nine tenths of
+"""tools/bench_pairs.py: the gain rule, which every BENCH_*.json
+``gain_rule_met`` comes from (the change wins at least nine tenths of
 the pairs, ties counting for neither side, and its median beats the
-parent's by more than the parent's interquartile range."""
+parent's by more than the parent's interquartile range), and its COUNT
+script, which wraps private scan names by signature."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_pairs.py"
+BENCH = ROOT / "bench"
 
 
 @pytest.fixture(scope="module")
-def summary():
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.summary
+    return module
+
+
+@pytest.fixture(scope="module")
+def summary(bench_pairs):
+    return bench_pairs.summary
 
 
 # ten parent runs: median 1.045, quartiles 1.0225 and 1.0675 (IQR 0.045)
@@ -56,3 +65,22 @@ def test_higher_is_better_flips_the_sign(summary):
     down = summary(PARENT, change, "lower")
     assert down["change_wins"] == 1
     assert not down["gain_rule_met"]
+
+
+@pytest.mark.skipif(not (BENCH / "run.py").is_file(),
+                    reason="no bench/ directory in this checkout")
+def test_the_count_script_counts_every_scan_of_this_checkout(bench_pairs, monkeypatch):
+    # a private name the script wraps that no longer takes its arguments
+    # would fail here, not first in a benchmark run
+    counts = bench_pairs.exact_counts(ROOT, 1)
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("run").WORKLOADS
+    assert set(counts) == set(workloads)
+    for name, wl in workloads.items():
+        scans = counts[name]
+        assert list(scans) == ["long", "short"] + (["rounds"] if wl.nboot >= 2 else [])
+        for stage in ("long", "short"):
+            assert scans[stage]["certified"] is not None
+            assert scans[stage]["certified"] > 0
+        if "rounds" in scans:
+            assert scans["rounds"]["certified"] == 0

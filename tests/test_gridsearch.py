@@ -275,6 +275,42 @@ def test_periodogram_slice_rejects_an_axis_outside_the_signals(axis):
                           np.linspace(4.0, 8.0, 5))
 
 
+@pytest.mark.parametrize("bad", ["nan-grid", "nan-freqs", "2-d-grid"])
+def test_periodogram_slice_rejects_non_finite_or_malformed_frequencies(bad):
+    # a NaN used to raise a bare "SVD did not converge", and a 2-d grid
+    # was accepted silently
+    ts = two_sine_series()
+    freqs, grid = np.array([7.0, 5.0]), np.linspace(4.0, 8.0, 5)
+    if bad == "nan-grid":
+        grid[2] = np.nan
+    elif bad == "nan-freqs":
+        freqs[0] = np.nan
+    else:
+        grid = grid[None]
+    with pytest.raises(ConfigError, match="grid" if bad.endswith("grid") else "freqs"):
+        periodogram_slice(ts, ModelSpec(2, 1, 0), freqs, 1, grid)
+
+
+@pytest.mark.parametrize("center", [-5.0, 10.0, np.nan, np.inf, -np.inf])
+def test_short_search_rejects_a_window_center_outside_the_range(monkeypatch, center):
+    # -5.0 used to scan the reversed window linspace(0.5, -4.875) and 10.0
+    # to return a best frequency above f_max; a NaN scanned the whole
+    # range and inf raised a RuntimeWarning
+    ts = simulate(SimulationSpec(1, 40, 100, 1))
+    monkeypatch.setattr(gridsearch, "weighted_design",
+                        lambda *a: pytest.fail("columns built"))
+    with pytest.raises(ConfigError, match="window centers"):
+        short_search(ts, ModelSpec(1, 1, 0), SearchConfig(0.5, 3.0, n_short=10), [center])
+
+
+def test_short_search_takes_window_centers_at_the_range_ends():
+    ts = simulate(SimulationSpec(1, 40, 100, 1))
+    cfg = SearchConfig(0.5, 3.0, n_short=10)
+    for center in (cfg.f_min, cfg.f_max):
+        pg = short_search(ts, ModelSpec(1, 1, 0), cfg, [center])
+        assert cfg.f_min <= pg.grids[0].min() <= pg.grids[0].max() <= cfg.f_max
+
+
 def test_search_rejects_too_short_series():
     ts = TimeSeries(np.linspace(0, 1, 5), np.zeros(5))
     with pytest.raises(ConfigError):
@@ -431,7 +467,8 @@ def test_screen_bound_holds_and_degenerate_tuples_are_guarded(case):
         size=(n, case["rounds"] - 1)) / (sigma[:, None] if sigma is not None else 1.0))
     tuples = np.array(list(itertools.product(grid, repeat=spec.k1)))
     blocks = _Blocks(ts, spec, [grid] * spec.k1, yw.T)
-    ok, rss, bound = blocks.score(tuples)
+    ok, rss, bound = blocks._fit(tuples)[:3]
+    rss, bound = rss.T, bound.T
 
     solver = design_solver(ts, spec, tuples)
     # the screen's columns are the exact kernel's, bit for bit
@@ -448,7 +485,7 @@ def test_singular_tuples_are_routed_not_raised():
     grid = np.array([3.0, 6.0, 6.5])
     tuples = np.array([[6.0, 6.0], [6.0, 3.0], [6.5, 3.0]])
     blocks = _Blocks(ts, spec, [grid, grid], weighted_y(ts)[None])
-    ok, rss, bound = blocks.score(tuples)
+    ok, rss, bound = blocks._fit(tuples)[:3]
     # a duplicated frequency and f_a = 2 f_b with two harmonics
     assert ok.tolist() == [False, False, True]
     assert rss.shape == bound.shape == (1, 1)
@@ -496,7 +533,14 @@ def known_spectra(draw):
 @given(known_spectra())
 def test_certified_floor_is_below_the_smallest_eigenvalue(case):
     gram, lam_min = case
-    ok, lam, _ = gridsearch._certified_floor(gram)
+    # the screen's first scan: the Cholesky of [G | I], whose R^-T gives lam
+    m = gram.shape[0]
+    aug = np.zeros((m, 2 * m, gram.shape[-1]))
+    aug[:, :m] = gram
+    aug[np.arange(m), m + np.arange(m)] = 1.0
+    factored = gridsearch._cholesky(aug, m)
+    ok, lam = gridsearch._certified_floor(gram, aug[:, m:])
+    ok &= factored
     assert np.all(lam[ok] < lam_min[ok])
     # not vacuous: a well-conditioned Gram is certified
     well = lam_min >= 1e-8 * np.trace(gram)
@@ -777,8 +821,7 @@ def test_explicit_floor_is_below_the_minimum_and_the_kernel_z(case):
     if pick.size == 0:
         return
     tuples = tuples[pick]
-    state = blocks.state(tuples)
-    low, dm = blocks.floor(tuples, np.ones((len(pick), case["rounds"]), bool), state)
+    low, dm = blocks.floor(tuples, np.ones((len(pick), case["rounds"]), bool))
     z, _ = blocks.exact(tuples)
     a = blocks.design(tuples)
     rss_min = np.array([[_least_squares_minimum(a[b], blocks.yw[r])
@@ -789,17 +832,46 @@ def test_explicit_floor_is_below_the_minimum_and_the_kernel_z(case):
 
     # low holds for any x with nu >= sum_j ||A_j|| |x_j|, not only the
     # screen's: here every x moved by 1e-4 ||x|| in a random direction
-    m, rounds = spec.n_linear, case["rounds"]
-    moved = state.copy()
+    rounds = case["rounds"]
+    ok, rss, bound, (state_x, state_nu, *rest), guard = blocks._fit(tuples)
+    moved_x, moved_nu = state_x.copy(), state_nu.copy()
     col_norm = np.linalg.norm(a, axis=1)
     for r in range(rounds):
-        x = state[:, r * m:(r + 1) * m]
+        x = state_x[:, r].T
         step = rng.normal(size=x.shape)
         step *= 1e-4 * (np.linalg.norm(x, axis=1) / np.linalg.norm(step, axis=1))[:, None]
-        moved[:, r * m:(r + 1) * m] = x + step
-        moved[:, rounds * m + r] = 1.01 * np.sum(col_norm * np.abs(x + step), axis=1)
-    low, _ = blocks.floor(tuples, np.ones((len(pick), rounds), bool), moved)
+        moved_x[:, r] = (x + step).T
+        moved_nu[r] = 1.01 * np.sum(col_norm * np.abs(x + step), axis=1)
+    # the floor screens its tuples again: here that screen returns the moved x
+    blocks._fit = lambda *args: (ok, rss, bound, (moved_x, moved_nu, *rest), guard)
+    low, _ = blocks.floor(tuples, np.ones((len(pick), rounds), bool))
     assert np.all(low <= rss_min)
+
+
+def test_the_floor_is_tight_at_each_rounds_own_solution():
+    # rounds that differ by a constant, which every tuple's trend column
+    # fits, so one round's solution is far from another's; at a
+    # well-conditioned tuple the floor at the round's own x is its least
+    # squares minimum up to the rounding terms
+    rng = np.random.default_rng(7)
+    n, rounds = 60, 3
+    t = np.sort(rng.uniform(0.0, 10.0, n))
+    y = (np.cos(2 * np.pi * 1.3 * t) + 0.5 * np.cos(2 * np.pi * 0.7 * t + 1.0)
+         + 0.1 * rng.normal(size=n))
+    ts = TimeSeries(t, y)
+    grid = np.linspace(0.5, 3.0, 6)
+    blocks = _Blocks(ts, ModelSpec(2, 1, 0), [grid, grid],
+                     weighted_y(ts, rows=ts.y + np.arange(rounds)[:, None]))
+    tuples = np.concatenate(list(_product_chunks([grid, grid], 4096)))
+    ok, _, _, (_, _, _, a, lam_lo), _ = blocks._fit(tuples)
+    well = tuples[ok][a * a / lam_lo < 1e6]
+    assert len(well) >= 10
+    low, _ = blocks.floor(well, np.ones((len(well), rounds), bool))
+    a = blocks.design(well)
+    rss_min = np.array([[_least_squares_minimum(a[b], blocks.yw[r]) for r in range(rounds)]
+                        for b in range(len(well))])
+    assert np.all(low <= rss_min)
+    assert np.all(low >= (1.0 - 1e-9) * rss_min)
 
 
 def test_degenerate_tuples_reach_the_exact_kernel():
@@ -934,8 +1006,8 @@ def test_model7_hazard_scans_match_brute_force():
     assert np.array_equal(sh.best, f_want)
     short_tuples = np.concatenate(list(_product_chunks(sh.grids, 4096)))
     blocks = _Blocks(ts, spec, sh.grids, weighted_y(ts)[None])
-    ok, rss, _ = blocks.score(short_tuples)
-    assert not np.array_equal(short_tuples[ok][np.argmin(rss[:, 0])], f_want)
+    ok, rss = blocks._fit(short_tuples)[:2]
+    assert not np.array_equal(short_tuples[ok][np.argmin(rss[0])], f_want)
     z_lo, z_hi = blocks.screen(short_tuples)
     survivors = short_tuples[(z_lo <= z_hi.min(axis=0)).any(axis=1)]
     assert len(survivors) > 1
@@ -1227,16 +1299,11 @@ def engine_cases(draw):
                 seed=draw(st.integers(0, 2**16)))
 
 
-@settings(max_examples=20, deadline=None)
-@given(engine_cases())
-@example(dict(k1=2, k2=2, k3=1, weighted=True, rounds=5, centers="harmonic", seed=1))
-@example(dict(k1=3, k2=1, k3=0, weighted=False, rounds=3, centers="near", seed=2))
-def test_rounds_on_the_short_stage_engine_equal_bare_grids_and_brute_force(case):
-    # short-stage windows around near-coincident centres (f0 (1 + j 1e-3))
-    # or around j f0, so the tuples hold near-duplicate and near-harmonic
-    # frequencies; the rounds scanned through the stage's Periodogram
-    # certify no tuple and give the bits of a fresh engine and of
-    # solve_linear, tuple by tuple
+def _window_case(case):
+    """A short stage whose windows lie around near-coincident centres
+    (f0 (1 + j 1e-3)), around j f0 or apart, so that its tuples hold
+    near-duplicate and near-harmonic frequencies, and the case's rounds
+    of its series."""
     rng = np.random.default_rng(case["seed"])
     k1, n = case["k1"], 40
     spec = ModelSpec(k1, case["k2"], case["k3"])
@@ -1253,12 +1320,24 @@ def test_rounds_on_the_short_stage_engine_equal_bare_grids_and_brute_force(case)
     cfg = SearchConfig(0.5, 4.0, n_short=5, half_width_frac=0.02)
     sh = short_search(ts, spec, cfg, centers)
     y_rounds = ts.y + noise * rng.normal(size=(case["rounds"], n))
+    return ts, spec, sh, y_rounds
+
+
+@settings(max_examples=20, deadline=None)
+@given(engine_cases())
+@example(dict(k1=2, k2=2, k3=1, weighted=True, rounds=5, centers="harmonic", seed=1))
+@example(dict(k1=3, k2=1, k3=0, weighted=False, rounds=3, centers="near", seed=2))
+def test_rounds_on_the_short_stage_engine_equal_bare_grids_and_brute_force(case):
+    # the rounds scanned through the stage's Periodogram certify no tuple
+    # and give the bits of a fresh engine and of solve_linear, tuple by
+    # tuple
+    ts, spec, sh, y_rounds = _window_case(case)
 
     certified = []
 
-    def counting(gram):
+    def counting(gram, *rest):
         certified.append(gram.shape[-1])
-        return certify(gram)
+        return certify(gram, *rest)
 
     certify = gridsearch._certified_floor
     with pytest.MonkeyPatch.context() as patch:
@@ -1275,6 +1354,75 @@ def test_rounds_on_the_short_stage_engine_equal_bare_grids_and_brute_force(case)
         assert np.array_equal(best[r], f_want)
 
 
+def _reference_guard(gram, delta, delta_form):
+    """Each tuple's guard (ok, lam_lo, a^2) of an (m, m, B) Gram stack
+    from the Cholesky of [G | I] alone and the shifted factorisation
+    (module docstring, Guard), written out on its own: a reference the
+    screen's guard must equal bit for bit, whatever else the screen's
+    factorisation carries beside G."""
+    m, rows = gram.shape[1:]
+    diag = (np.arange(m), np.arange(m))
+
+    def cholesky(a, tail=0):
+        width = a.shape[1]
+        for j in range(m):
+            stop = width - tail + j + 1 if tail else width
+            pivot = a[j, j]
+            a[j, j:stop] /= np.sqrt(np.where(pivot > 0.0, pivot, np.inf))
+            a[j + 1:, j + 1:stop] -= a[j, j + 1:m, None] * a[j, None, j + 1:stop]
+        return (a[diag] > 0.0).all(axis=0)
+
+    def sum0(terms):
+        out = terms[0].copy()
+        for term in terms[1:]:
+            out += term
+        return out
+
+    aug = np.zeros((m, 2 * m, rows))
+    aug[:, :m] = gram
+    aug[diag[0], m + diag[1]] = 1.0
+    ok = cholesky(aug, tail=m)
+    inv = aug[:, m:]
+    lam_s = 0.95 / sum0(sum0(inv * inv))
+    shifted = gram.copy()
+    shifted[diag] -= lam_s + 2.0 * _gamma(2 * m + 3) * sum0(gram[diag])
+    ok &= cholesky(shifted)
+    a2 = sum0(gram[diag]) * (1.0 + 2.0 * delta_form)
+    lam_lo = lam_s - delta_form * a2
+    ok &= (lam_lo > 0.0) & (8.0 * delta * a2 <= lam_lo)
+    return ok, lam_lo, a2
+
+
+@settings(max_examples=20, deadline=None)
+@given(engine_cases())
+@example(dict(k1=2, k2=2, k3=1, weighted=True, rounds=4, centers="harmonic", seed=1))
+@example(dict(k1=3, k2=1, k3=0, weighted=False, rounds=1, centers="apart", seed=2))
+def test_a_tuples_screen_is_the_same_in_every_scan(case):
+    # the engine's first scan, a later scan of it on the same rows and a
+    # fresh engine, in its own chunk, bracket every tuple to the same
+    # bits; the first scan's guard is the reference certificate's
+    ts, spec, sh, y_rounds = _window_case(case)
+    yw = weighted_y(ts, rows=y_rounds)
+    engine = _Blocks(ts, spec, sh.grids, yw)
+    chunks = list(_product_chunks(sh.grids, engine.rows))
+    starts = np.cumsum([0] + [c.shape[0] for c in chunks[:-1]])
+    first = [engine.screen(c, at) for c, at in zip(chunks, starts)]
+    engine.keep_guard()
+    later = engine.rounds(yw)
+    again = [later.screen(c, at) for c, at in zip(chunks, starts)]
+    tuples = np.concatenate(chunks)
+    want = _Blocks(ts, spec, sh.grids, yw).screen(tuples)
+    for screens in (first, again):
+        for got, bits in zip(zip(*screens), want):
+            assert np.array_equal(np.concatenate(got), bits)
+
+    idx = engine.columns(tuples)
+    gram = engine.gram[idx[:, :, None], idx[:, None, :]].transpose(1, 2, 0)
+    for kept, bits in zip(engine.guard,
+                          _reference_guard(gram, engine.delta, engine.delta_form)):
+        assert np.array_equal(kept, bits, equal_nan=True)
+
+
 def test_analyze_certifies_each_tuple_once_and_keeps_no_engine(monkeypatch):
     # the long and short stages certify each of their tuples once (the
     # floors read the kept guard), the rounds none; no engine, so neither
@@ -1289,9 +1437,9 @@ def test_analyze_certifies_each_tuple_once_and_keeps_no_engine(monkeypatch):
         certified.append(0)
         return scan(*args, **kw)
 
-    def counting_certify(gram):
+    def counting_certify(gram, *rest):
         certified[-1] += gram.shape[-1]
-        return certify(gram)
+        return certify(gram, *rest)
 
     monkeypatch.setattr(gridsearch, "_scan", counting_scan)
     monkeypatch.setattr(gridsearch, "_certified_floor", counting_certify)
@@ -1323,7 +1471,7 @@ def test_the_kept_guard_is_each_tuples_own():
     for kept, own in zip(engine.guard, want):
         assert np.array_equal(kept, own, equal_nan=True)
 
-    # a round scan's screen and state read each tuple's own guard, in
+    # a round scan's screen and floors read each tuple's own guard, in
     # the rounds' own chunks and in any order
     rounds = engine.rounds(yw)
     assert rounds.rows != engine.rows
@@ -1331,8 +1479,10 @@ def test_the_kept_guard_is_each_tuples_own():
         itertools.count(0, rounds.rows), _product_chunks(sh.grids, rounds.rows))])
     assert np.array_equal(np.isinf(z_lo), np.isinf(fresh.screen(tuples)[0]))
     open_ = rng.permutation(np.flatnonzero(np.isfinite(z_lo[:, 0])))
-    state = rounds.state(tuples[open_], open_)
-    assert np.array_equal(state[:, -2:], fresh.state(tuples[open_])[:, -2:])
+    need = np.ones((open_.size, 3), bool)
+    for got, want in zip(rounds.floor(tuples[open_], need, open_),
+                         fresh.floor(tuples[open_], need)):
+        assert np.array_equal(got, want)
 
 
 def test_a_failed_factorisation_of_the_rounds_gram_is_guarded():
